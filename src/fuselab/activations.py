@@ -100,11 +100,16 @@ def _check_pair(a, b):
         )
 
 
+def _check_gamma(gamma):
+    # written so that NaN fails too
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
+
+
 def scatter(a, b, gamma=0.0):
     """Scatter matrices X^T X of the centered activations, ridge recorded."""
     _check_pair(a, b)
-    if gamma < 0:
-        raise ValidationError("gamma must be >= 0")
+    _check_gamma(gamma)
     return ScatterStats(
         s_aa=a.values.T @ a.values,
         s_bb=b.values.T @ b.values,

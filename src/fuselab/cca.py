@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import capture, scatter
+from .activations import _check_gamma, capture, scatter
 from .errors import GammaSelectionError, NumericalError, ShapeError, ValidationError
 from .model import AlignmentPlan, LayerTransform, MethodTag
 
@@ -50,8 +50,7 @@ def inv_sqrt(s, gamma=0.0):
     scale = max(1.0, float(np.max(np.abs(s))))
     if np.max(np.abs(s - s.T)) > SYMMETRY_ATOL * scale:
         raise ValidationError("matrix is not symmetric")
-    if gamma < 0:
-        raise ValidationError("gamma must be >= 0")
+    _check_gamma(gamma)
     ridged = s + gamma * np.eye(s.shape[0])
     try:
         evals, evecs = np.linalg.eigh(ridged)

@@ -126,11 +126,6 @@ def _method_list(text):
     return methods
 
 
-def _probes_from(ds, limit):
-    feats = ds.features
-    return feats[: int(limit)] if limit is not None else feats
-
-
 # --- handlers -------------------------------------------------------------
 
 
@@ -218,7 +213,9 @@ def cmd_merge(args, config):
     probes_path = opt.get("probes", None, str)
     if probes_path is not None:
         probes_ds = load_dataset(probes_path)
-        probes = _probes_from(probes_ds, opt.get("probe_limit", None, int))
+        probes = evaluation.limit_probes(
+            probes_ds.features, opt.get("probe_limit", None, int)
+        )
     reference = opt.get("reference", 0, int)
     repair = bool(opt.get("repair", False, bool))
     gamma, searched = _resolve_gamma(opt, models, probes, probes_ds)
@@ -297,7 +294,9 @@ def cmd_analyze(args, config):
     opt = Options(args, config)
     models = [load_model(p) for p in args.models]
     probes_ds = load_dataset(args.probes)
-    probes = _probes_from(probes_ds, opt.get("probe_limit", None, int))
+    probes = evaluation.limit_probes(
+        probes_ds.features, opt.get("probe_limit", None, int)
+    )
     report = analysis.analyze(models, probes, opt.get("gamma", None, float))
     items = report.to_items()
     out = opt.get("out", None, str)
@@ -353,7 +352,7 @@ def cmd_experiment(args, config):
 
     methods = _method_list(opt.get("methods", "direct,permute,cca", str))
     probe_limit = opt.get("probe_limit", None, int)
-    probes = _probes_from(train_ds, probe_limit)
+    probes = evaluation.limit_probes(train_ds.features, probe_limit)
     repair = bool(opt.get("repair", False, bool))
     reference = opt.get("reference", 0, int)
     grid = opt.get("grid", evaluation.DEFAULT_GRID_SIZE, int)

@@ -18,6 +18,17 @@ from .model import DenseLayer, MethodTag, MlpModel, apply_plan, forward
 DEFAULT_GRID_SIZE = 21
 
 
+def limit_probes(features, probe_limit):
+    """The first probe_limit rows of features; None keeps every row."""
+    if probe_limit is None:
+        return features
+    if probe_limit < 2:
+        raise ConfigurationError(
+            f"probe limit must be at least 2, got {probe_limit}"
+        )
+    return features[: int(probe_limit)]
+
+
 def accuracy(model, ds):
     return trainer.cross_entropy_accuracy(model, ds)[1]
 
@@ -26,6 +37,8 @@ def ensemble_accuracy(models, ds):
     """Accuracy of the uniform logit average of the models."""
     if not models:
         raise ConfigurationError("ensemble needs at least one model")
+    for m in models:
+        trainer._check_classes(m, ds)
     logits = np.mean([forward(m, ds.features) for m in models], axis=0)
     return float((logits.argmax(axis=1) == ds.labels).mean())
 
@@ -166,8 +179,9 @@ def merge_and_report(
 ):
     """Run one all-to-one merge and collect its report skeleton.
 
-    Returns (merged model, report). Canonical-correlation summaries are
-    attached whenever probes are available, whatever the merge method.
+    Returns (merged model, report, aligned non-reference models in their
+    input order). Canonical-correlation summaries are attached whenever
+    probes are available, whatever the merge method.
     """
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
@@ -221,9 +235,7 @@ def evaluate_merge(
     reference_index=0,
 ):
     """Merge `models` with `method` and score everything on the test set."""
-    probes = train_ds.features
-    if probe_limit is not None:
-        probes = probes[: int(probe_limit)]
+    probes = limit_probes(train_ds.features, probe_limit)
     merged, report, aligned = merge_and_report(
         models,
         method,

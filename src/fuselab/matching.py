@@ -3,9 +3,16 @@
 The solver maximizes sum_i C[i, mapping[i]] exactly. When several
 assignments tie at the optimum the result is canonicalized to the
 lexicographically smallest mapping, i.e. the outcome of breaking ties with
-an infinitesimal -eps * column-index perturbation, realized exactly by
-fixing rows greedily and re-checking optimality of the remainder rather
-than by an actual float perturbation.
+an infinitesimal -eps * column-index perturbation.
+
+One solver call gives an optimum sigma. Every other optimum differs from
+sigma only along zero-cost cycles of the exchange graph, whose edge i -> k
+costs C[i, sigma(i)] - C[i, sigma(k)] (row i giving up its column for row
+k's). All-pairs shortest paths over that graph give each row's cheapest
+cycle; rows with no near-zero cycle keep sigma(i), and only the remaining
+rows are canonicalized exactly, by fixing them greedily and re-checking
+optimality of the remainder. The solve and the cycle search are O(n^3); the
+greedy costs O(k^2) solves for k rows that can tie.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .activations import CorrelationMatrix, capture, correlations
 from .errors import ShapeError, ValidationError
@@ -49,23 +55,34 @@ def _score_matrix(c):
 
 
 def _best_score(matrix):
+    from scipy import optimize  # deferred: importing it dominates import time
+
     rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
-    return float(matrix[rows, cols].sum())
+    return float(matrix[rows, cols].sum()), cols
 
 
-def linear_sum_assignment(c):
-    """Exact maximum assignment, lexicographically smallest among optima."""
-    m = _score_matrix(c)
+def _cheapest_cycles(m, sigma):
+    """Cost of the cheapest exchange-graph cycle through each row."""
+    own = m[np.arange(m.shape[0]), sigma]
+    d = own[:, None] - m[:, sigma]
+    np.fill_diagonal(d, np.inf)
+    step = np.empty_like(d)
+    for k in range(d.shape[0]):  # Floyd-Warshall, one pivot row per round
+        np.add(d[:, k, None], d[None, k, :], out=step)
+        np.minimum(d, step, out=d)
+    return np.diagonal(d)
+
+
+def _greedy(m, optimum, tol):
+    """Lexicographically smallest mapping scoring within tol of optimum."""
     n = m.shape[0]
-    optimum = _best_score(m)
-    tol = SCORE_RTOL * max(1.0, abs(optimum))
     available = list(range(n))
     mapping = np.empty(n, dtype=np.intp)
     prefix = 0.0
     for i in range(n):
         for j in available:
             rest_cols = [c_ for c_ in available if c_ != j]
-            rest = _best_score(m[i + 1 :, rest_cols]) if rest_cols else 0.0
+            rest = _best_score(m[i + 1 :, rest_cols])[0] if rest_cols else 0.0
             if prefix + m[i, j] + rest >= optimum - tol:
                 mapping[i] = j
                 prefix += m[i, j]
@@ -73,6 +90,26 @@ def linear_sum_assignment(c):
                 break
         else:  # pragma: no cover - the optimum always extends
             raise ValidationError("assignment canonicalization failed")
+    return mapping
+
+
+def linear_sum_assignment(c):
+    """Exact maximum assignment, lexicographically smallest among optima."""
+    m = _score_matrix(c)
+    n = m.shape[0]
+    optimum, sigma = _best_score(m)
+    tol = SCORE_RTOL * max(1.0, abs(optimum))
+    # a cycle cost sums up to n rounded differences; the slack covers that
+    # rounding so that no row the greedy could move is wrongly kept fixed
+    eps = np.finfo(np.float64).eps
+    slack = 2.0 * tol + 4.0 * n * eps * float(np.abs(m).max(initial=0.0))
+    mapping = sigma.astype(np.intp)
+    rows = np.flatnonzero(_cheapest_cycles(m, mapping) <= slack)
+    if rows.size:
+        cols = np.sort(mapping[rows])
+        sub = m[np.ix_(rows, cols)]
+        sub_optimum = float(m[rows, mapping[rows]].sum())
+        mapping[rows] = cols[_greedy(sub, sub_optimum, tol)]
     total = float(m[np.arange(n), mapping].sum())
     return Assignment(mapping, total)
 

@@ -179,7 +179,6 @@ def hidden_outputs(model, inputs):
 
 
 def _check_permutation_matrix(m):
-    n = m.shape[0]
     ones = m == 1.0
     zeros = m == 0.0
     if not np.all(ones | zeros):
@@ -190,7 +189,6 @@ def _check_permutation_matrix(m):
         raise ValidationError(
             "permutation transform needs exactly one 1 per row and column"
         )
-    del n, zeros
 
 
 @dataclass(frozen=True, eq=False)

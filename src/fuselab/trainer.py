@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, ShapeError, TrainingDivergedError
 from .model import Activation, DenseLayer, MlpModel, forward
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
@@ -76,11 +76,20 @@ def softmax(logits):
     return z / z.sum(axis=1, keepdims=True)
 
 
+def _check_classes(model, ds):
+    if model.out_dim != ds.num_classes:
+        raise ShapeError(
+            f"model has {model.out_dim} output classes but the dataset "
+            f"has {ds.num_classes}"
+        )
+
+
 def cross_entropy_accuracy(model, ds):
     """(mean cross-entropy, accuracy) on a dataset.
 
     Prediction ties resolve toward the lowest class index (argmax).
     """
+    _check_classes(model, ds)
     logits = forward(model, ds.features)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(ds.m), ds.labels].mean())

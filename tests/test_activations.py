@@ -85,6 +85,12 @@ class TestScatter:
         with pytest.raises(ValidationError):
             scatter(a, a, gamma=-1e-9)
 
+    def test_non_finite_gamma_rejected(self, rng):
+        a = _mat(rng.normal(size=(10, 3)))
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="gamma"):
+                scatter(a, a, gamma=gamma)
+
 
 class TestCorrelations:
     def test_self_correlation_diagonal_is_one(self, rng):

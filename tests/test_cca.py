@@ -73,6 +73,11 @@ class TestInvSqrt:
         with pytest.raises(ValidationError):
             inv_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_non_finite_gamma_rejected(self):
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="gamma"):
+                inv_sqrt(np.eye(2), gamma=gamma)
+
 
 class TestSolveCca:
     def test_self_pair_is_identity(self, rng):

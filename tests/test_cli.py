@@ -132,6 +132,22 @@ class TestMerge:
         assert code == 1
         assert "error: merge:" in capsys.readouterr().err
 
+    def test_nan_gamma_rejected(self, workdir, tmp_path, capsys):
+        _, data, _, models = workdir
+        code = main(["merge", str(models[0]), str(models[1]),
+                     "--method", "cca", "--probes", str(data),
+                     "--gamma", "nan", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "gamma must be finite" in capsys.readouterr().err
+
+    def test_negative_probe_limit_rejected(self, workdir, tmp_path, capsys):
+        _, data, _, models = workdir
+        code = main(["merge", str(models[0]), str(models[1]),
+                     "--method", "permute", "--probes", str(data),
+                     "--probe-limit", "-70", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "probe limit" in capsys.readouterr().err
+
     def test_probe_method_without_probes_fails(self, workdir, tmp_path, capsys):
         _, _, _, models = workdir
         code = main(["merge", str(models[0]), str(models[1]),
@@ -166,6 +182,17 @@ class TestEval:
         assert main(["eval", str(models[0]), "--data", str(test),
                      "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+    def test_class_count_mismatch_fails_cleanly(self, workdir, tmp_path, capsys):
+        _, _, _, models = workdir
+        wide = tmp_path / "wide.ds"
+        assert main(["gen-data", "--classes", "16", "--per-class", "2",
+                     "--dim", "6", "--out", str(wide)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(models[0]), "--data", str(wide)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eval:")
+        assert "4 output classes" in err and "16" in err
 
 
 class TestBarrier:

@@ -6,6 +6,7 @@ import pytest
 from fuselab import (
     ConfigurationError,
     MethodTag,
+    ShapeError,
     ValidationError,
     accuracy,
     cross_entropy_accuracy,
@@ -37,6 +38,12 @@ class TestEnsemble:
         _, test_ds = small_task
         with pytest.raises(ConfigurationError):
             ensemble_accuracy([], test_ds)
+
+    def test_class_count_mismatch_rejected(self, small_pair, small_task):
+        _, test_ds = small_task
+        wide = random_model(test_ds.dim, (16, 16), 16, seed=6)
+        with pytest.raises(ShapeError, match="16 output classes.*has 4"):
+            ensemble_accuracy([small_pair[0], wide], test_ds)
 
 
 class TestInterpolationCurve:
@@ -211,6 +218,21 @@ class TestEvaluateMerge:
             np.abs(m_few.layers[0].weights - m_all.layers[0].weights)
         )
         assert diff > 0.0
+
+    def test_probe_limit_below_two_rejected(self, small_pair, small_task):
+        train_ds, test_ds = small_task
+        for limit in (-70, 0, 1):
+            with pytest.raises(ConfigurationError, match="probe limit"):
+                evaluate_merge(
+                    MethodTag.PERMUTE, small_pair, train_ds, test_ds,
+                    probe_limit=limit,
+                )
+        # a limit past the last row keeps every row
+        m_big, _ = evaluate_merge(
+            MethodTag.PERMUTE, small_pair, train_ds, test_ds, probe_limit=10**6
+        )
+        m_all, _ = evaluate_merge(MethodTag.PERMUTE, small_pair, train_ds, test_ds)
+        assert_models_allclose(m_big, m_all, atol=0.0)
 
     def test_repair_skips_recorded_in_report(self, small_pair, small_task):
         train_ds, test_ds = small_task

@@ -1,9 +1,15 @@
 """Maximum-score assignment and permutation-based alignment plans."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from fuselab import (
     Assignment,
@@ -18,6 +24,7 @@ from fuselab import (
     permute_plan,
 )
 from fuselab.activations import ActivationMatrix, correlations
+from fuselab.matching import SCORE_RTOL
 
 from _helpers import permuted_twin, random_model
 
@@ -34,6 +41,105 @@ def _brute_force(m):
         elif score == best:
             winners.append(perm)
     return best, sorted(winners)
+
+
+def _best_score(matrix):
+    rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
+    return float(matrix[rows, cols].sum())
+
+
+def _greedy_oracle(c):
+    """The full-matrix canonical assignment the fast path replaced.
+
+    Fixes rows in order, each to the smallest column whose best completion
+    still reaches the optimum: O(n^2) solver calls.
+    """
+    m = np.asarray(c, dtype=np.float64)
+    n = m.shape[0]
+    optimum = _best_score(m)
+    tol = SCORE_RTOL * max(1.0, abs(optimum))
+    available = list(range(n))
+    mapping = np.empty(n, dtype=np.intp)
+    prefix = 0.0
+    for i in range(n):
+        for j in available:
+            rest_cols = [c_ for c_ in available if c_ != j]
+            rest = _best_score(m[i + 1 :, rest_cols]) if rest_cols else 0.0
+            if prefix + m[i, j] + rest >= optimum - tol:
+                mapping[i] = j
+                prefix += m[i, j]
+                available.remove(j)
+                break
+        else:  # pragma: no cover - the optimum always extends
+            raise ValidationError("assignment canonicalization failed")
+    total = float(m[np.arange(n), mapping].sum())
+    return Assignment(mapping, total)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Square score matrices built to contain many exactly tied optima."""
+    n = draw(st.integers(1, 12))
+    element = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 2).map(float),
+                st.floats(-1.0, 1.0).map(lambda v: round(v, 1)),
+            ]
+        )
+    )
+    entries = draw(st.lists(element, min_size=n * n, max_size=n * n))
+    m = np.array(entries, dtype=np.float64).reshape(n, n)
+    index = st.integers(0, n - 1)
+    # dead neurons give all-zero rows and columns of a correlation matrix
+    m[draw(st.lists(index, max_size=n // 2)), :] = 0.0
+    m[:, draw(st.lists(index, max_size=n // 2))] = 0.0
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=n)):
+        m[:, dst] = m[:, src]
+    return m
+
+
+class TestAgainstGreedyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_matrices())
+    def test_fast_path_equals_oracle(self, m):
+        out, oracle = linear_sum_assignment(m), _greedy_oracle(m)
+        np.testing.assert_array_equal(out.mapping, oracle.mapping)
+        assert out.total_score == oracle.total_score
+
+    def test_wide_correlations_with_dead_neurons_equal_oracle(self):
+        rng = np.random.default_rng(79)
+        for _ in range(4):
+            m = np.round(np.tanh(rng.normal(size=(40, 40))), 1)
+            m[rng.integers(0, 40, size=5), :] = 0.0
+            m[:, rng.integers(0, 40, size=5)] = 0.0
+            out, oracle = linear_sum_assignment(m), _greedy_oracle(m)
+            np.testing.assert_array_equal(out.mapping, oracle.mapping)
+            assert out.total_score == oracle.total_score
+
+    def test_tie_free_matrix_takes_one_solver_call(self, monkeypatch):
+        calls = []
+        solver = optimize.linear_sum_assignment
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linear_sum_assignment", counted)
+        m = np.random.default_rng(80).normal(size=(128, 128))
+        out = linear_sum_assignment(m)
+        assert calls == [(128, 128)]
+        _, cols = solver(m, maximize=True)
+        np.testing.assert_array_equal(out.mapping, cols)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, fuselab; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestLinearSumAssignment:

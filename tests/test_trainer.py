@@ -8,6 +8,7 @@ from fuselab import (
     ConfigurationError,
     DenseLayer,
     MlpModel,
+    ShapeError,
     TrainConfig,
     TrainingDivergedError,
     cross_entropy_accuracy,
@@ -94,6 +95,12 @@ class TestEvaluation:
         logits = forward(model, ds.features)
         expect = float(np.mean(np.argmax(logits, axis=1) == ds.labels))
         assert acc == expect
+
+    def test_class_count_mismatch_rejected(self):
+        ds = generate(16, 3, 2, seed=1)
+        model = init_model(2, (4,), 4, init_seed=1)
+        with pytest.raises(ShapeError, match="4 output classes.*has 16"):
+            cross_entropy_accuracy(model, ds)
 
 
 class TestTrain:
