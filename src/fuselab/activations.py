@@ -40,6 +40,21 @@ class ActivationMatrix:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "column_means", mu)
 
+    @classmethod
+    def _adopt(cls, values, column_means, layer_index):
+        """Wrap arrays the caller made and hands over, without copying."""
+        values.setflags(write=False)
+        column_means.setflags(write=False)
+        mat = object.__new__(cls)
+        for name, value in (
+            ("values", values),
+            ("column_means", column_means),
+            ("layer_index", layer_index),
+            ("m", values.shape[0]),
+        ):
+            object.__setattr__(mat, name, value)
+        return mat
+
     @property
     def width(self):
         return self.values.shape[1]
@@ -84,8 +99,10 @@ def capture(model, probes):
     x = probe_matrix(probes)
     mats = []
     for i, h in enumerate(hidden_outputs(model, x)):
+        # h is a fresh array nothing else refers to: center it in place
         mu = h.mean(axis=0)
-        mats.append(ActivationMatrix(h - mu, mu, i, x.shape[0]))
+        h -= mu
+        mats.append(ActivationMatrix._adopt(h, mu, i))
     return mats
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cca, matching, merge
-from .activations import capture, correlations
+from .activations import correlations
 from .errors import ConfigurationError, ShapeError, ValidationError
 from .model import MethodTag
 
@@ -187,9 +187,9 @@ class PairLayerDiagnostics:
 
 def pair_diagnostics(model_a, model_b, probes, gamma=None):
     """Per-layer matching diagnostics for one model pair."""
-    acts_a = capture(model_a, probes)
-    acts_b = capture(model_b, probes)
-    sols = cca.solve_layers(model_a, model_b, probes, gamma)
+    stats = cca.ReferenceStats(model_a, probes)
+    acts_a, acts_b = stats.capture_pair(model_b)
+    sols = cca.solve_pair(stats, cca.pair_scatter(stats, acts_a, acts_b), gamma)
     out = []
     for i, (a, b) in enumerate(zip(acts_a, acts_b)):
         corr = correlations(a, b)

@@ -6,6 +6,14 @@ cross matrix, and read off projection bases whose paired columns are
 maximally correlated. The layer transform that rewrites model B's features
 in model A's basis is T = (P_b P_a^-1)^T; with an invertible linear mixing
 between the two feature spaces this recovers the mixing's inverse exactly.
+
+Only the ridge depends on gamma. ReferenceStats holds what does not, for one
+call: the reference's Gram matrices, formed once, and its inverse square
+roots, one per (layer, gamma). A pair is captured and its scatter formed
+once (pair_scatter) and then solved at any number of ridges (solve_pair).
+The gamma search walks pairs in the outer loop and candidates in the inner
+loop, so no pair is captured twice. Every product is the same BLAS call on
+the same operands as a from-scratch solve, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _check_gamma, capture, scatter
+from .activations import ScatterStats, _check_gamma, _check_pair, capture
 from .errors import GammaSelectionError, NumericalError, ShapeError, ValidationError
 from .model import AlignmentPlan, LayerTransform, MethodTag
 
@@ -68,11 +76,8 @@ def _fix_svd_signs(u, vt):
     return u * signs, vt * signs[:, None]
 
 
-def solve_cca(stats):
-    """Canonical projections for one layer pair from its scatter stats."""
-    root_a = inv_sqrt(stats.s_aa, stats.gamma)
-    root_b = inv_sqrt(stats.s_bb, stats.gamma)
-    m = root_a @ stats.s_ab @ root_b
+def _whitened_solution(root_a, s_ab, root_b, gamma):
+    m = root_a @ s_ab @ root_b
     try:
         u, sing, vt = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
@@ -82,8 +87,15 @@ def solve_cca(stats):
         p_a=root_a @ u,
         p_b=root_b @ vt.T,
         correlations=np.clip(sing, 0.0, 1.0),
-        gamma=stats.gamma,
+        gamma=gamma,
     )
+
+
+def solve_cca(stats):
+    """Canonical projections for one layer pair from its scatter stats."""
+    root_a = inv_sqrt(stats.s_aa, stats.gamma)
+    root_b = inv_sqrt(stats.s_bb, stats.gamma)
+    return _whitened_solution(root_a, stats.s_ab, root_b, stats.gamma)
 
 
 def build_transform(sol, layer_index):
@@ -112,11 +124,72 @@ def build_transform(sol, layer_index):
         ) from exc
 
 
+def _layer_scale(s_aa, s_bb):
+    return float(np.mean((np.diag(s_aa) + np.diag(s_bb)) / 2.0))
+
+
 def default_gamma(s_aa, s_bb):
     """Scale-aware ridge: DEFAULT_GAMMA_COEFF x mean diagonal scatter."""
-    return DEFAULT_GAMMA_COEFF * float(
-        np.mean((np.diag(s_aa) + np.diag(s_bb)) / 2.0)
-    )
+    return DEFAULT_GAMMA_COEFF * _layer_scale(s_aa, s_bb)
+
+
+class ReferenceStats:
+    """Gamma-free statistics of one reference model on one probe set.
+
+    The reference's per-layer Gram matrices are formed by the first
+    pair_scatter and kept; its inverse square roots are kept once per
+    (layer, gamma). A partner's Gram and cross-scatter live only as long as
+    the pair list that holds them, and activations are never kept. Build one
+    per call: probes are mutable arrays, so the statistics must not outlive
+    the call that computed them.
+    """
+
+    def __init__(self, reference, probes):
+        self.reference = reference
+        self.probes = probes
+        self.grams = None
+        self.roots = {}
+
+    def capture_pair(self, other):
+        """The reference's and other's activations on the probes."""
+        return capture(self.reference, self.probes), capture(other, self.probes)
+
+
+def pair_scatter(stats, acts_a, acts_b):
+    """Per-layer ScatterStats of the reference against a partner.
+
+    acts_a must be the reference's capture on stats.probes. The ridge is
+    applied at solve time, so every entry records gamma 0.
+    """
+    for a, b in zip(acts_a, acts_b):
+        _check_pair(a, b)
+    if stats.grams is None:
+        stats.grams = [a.values.T @ a.values for a in acts_a]
+    return [
+        ScatterStats(
+            s_aa, b.values.T @ b.values, a.values.T @ b.values, 0.0, a.m
+        )
+        for a, b, s_aa in zip(acts_a, acts_b, stats.grams)
+    ]
+
+
+def solve_pair(stats, scatters, gamma=None):
+    """Per-layer CCA solutions from pair_scatter's output.
+
+    gamma=None applies the scale-aware default independently per layer;
+    a float applies that exact ridge everywhere.
+    """
+    sols = []
+    for i, s in enumerate(scatters):
+        g = default_gamma(s.s_aa, s.s_bb) if gamma is None else float(gamma)
+        # hex() keeps -0.0 and 0.0 apart: the ridged matrices may differ
+        key = (i, g.hex())
+        root_a = stats.roots.get(key)
+        if root_a is None:
+            root_a = stats.roots[key] = inv_sqrt(s.s_aa, g)
+        root_b = inv_sqrt(s.s_bb, g)
+        sols.append(_whitened_solution(root_a, s.s_ab, root_b, g))
+    return sols
 
 
 def solve_layers(model_a, model_b, probes, gamma=None):
@@ -125,15 +198,10 @@ def solve_layers(model_a, model_b, probes, gamma=None):
     gamma=None applies the scale-aware default independently per layer;
     a float applies that exact ridge everywhere.
     """
-    acts_a = capture(model_a, probes)
-    acts_b = capture(model_b, probes)
-    sols = []
-    for a, b in zip(acts_a, acts_b):
-        g = default_gamma(
-            a.values.T @ a.values, b.values.T @ b.values
-        ) if gamma is None else float(gamma)
-        sols.append(solve_cca(scatter(a, b, g)))
-    return sols
+    stats = ReferenceStats(model_a, probes)
+    return solve_pair(
+        stats, pair_scatter(stats, *stats.capture_pair(model_b)), gamma
+    )
 
 
 def plan_from_solutions(solutions):
@@ -148,60 +216,73 @@ def cca_plan(model_a, model_b, probes, gamma=None):
     return plan_from_solutions(solve_layers(model_a, model_b, probes, gamma))
 
 
+def _grid(gram_pairs):
+    scale = float(np.mean([_layer_scale(*grams) for grams in gram_pairs]))
+    return [c * scale for c in GAMMA_GRID_COEFFS]
+
+
 def gamma_grid(model_a, model_b, probes):
     """Scale-aware candidate ridges: GAMMA_GRID_COEFFS x mean diag scatter."""
-    acts_a = capture(model_a, probes)
-    acts_b = capture(model_b, probes)
-    scale = float(
-        np.mean(
-            [
-                np.mean(
-                    (
-                        np.diag(a.values.T @ a.values)
-                        + np.diag(b.values.T @ b.values)
-                    )
-                    / 2.0
-                )
-                for a, b in zip(acts_a, acts_b)
-            ]
-        )
+    return _grid(
+        (a.values.T @ a.values, b.values.T @ b.values)
+        for a, b in zip(capture(model_a, probes), capture(model_b, probes))
     )
-    return [c * scale for c in GAMMA_GRID_COEFFS]
 
 
 def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     """Pick the ridge whose CCA merges score best on held-out pairs.
 
     Each candidate is scored by the mean accuracy of the merged models over
-    all pairs; a candidate whose merge fails numerically scores -inf. Ties
-    go to the larger gamma.
+    all pairs; a candidate whose merge fails numerically on any pair is
+    dropped. Ties go to the larger gamma. candidate_gammas=None walks
+    gamma_grid of the first pair, read from that pair's statistics.
+
+    Pairs are walked in the outer loop, so each pair is captured and its
+    scatter formed once, and pairs sharing a reference share its Grams and
+    inverse square roots.
     """
     from .evaluation import accuracy
     from .merge import merge_pair
 
-    candidates = sorted(float(g) for g in candidate_gammas)
-    if not candidates:
-        raise GammaSelectionError("no candidate gammas given")
+    candidates = None
+    if candidate_gammas is not None:
+        candidates = sorted(float(g) for g in candidate_gammas)
+        if not candidates:
+            raise GammaSelectionError("no candidate gammas given")
     if not model_pairs:
         raise GammaSelectionError("no model pairs given")
+    stats = None
+    scores = None  # candidate index -> accuracy per pair, failures removed
+    for model_a, model_b in model_pairs:
+        if stats is None or stats.reference is not model_a:
+            stats = ReferenceStats(model_a, probes)
+        try:
+            pair = pair_scatter(stats, *stats.capture_pair(model_b))
+        except (NumericalError, ValidationError):
+            if candidates is None:
+                raise
+            scores = {}  # every candidate would fail on this pair
+            break
+        if candidates is None:
+            candidates = sorted(_grid((s.s_aa, s.s_bb) for s in pair))
+        if scores is None:
+            scores = {c: [] for c in range(len(candidates))}
+        for c in list(scores):
+            try:
+                sols = solve_pair(stats, pair, candidates[c])
+                merged = merge_pair(model_a, model_b, plan_from_solutions(sols))
+                scores[c].append(accuracy(merged, eval_ds))
+            except (NumericalError, ValidationError):
+                del scores[c]
+        if not scores:
+            break
     best_gamma = None
     best_score = -np.inf
-    for g in candidates:
-        scores = []
-        for model_a, model_b in model_pairs:
-            try:
-                plan = cca_plan(model_a, model_b, probes, g)
-                merged = merge_pair(model_a, model_b, plan)
-                scores.append(accuracy(merged, eval_ds))
-            except (NumericalError, ValidationError):
-                scores = None
-                break
-        if scores is None:
-            continue
-        score = float(np.mean(scores))
+    for c, pair_scores in scores.items():
+        score = float(np.mean(pair_scores))
         # candidates ascend, so >= sends exact ties to the larger gamma
         if score >= best_score:
-            best_gamma, best_score = g, score
+            best_gamma, best_score = candidates[c], score
     if best_gamma is None:
         raise GammaSelectionError(
             "every candidate gamma failed during merging"

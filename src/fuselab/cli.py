@@ -188,13 +188,12 @@ def _resolve_gamma(opt, models, probes, probes_ds):
         raise ConfigurationError("--gamma and --gamma-search are exclusive")
     if probes is None:
         raise ConfigurationError("--gamma-search needs probes")
-    reference = models[0]
-    others = models[1:]
-    if search == "auto":
-        candidates = cca.gamma_grid(reference, others[0], probes)
-    else:
-        candidates = _parse_float_list(search, "--gamma-search")
-    pairs = [(reference, other) for other in others]
+    # auto: select_gamma walks the grid of the first pair
+    candidates = (
+        None if search == "auto"
+        else _parse_float_list(search, "--gamma-search")
+    )
+    pairs = [(models[0], other) for other in models[1:]]
     chosen = cca.select_gamma(candidates, pairs, probes, probes_ds)
     return chosen, True
 
@@ -532,6 +531,13 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_experiment)
 
+    # the keys a --config file may set: each subcommand's own long options
+    for p in sub.choices.values():
+        p.set_defaults(
+            options=frozenset(
+                a.dest for a in p._actions if a.option_strings
+            ) - {"help", "config"}
+        )
     return parser
 
 
@@ -542,6 +548,11 @@ def main(argv=None):
     if getattr(args, "config", None):
         try:
             config = load_config(args.config)
+            for key in config:
+                if key not in args.options:
+                    raise ConfigurationError(
+                        f"unknown key {key!r} for {args.command}"
+                    )
         except FuselabError as exc:
             print(f"error: config: {exc}", file=sys.stderr)
             return 1

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
-from .model import _read_manifest
+from .model import _read_manifest, _write_atomic
 
 CLASS_MARGIN = 3.0
 
@@ -57,6 +57,9 @@ class Dataset:
 
     def subset(self, indices):
         idx = np.asarray(indices)
+        if idx.size == 0:
+            # an empty list is float64, which numpy will not index with
+            idx = idx.astype(np.intp)
         return Dataset(
             self.features[idx], self.labels[idx], self.num_classes, self.seed
         )
@@ -158,10 +161,12 @@ def save_dataset(ds, path):
         f"seed {ds.seed}",
         "end",
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
+    _write_atomic(
+        path,
+        ("\n".join(lines) + "\n").encode("ascii")
+        + np.ascontiguousarray(ds.features, dtype="<f8").tobytes()
+        + np.ascontiguousarray(ds.labels, dtype="<u4").tobytes(),
+    )
 
 
 def load_dataset(path):

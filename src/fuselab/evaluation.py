@@ -7,6 +7,7 @@ the path is taken between a reference model and an already-aligned partner.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ def ensemble_accuracy(models, ds):
     if not models:
         raise ConfigurationError("ensemble needs at least one model")
     for m in models:
-        trainer._check_classes(m, ds)
+        trainer._check_scorable(m, ds)
     logits = np.mean([forward(m, ds.features) for m in models], axis=0)
     return float((logits.argmax(axis=1) == ds.labels).mean())
 
@@ -169,6 +170,28 @@ def summaries_from_solutions(solutions):
     )
 
 
+def _align_pair(stats, other, method, gamma, summarize):
+    """(plan, CCA solutions or None) aligning other to stats.reference.
+
+    Both models are captured at most once. The solutions are computed when
+    the method is cca or `summarize` asks for them; the captures go out of
+    scope on return.
+    """
+    if method is MethodTag.IDENTITY and not summarize:
+        return matching.identity_plan(other), None
+    acts = stats.capture_pair(other)
+    sols = None
+    if method is MethodTag.CCA or summarize:
+        sols = cca.solve_pair(stats, cca.pair_scatter(stats, *acts), gamma)
+    if method is MethodTag.CCA:
+        plan = cca.plan_from_solutions(sols)
+    elif method is MethodTag.PERMUTE:
+        plan = matching.plan_from_activations(*acts)
+    else:
+        plan = merge.align(stats.reference, other, method, stats.probes, gamma)
+    return plan, sols
+
+
 def merge_and_report(
     models,
     method,
@@ -190,20 +213,17 @@ def merge_and_report(
     reference = models[reference_index]
     others = [m for i, m in enumerate(models) if i != reference_index]
 
+    stats = None if probes is None else cca.ReferenceStats(reference, probes)
     aligned = []
     summaries = ()
     for k, other in enumerate(others):
-        if method is MethodTag.CCA:
-            sols = cca.solve_layers(reference, other, probes, gamma)
-            plan = cca.plan_from_solutions(sols)
-            if k == 0:
-                summaries = summaries_from_solutions(sols)
+        if stats is None:
+            plan, sols = merge.align(reference, other, method), None
         else:
-            plan = merge.align(reference, other, method, probes, gamma)
+            plan, sols = _align_pair(stats, other, method, gamma, k == 0)
+        if k == 0 and sols is not None:
+            summaries = summaries_from_solutions(sols)
         aligned.append(apply_plan(other, plan))
-    if not summaries and probes is not None:
-        sols = cca.solve_layers(reference, others[0], probes, gamma)
-        summaries = summaries_from_solutions(sols)
     merged = merge.average_models([reference, *aligned])
     skipped = ()
     if repair:
@@ -251,15 +271,8 @@ def evaluate_merge(
         barrier = interpolation_curve(
             models[reference_index], aligned[0], test_ds, grid_size
         ).barrier
-    return merged, MergeReport(
-        method=report.method,
-        num_models=report.num_models,
-        reference_index=report.reference_index,
-        seed_tags=report.seed_tags,
-        gamma_requested=report.gamma_requested,
-        repair=report.repair,
-        repair_skipped=report.repair_skipped,
-        layer_summaries=report.layer_summaries,
+    return merged, dataclasses.replace(
+        report,
         endpoint_accuracies=endpoint,
         base_models_avg=float(np.mean(endpoint)),
         ensemble=ensemble_accuracy(models, test_ds),

@@ -130,8 +130,13 @@ def permute_plan(model_a, model_b, probes):
     on the probes, then the assignment that maximizes total matched
     correlation; the transform places b-neuron mapping[i] at slot i.
     """
-    acts_a = capture(model_a, probes)
-    acts_b = capture(model_b, probes)
+    return plan_from_activations(
+        capture(model_a, probes), capture(model_b, probes)
+    )
+
+
+def plan_from_activations(acts_a, acts_b):
+    """permute_plan from the two models' captures on the same probes."""
     transforms = []
     for i, (a, b) in enumerate(zip(acts_a, acts_b)):
         assign = linear_sum_assignment(correlations(a, b))

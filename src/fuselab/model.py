@@ -11,13 +11,15 @@ invertible transforms up to what the nonlinearity allows.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, ValidationError
+from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
 
 INVERSE_ATOL = 1e-8
 RCOND_FLOOR = 1e-12
@@ -100,6 +102,16 @@ class DenseLayer:
         return self.activation.apply(x @ self.weights.T + self.bias)
 
 
+def _check_seed_tag(tag):
+    # the tag is one token of the ASCII manifest line "seed_tag <tag>"
+    if tag is not None and not (
+        isinstance(tag, str) and all("!" <= c <= "~" for c in tag)
+    ):
+        raise ValidationError(
+            f"seed tag {tag!r} must be printable ASCII without whitespace"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class MlpModel:
     """Immutable MLP: ReLU hidden layers, Identity output layer."""
@@ -127,6 +139,7 @@ class MlpModel:
                 raise ValidationError("hidden layers must use ReLU")
         if layers[-1].activation is not Activation.IDENTITY:
             raise ValidationError("the final layer must be linear (Identity)")
+        _check_seed_tag(self.seed_tag)
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -355,11 +368,33 @@ def save_model(model, path):
     if model.seed_tag is not None:
         lines.append(f"seed_tag {model.seed_tag}")
     lines.append("end")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for layer in model.layers:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    chunks = [("\n".join(lines) + "\n").encode("ascii")]
+    for layer in model.layers:
+        chunks.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
+        chunks.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    _write_atomic(path, b"".join(chunks))
+
+
+def _write_atomic(path, data):
+    """Replace path with data in one step, via a temp file beside it.
+
+    A failure at any point leaves whatever was at path untouched.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigurationError(
+                f"cannot write {path}: {exc.strerror or exc}"
+            ) from exc
+        raise
 
 
 def _read_manifest(fh, magic, version=MODEL_FORMAT_VERSION):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import time
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
+from .model import _write_atomic
 
 REPORT_FORMAT_VERSION = 1
 
@@ -47,8 +48,13 @@ def format_report(items, timestamp=None):
 
 def write_report(path, items, timestamp=None):
     text = format_report(items, timestamp)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"report text is not ASCII: {exc.object[exc.start:exc.end]!r}"
+        ) from None
+    _write_atomic(path, data)
     return text
 
 

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, TrainingDivergedError
+from .errors import (
+    ConfigurationError,
+    ShapeError,
+    TrainingDivergedError,
+    ValidationError,
+)
 from .model import Activation, DenseLayer, MlpModel, forward
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
@@ -76,7 +81,9 @@ def softmax(logits):
     return z / z.sum(axis=1, keepdims=True)
 
 
-def _check_classes(model, ds):
+def _check_scorable(model, ds):
+    if ds.m == 0:
+        raise ValidationError("dataset has no rows")
     if model.out_dim != ds.num_classes:
         raise ShapeError(
             f"model has {model.out_dim} output classes but the dataset "
@@ -89,7 +96,7 @@ def cross_entropy_accuracy(model, ds):
 
     Prediction ties resolve toward the lowest class index (argmax).
     """
-    _check_classes(model, ds)
+    _check_scorable(model, ds)
     logits = forward(model, ds.features)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(ds.m), ds.labels].mean())

@@ -1,24 +1,46 @@
 """Canonical correlation alignment: whitening, solutions, ridge selection."""
 
+import importlib
+import pkgutil
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fuselab
 from fuselab import (
+    DenseLayer,
     GammaSelectionError,
+    MethodTag,
+    MlpModel,
+    NumericalError,
     ShapeError,
     ValidationError,
+    accuracy,
     apply_plan,
+    average_models,
+    capture,
     cca_plan,
     default_gamma,
     forward,
     gamma_grid,
+    generate,
     inv_sqrt,
+    merge_and_report,
+    merge_many,
+    merge_pair,
+    save_dataset,
+    save_model,
     select_gamma,
     solve_cca,
     solve_layers,
 )
 from fuselab.activations import ActivationMatrix, scatter
-from fuselab.cca import GAMMA_GRID_COEFFS, build_transform
+from fuselab.cca import GAMMA_GRID_COEFFS, build_transform, plan_from_solutions
+from fuselab.cli import main
+from fuselab.evaluation import summaries_from_solutions
 
 from _helpers import permuted_twin, random_model, random_monomial_plan
 
@@ -230,3 +252,268 @@ class TestGammaHandling:
         train_ds, _ = small_task
         with pytest.raises(GammaSelectionError):
             select_gamma([-1.0], [small_pair], train_ds.features[:50], train_ds)
+
+
+# --- the per-candidate search, kept as the oracle for the one-pass version --
+
+
+def _solve_layers_oracle(model_a, model_b, probes, gamma=None):
+    """Capture both models and form every scatter afresh, per call."""
+    acts_a = capture(model_a, probes)
+    acts_b = capture(model_b, probes)
+    sols = []
+    for a, b in zip(acts_a, acts_b):
+        g = default_gamma(
+            a.values.T @ a.values, b.values.T @ b.values
+        ) if gamma is None else float(gamma)
+        sols.append(solve_cca(scatter(a, b, g)))
+    return sols
+
+
+def _gamma_grid_oracle(model_a, model_b, probes):
+    acts_a = capture(model_a, probes)
+    acts_b = capture(model_b, probes)
+    scale = float(
+        np.mean(
+            [
+                np.mean(
+                    (
+                        np.diag(a.values.T @ a.values)
+                        + np.diag(b.values.T @ b.values)
+                    )
+                    / 2.0
+                )
+                for a, b in zip(acts_a, acts_b)
+            ]
+        )
+    )
+    return [c * scale for c in GAMMA_GRID_COEFFS]
+
+
+def _select_gamma_oracle(candidate_gammas, model_pairs, probes, eval_ds):
+    """Candidates outer, pairs inner, every merge solved from scratch."""
+    candidates = sorted(float(g) for g in candidate_gammas)
+    best_gamma = None
+    best_score = -np.inf
+    for g in candidates:
+        scores = []
+        for model_a, model_b in model_pairs:
+            try:
+                plan = plan_from_solutions(
+                    _solve_layers_oracle(model_a, model_b, probes, g)
+                )
+                merged = merge_pair(model_a, model_b, plan)
+                scores.append(accuracy(merged, eval_ds))
+            except (NumericalError, ValidationError):
+                scores = None
+                break
+        if scores is None:
+            continue
+        score = float(np.mean(scores))
+        if score >= best_score:
+            best_gamma, best_score = g, score
+    if best_gamma is None:
+        raise GammaSelectionError("every candidate gamma failed")
+    return best_gamma
+
+
+def _model_bytes(model):
+    return b"".join(
+        layer.weights.tobytes() + layer.bias.tobytes() for layer in model.layers
+    )
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the fuselab error it raised."""
+    try:
+        return fn(*args)
+    except fuselab.FuselabError as exc:
+        return type(exc)
+
+
+def _blown_up(model, factor=1e3):
+    """model with its first layer scaled: huge, badly conditioned scatter."""
+    first = model.layers[0]
+    layers = (
+        DenseLayer(first.weights * factor, first.bias * factor, first.activation),
+        *model.layers[1:],
+    )
+    return MlpModel(layers, model.input_dim)
+
+
+SEARCH_TASK = generate(4, 30, 6, seed=5)
+# fewer probe rows than neurons: every scatter is rank-deficient, so gamma 0
+# leans on the eigenvalue floor and fails where the activations are large
+RANK_DEFICIENT = SEARCH_TASK.features[:5]
+GAMMAS = [0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, -1.0]
+
+
+@st.composite
+def gamma_search_cases(draw):
+    n = draw(st.sampled_from([2, 3, 4, 4]))
+    seeds = draw(
+        st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True)
+    )
+    models = [random_model(6, (8, 8), 4, seed=s) for s in seeds]
+    # partners only, so the reference stays healthy
+    for i in range(1, n):
+        if draw(st.booleans()):
+            models[i] = _blown_up(models[i])
+    if draw(st.booleans()):
+        pairs = [(models[0], m) for m in models[1:]]
+    else:
+        index_pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda ij: ij[0] != ij[1]
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        pairs = [(models[i], models[j]) for i, j in index_pairs]
+    candidates = draw(
+        st.none() | st.lists(st.sampled_from(GAMMAS), min_size=1, max_size=4)
+    )
+    if candidates is not None and draw(st.booleans()):
+        candidates.append(0.0)
+    probes = draw(
+        st.sampled_from([RANK_DEFICIENT, RANK_DEFICIENT, SEARCH_TASK.features])
+    )
+    return models, pairs, candidates, probes
+
+
+def _oracle_merge(models, probes, gamma):
+    reference, others = models[0], models[1:]
+    aligned = [
+        apply_plan(
+            m,
+            plan_from_solutions(_solve_layers_oracle(reference, m, probes, gamma)),
+        )
+        for m in others
+    ]
+    sols = _solve_layers_oracle(reference, others[0], probes, gamma)
+    return average_models([reference, *aligned]), summaries_from_solutions(sols)
+
+
+def _fast_merge(models, probes, gamma):
+    merged, report, _ = merge_and_report(models, MethodTag.CCA, probes, gamma)
+    return merged, report.layer_summaries
+
+
+class TestOnePassSearchMatchesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(gamma_search_cases())
+    def test_same_gamma_and_merged_bytes(self, case):
+        models, pairs, candidates, probes = case
+        oracle_candidates = candidates
+        if candidates is None:
+            oracle_candidates = _gamma_grid_oracle(*pairs[0], probes)
+        chosen = _outcome(select_gamma, candidates, pairs, probes, SEARCH_TASK)
+        expect = _outcome(
+            _select_gamma_oracle, oracle_candidates, pairs, probes, SEARCH_TASK
+        )
+        assert chosen == expect
+        merge_gammas = [None, 0.0, 1e-3]
+        if isinstance(chosen, float):
+            merge_gammas.append(chosen)
+        for gamma in merge_gammas:
+            fast = _outcome(_fast_merge, models, probes, gamma)
+            slow = _outcome(_oracle_merge, models, probes, gamma)
+            if isinstance(slow, type):
+                assert fast is slow
+                continue
+            assert _model_bytes(fast[0]) == _model_bytes(slow[0])
+            assert fast[1] == slow[1]
+
+    def test_candidate_failing_on_one_pair_is_dropped(self):
+        reference = random_model(6, (8, 8), 4, seed=1)
+        healthy = random_model(6, (8, 8), 4, seed=2)
+        blown = _blown_up(random_model(6, (8, 8), 4, seed=3))
+        probes = RANK_DEFICIENT
+        cca_plan(reference, healthy, probes, 0.0)
+        with pytest.raises(NumericalError):
+            cca_plan(reference, blown, probes, 0.0)
+        pairs = [(reference, healthy), (reference, blown)]
+        candidates = [0.0, 1e-3, 1.0]
+        chosen = select_gamma(candidates, pairs, probes, SEARCH_TASK)
+        assert chosen != 0.0
+        assert chosen == _select_gamma_oracle(
+            candidates, pairs, probes, SEARCH_TASK
+        )
+
+    def test_auto_grid_is_gamma_grid_of_first_pair(self, small_pair, small_task):
+        train_ds, _ = small_task
+        probes = train_ds.features[:100]
+        grid = gamma_grid(*small_pair, probes)
+        assert grid == _gamma_grid_oracle(*small_pair, probes)
+        assert select_gamma(None, [small_pair], probes, train_ds) == select_gamma(
+            grid, [small_pair], probes, train_ds
+        )
+
+    @pytest.mark.parametrize("method", [MethodTag.PERMUTE, MethodTag.IDENTITY])
+    def test_summaries_of_other_methods_match_oracle(self, method):
+        # the layer summaries reuse the first pair's capture
+        models = [random_model(6, (8, 8), 4, seed=s) for s in (1, 2, 3)]
+        probes = SEARCH_TASK.features
+        merged, report, _ = merge_and_report(models, method, probes)
+        expect = merge_many(models[0], models[1:], method, probes)
+        assert _model_bytes(merged) == _model_bytes(expect)
+        sols = _solve_layers_oracle(models[0], models[1], probes)
+        assert report.layer_summaries == summaries_from_solutions(sols)
+
+    def test_solve_layers_matches_oracle_bytes(self, small_pair, small_task):
+        probes = small_task[0].features[:100]
+        for gamma in (None, 0.0, 0.25):
+            fast = solve_layers(*small_pair, probes, gamma)
+            slow = _solve_layers_oracle(*small_pair, probes, gamma)
+            for f, s in zip(fast, slow):
+                assert f.gamma == s.gamma
+                assert f.p_a.tobytes() == s.p_a.tobytes()
+                assert f.p_b.tobytes() == s.p_b.tobytes()
+                assert f.correlations.tobytes() == s.correlations.tobytes()
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap every binding of the named functions in every fuselab module."""
+    counts = Counter()
+    modules = [fuselab] + [
+        importlib.import_module(f"fuselab.{info.name}")
+        for info in pkgutil.iter_modules(fuselab.__path__)
+    ]
+    for name in names:
+        original = getattr(fuselab, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_task):
+    train_ds, _ = small_task
+    save_dataset(train_ds, tmp_path / "probes.ds")
+    paths = []
+    for seed in range(5):
+        paths.append(tmp_path / f"m{seed}.model")
+        save_model(
+            random_model(train_ds.dim, (8, 8), train_ds.num_classes, seed=seed),
+            paths[-1],
+        )
+    counts = _count_calls(monkeypatch, ["capture", "inv_sqrt"])
+    code = main(["merge", *map(str, paths), "--method", "cca",
+                 "--gamma-search", "auto", "--probes", str(tmp_path / "probes.ds"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    pairs, layers, candidates = 4, 2, len(GAMMA_GRID_COEFFS)
+    # the search and the merge each capture both models of every pair once
+    assert counts["capture"] == 2 * (2 * pairs)
+    # the reference is whitened once per (layer, gamma); each partner once
+    # per (layer, gamma) it is solved at
+    search = layers * candidates + pairs * layers * candidates
+    merge = layers + pairs * layers
+    assert counts["inv_sqrt"] == search + merge

@@ -347,6 +347,24 @@ class TestConfigPrecedence:
         assert code == 1
         assert "error: experiment:" in capsys.readouterr().err
 
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text("epoch = 3\n")
+        code = main(["experiment", *EXPERIMENT_ARGS, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "unknown key 'epoch'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys):
+        # gamma is a merge option; gen-data has no use for it
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text("gamma = 0.5\n")
+        code = main(["gen-data", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.ds")])
+        assert code == 1
+        assert "unknown key 'gamma' for gen-data" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self, capsys):

@@ -158,6 +158,22 @@ class TestDatasetFile:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    def test_failed_save_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "d.ds"
+        save_dataset(generate(2, 3, 2, seed=0), path)
+        before = path.read_bytes()
+        broken = generate(2, 3, 2, seed=1)
+        object.__setattr__(broken, "labels", np.array(["x"] * 6, dtype=object))
+        with pytest.raises(ValueError):
+            save_dataset(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.ds"]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "absent" / "d.ds"
+        with pytest.raises(ConfigurationError, match="cannot write .*d.ds"):
+            save_dataset(generate(2, 3, 2, seed=0), path)
+
     def test_labels_validated_against_classes(self):
         with pytest.raises(Exception):
             Dataset(np.zeros((2, 2)), np.array([0, 5]), 2, 0)

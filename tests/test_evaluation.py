@@ -45,6 +45,13 @@ class TestEnsemble:
         with pytest.raises(ShapeError, match="16 output classes.*has 4"):
             ensemble_accuracy([small_pair[0], wide], test_ds)
 
+    def test_empty_dataset_rejected(self, small_pair, small_task):
+        empty = small_task[1].subset([])
+        with pytest.raises(ValidationError, match="no rows"):
+            ensemble_accuracy(small_pair, empty)
+        with pytest.raises(ValidationError, match="no rows"):
+            accuracy(small_pair[0], empty)
+
 
 class TestInterpolationCurve:
     def test_endpoints_match_direct_evaluation(self, small_pair, small_task):

@@ -1,5 +1,7 @@
 """Model containers, forward rule, transforms, plan application, file IO."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,12 @@ class TestModelValidation:
         model = random_model(4, (5,), 2, seed=0)
         with pytest.raises(ValueError):
             model.layers[0].weights[0, 0] = 7.0
+
+    @pytest.mark.parametrize("tag", ["a\nb", "\u00e9", "a b", "tab\t", 7])
+    def test_bad_seed_tag_rejected(self, tag):
+        layers = random_model(4, (5,), 2, seed=0).layers
+        with pytest.raises(ValidationError, match=re.escape(repr(tag))):
+            MlpModel(layers, 4, seed_tag=tag)
 
 
 class TestLayerTransform:
@@ -237,3 +245,17 @@ class TestModelFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError):
             load_model(path)
+
+    def test_failed_save_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(random_model(4, (5,), 2, seed=1), path)
+        before = path.read_bytes()
+        broken = random_model(4, (5,), 2, seed=2)
+        # a payload that cannot be encoded fails after the manifest is made
+        object.__setattr__(
+            broken.layers[1], "bias", np.array(["x", "y"], dtype=object)
+        )
+        with pytest.raises(ValueError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fuselab import ParseError, format_report, parse_report, strip_timestamp, write_report
+from fuselab import ParseError, ValidationError, format_report, parse_report, strip_timestamp, write_report
 from fuselab.reports import REPORT_FORMAT_VERSION, format_value
 
 
@@ -90,3 +90,12 @@ class TestWriteReport:
         path = tmp_path / "r.txt"
         text = write_report(path, [("k", "v")], timestamp="T")
         assert path.read_text() == text
+
+    def test_non_ascii_value_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "r.txt"
+        write_report(path, [("k", "v")], timestamp="T")
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match="\u00e9"):
+            write_report(path, [("k", "caf\u00e9")], timestamp="T")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]

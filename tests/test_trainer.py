@@ -11,6 +11,7 @@ from fuselab import (
     ShapeError,
     TrainConfig,
     TrainingDivergedError,
+    ValidationError,
     cross_entropy_accuracy,
     forward,
     generate,
@@ -100,6 +101,12 @@ class TestEvaluation:
         ds = generate(16, 3, 2, seed=1)
         model = init_model(2, (4,), 4, init_seed=1)
         with pytest.raises(ShapeError, match="4 output classes.*has 16"):
+            cross_entropy_accuracy(model, ds)
+
+    def test_empty_dataset_rejected(self):
+        ds = generate(2, 3, 2, seed=1).subset([])
+        model = init_model(2, (4,), 2, init_seed=1)
+        with pytest.raises(ValidationError, match="no rows"):
             cross_entropy_accuracy(model, ds)
 
 
