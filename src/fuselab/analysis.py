@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cca, matching, merge
+from . import cca, merge
 from .activations import correlations
 from .errors import ConfigurationError, ShapeError, ValidationError
 from .model import MethodTag
 
 COVERAGE_PAIRS = ((1, 5), (2, 10))
 RATIO_KS = (1, 2)
+INDIRECT_KEYS = ("mismatch_pct", "frobenius", "frobenius_normalized")
 
 
 def _square_values(c):
@@ -38,11 +39,13 @@ def non_optimal_matches(c, assignment):
     maximum, so ties never count against the assignment.
     """
     values = _square_values(c)
-    n = values.shape[0]
-    mapping = assignment.mapping
-    if mapping.shape[0] != n:
+    if assignment.mapping.shape[0] != values.shape[0]:
         raise ShapeError("assignment length does not match the matrix")
-    picked = values[np.arange(n), mapping]
+    return _non_optimal_pct(values, assignment.mapping)
+
+
+def _non_optimal_pct(values, mapping):
+    picked = values[np.arange(values.shape[0]), mapping]
     return float(100.0 * np.mean(picked < values.max(axis=1)))
 
 
@@ -140,23 +143,8 @@ class IndirectLayerDiagnostics:
     frobenius_normalized: float
 
 
-def indirect_matching_diagnostics(
-    model_a, model_b, model_c, method, probes, gamma=None
-):
-    """Compare matching C to B directly against routing C through A.
-
-    Builds T_CA, T_BA, T_CB with the given method, forms the indirect
-    T_CAB = T_BA^-1 T_CA, and reports per layer how much it disagrees with
-    the direct T_CB: percent of C-neurons whose B-partner changes, the
-    Frobenius norm of the difference, and that norm over ||T_CB||_F.
-    """
-    if method not in (MethodTag.PERMUTE, MethodTag.CCA):
-        raise ConfigurationError(
-            "indirect matching is defined for permute and cca"
-        )
-    plan_ca = merge.align(model_a, model_c, method, probes, gamma)
-    plan_ba = merge.align(model_a, model_b, method, probes, gamma)
-    plan_cb = merge.align(model_b, model_c, method, probes, gamma)
+def _indirect(plan_ca, plan_ba, plan_cb):
+    """Per-layer disagreement of T_BA^-1 T_CA with the direct T_CB."""
     out = []
     for i, (t_ca, t_ba, t_cb) in enumerate(
         zip(plan_ca.transforms, plan_ba.transforms, plan_cb.transforms)
@@ -177,6 +165,28 @@ def indirect_matching_diagnostics(
     return out
 
 
+def indirect_matching_diagnostics(
+    model_a, model_b, model_c, method, probes, gamma=None
+):
+    """Compare matching C to B directly against routing C through A.
+
+    Builds T_CA, T_BA, T_CB with the given method, forms the indirect
+    T_CAB = T_BA^-1 T_CA, and reports per layer how much it disagrees with
+    the direct T_CB: percent of C-neurons whose B-partner changes, the
+    Frobenius norm of the difference, and that norm over ||T_CB||_F.
+    """
+    if method not in (MethodTag.PERMUTE, MethodTag.CCA):
+        raise ConfigurationError(
+            "indirect matching is defined for permute and cca"
+        )
+    stats = cca.ReferenceStats(model_a, probes)
+    plan_ca = merge._align(stats, model_c, method, gamma)[0]
+    plan_ba = merge._align(stats, model_b, method, gamma)[0]
+    stats = cca.ReferenceStats(model_b, probes)
+    plan_cb = merge._align(stats, model_c, method, gamma)[0]
+    return _indirect(plan_ca, plan_ba, plan_cb)
+
+
 @dataclass(frozen=True)
 class PairLayerDiagnostics:
     layer_index: int
@@ -185,17 +195,33 @@ class PairLayerDiagnostics:
     wasserstein_ratios: tuple  # ((k, ratio), ...)
 
 
-def pair_diagnostics(model_a, model_b, probes, gamma=None):
-    """Per-layer matching diagnostics for one model pair."""
-    stats = cca.ReferenceStats(model_a, probes)
-    acts_a, acts_b = stats.capture_pair(model_b)
-    sols = cca.solve_pair(stats, cca.pair_scatter(stats, acts_a, acts_b), gamma)
+def _pair_plans(stats, other, gamma, acts=None):
+    """{method: plan} for permute and cca from one capture of the pair."""
+    plan, sols = merge._align(
+        stats, other, MethodTag.PERMUTE, gamma, solve=True, acts=acts
+    )
+    return {
+        MethodTag.PERMUTE: plan,
+        MethodTag.CCA: cca.plan_from_solutions(sols),
+    }
+
+
+def _diagnose_pair(stats, other, gamma):
+    """(pair diagnostics, _pair_plans) of other against stats.reference."""
+    acts = stats.capture_pair(other)
+    plans = _pair_plans(stats, other, gamma, acts)
     out = []
-    for i, (a, b) in enumerate(zip(acts_a, acts_b)):
+    for i, (a, b, matched, transform) in enumerate(
+        zip(
+            *acts,
+            plans[MethodTag.PERMUTE].transforms,
+            plans[MethodTag.CCA].transforms,
+        )
+    ):
         corr = correlations(a, b)
-        assign = matching.linear_sum_assignment(corr)
-        transform = cca.build_transform(sols[i], i)
         n = corr.values.shape[0]
+        # row i of a permutation holds its matched column's 1
+        mapping = np.argmax(matched.forward, axis=1)
         coverage = tuple(
             (kc, kt, topk_coefficient_coverage(corr, transform, kc, kt))
             for kc, kt in COVERAGE_PAIRS
@@ -208,10 +234,20 @@ def pair_diagnostics(model_a, model_b, probes, gamma=None):
         )
         out.append(
             PairLayerDiagnostics(
-                i, non_optimal_matches(corr, assign), coverage, ratios
+                i, _non_optimal_pct(corr.values, mapping), coverage, ratios
             )
         )
-    return out
+    return out, plans
+
+
+def pair_diagnostics(model_a, model_b, probes, gamma=None):
+    """Per-layer matching diagnostics for one model pair."""
+    stats = cca.ReferenceStats(model_a, probes)
+    return _diagnose_pair(stats, model_b, gamma)[0]
+
+
+def _mean(diagnostics, key):
+    return float(np.mean([getattr(d, key) for d in diagnostics]))
 
 
 @dataclass(frozen=True)
@@ -237,62 +273,42 @@ class AnalysisReport:
             for k, ratio in d.wasserstein_ratios:
                 items.append((f"{p}.wasserstein_ratio.k{k}", ratio))
         if self.pair_layers:
-            items.append(
-                (
-                    "mean.non_optimal_pct",
-                    float(
-                        np.mean([d.non_optimal_pct for d in self.pair_layers])
-                    ),
-                )
-            )
-        if self.indirect:
-            for method_value, layers in self.indirect.items():
-                for d in layers:
-                    p = f"layer.{d.layer_index}.{method_value}"
-                    items += [
-                        (f"{p}.mismatch_pct", d.mismatch_pct),
-                        (f"{p}.frobenius", d.frobenius),
-                        (
-                            f"{p}.frobenius_normalized",
-                            d.frobenius_normalized,
-                        ),
-                    ]
-                items.append(
-                    (
-                        f"mean.{method_value}.mismatch_pct",
-                        float(np.mean([d.mismatch_pct for d in layers])),
-                    )
-                )
-                items.append(
-                    (
-                        f"mean.{method_value}.frobenius_normalized",
-                        float(
-                            np.mean([d.frobenius_normalized for d in layers])
-                        ),
-                    )
-                )
+            mean = _mean(self.pair_layers, "non_optimal_pct")
+            items.append(("mean.non_optimal_pct", mean))
+        for method_value, layers in (self.indirect or {}).items():
+            for d in layers:
+                p = f"layer.{d.layer_index}.{method_value}"
+                items += [(f"{p}.{k}", getattr(d, k)) for k in INDIRECT_KEYS]
+            for k in ("mismatch_pct", "frobenius_normalized"):
+                items.append((f"mean.{method_value}.{k}", _mean(layers, k)))
         return items
 
 
 def analyze(models, probes, gamma=None):
     """Pair diagnostics for the first two models; triple diagnostics when a
-    third is given."""
+    third is given.
+
+    The pairs (A, B), (A, C) and (B, C) are each captured once, and both
+    methods' plans come from that capture.
+    """
     if len(models) not in (2, 3):
         raise ConfigurationError("analysis works on 2 or 3 models")
-    pair_layers = tuple(pair_diagnostics(models[0], models[1], probes, gamma))
+    stats = cca.ReferenceStats(models[0], probes)
+    pair_layers, plans_ab = _diagnose_pair(stats, models[1], gamma)
     indirect = None
     if len(models) == 3:
+        plans_ac = _pair_plans(stats, models[2], gamma)
+        stats = cca.ReferenceStats(models[1], probes)
+        plans_bc = _pair_plans(stats, models[2], gamma)
         indirect = {
             method.value: tuple(
-                indirect_matching_diagnostics(
-                    models[0], models[1], models[2], method, probes, gamma
-                )
+                _indirect(plans_ac[method], plans_ab[method], plans_bc[method])
             )
             for method in (MethodTag.PERMUTE, MethodTag.CCA)
         }
     return AnalysisReport(
         num_models=len(models),
         gamma_requested=gamma,
-        pair_layers=pair_layers,
+        pair_layers=tuple(pair_layers),
         indirect=indirect,
     )

@@ -8,12 +8,13 @@ in model A's basis is T = (P_b P_a^-1)^T; with an invertible linear mixing
 between the two feature spaces this recovers the mixing's inverse exactly.
 
 Only the ridge depends on gamma. ReferenceStats holds what does not, for one
-call: the reference's Gram matrices, formed once, and its inverse square
-roots, one per (layer, gamma). A pair is captured and its scatter formed
-once (pair_scatter) and then solved at any number of ridges (solve_pair).
-The gamma search walks pairs in the outer loop and candidates in the inner
-loop, so no pair is captured twice. Every product is the same BLAS call on
-the same operands as a from-scratch solve, so results are bit-identical.
+call: the reference's capture and Gram matrices, formed once, and its
+inverse square roots, one per (layer, gamma). A partner is captured and its
+scatter formed once (pair_scatter) and then solved at any number of ridges
+(solve_pair). The gamma search walks pairs in the outer loop and candidates
+in the inner loop, so no model is captured twice. Every product is the same
+BLAS call on the same operands as a from-scratch solve, so results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -136,23 +137,27 @@ def default_gamma(s_aa, s_bb):
 class ReferenceStats:
     """Gamma-free statistics of one reference model on one probe set.
 
-    The reference's per-layer Gram matrices are formed by the first
-    pair_scatter and kept; its inverse square roots are kept once per
-    (layer, gamma). A partner's Gram and cross-scatter live only as long as
-    the pair list that holds them, and activations are never kept. Build one
-    per call: probes are mutable arrays, so the statistics must not outlive
-    the call that computed them.
+    The reference is captured by the first capture_pair and its activations
+    kept; its per-layer Gram matrices are formed by the first pair_scatter
+    and kept; its inverse square roots are kept once per (layer, gamma). A
+    partner's capture, Gram and cross-scatter live only as long as the
+    caller holds them. Build one per call and drop it when the call's
+    alignment loop ends: probes are mutable arrays, so the statistics must
+    not outlive the call that computed them.
     """
 
     def __init__(self, reference, probes):
         self.reference = reference
         self.probes = probes
+        self.acts = None
         self.grams = None
         self.roots = {}
 
     def capture_pair(self, other):
-        """The reference's and other's activations on the probes."""
-        return capture(self.reference, self.probes), capture(other, self.probes)
+        """The reference's (captured once) and other's activations."""
+        if self.acts is None:
+            self.acts = capture(self.reference, self.probes)
+        return self.acts, capture(other, self.probes)
 
 
 def pair_scatter(stats, acts_a, acts_b):

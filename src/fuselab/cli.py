@@ -3,16 +3,13 @@
 Subcommands: gen-data, train, merge, eval, barrier, analyze, experiment.
 Option precedence is flags, then an optional --config file of key=value
 lines (keys are the long option names), then built-in defaults. All reports
-are deterministic text except for their timestamp line. FUSELAB_THREADS
-caps how many models the experiment driver trains concurrently.
+are deterministic text except for their timestamp line.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +31,12 @@ METHOD_NAMES = {"direct": MethodTag.IDENTITY, "permute": MethodTag.PERMUTE,
 CLI_NAME = {tag: name for name, tag in METHOD_NAMES.items()}
 
 
-def _parse_int_list(text, name):
+def _parse_list(text, name, cast=int):
     try:
-        return [int(v) for v in str(text).split(",") if v != ""]
+        return [cast(v) for v in str(text).split(",") if v != ""]
     except ValueError:
-        raise ParseError(f"{name} wants comma-separated integers") from None
-
-
-def _parse_float_list(text, name):
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise ParseError(f"{name} wants comma-separated numbers") from None
+        kind = "integers" if cast is int else "numbers"
+        raise ParseError(f"{name} wants comma-separated {kind}") from None
 
 
 def _parse_bool(text, name):
@@ -100,18 +91,6 @@ class Options:
         return default
 
 
-def _thread_count():
-    raw = os.environ.get("FUSELAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(
-            f"FUSELAB_THREADS must be an integer, got {raw!r}"
-        ) from None
-
-
 def _method_list(text):
     methods = []
     for name in str(text).split(","):
@@ -150,7 +129,7 @@ def _train_config(opt, seed):
         shuffle_seed = override
     widths = opt.get("widths", None, str)
     widths = (
-        tuple(_parse_int_list(widths, "--widths"))
+        tuple(_parse_list(widths, "--widths"))
         if widths is not None
         else trainer.DEFAULT_HIDDEN_WIDTHS
     )
@@ -178,7 +157,17 @@ def cmd_train(args, config):
     return 0
 
 
-def _resolve_gamma(opt, models, probes, probes_ds):
+def _reference(opt, count):
+    """The --reference index, checked against the number of models."""
+    reference = opt.get("reference", 0, int)
+    if not 0 <= reference < count:
+        raise ConfigurationError(
+            f"--reference must be in 0..{count - 1}, got {reference}"
+        )
+    return reference
+
+
+def _resolve_gamma(opt, models, probes, probes_ds, reference):
     """Returns (gamma or None, selected-by-search flag)."""
     gamma = opt.get("gamma", None, float)
     search = opt.get("gamma_search", None, str)
@@ -191,9 +180,11 @@ def _resolve_gamma(opt, models, probes, probes_ds):
     # auto: select_gamma walks the grid of the first pair
     candidates = (
         None if search == "auto"
-        else _parse_float_list(search, "--gamma-search")
+        else _parse_list(search, "--gamma-search", float)
     )
-    pairs = [(models[0], other) for other in models[1:]]
+    pairs = [
+        (models[reference], m) for i, m in enumerate(models) if i != reference
+    ]
     chosen = cca.select_gamma(candidates, pairs, probes, probes_ds)
     return chosen, True
 
@@ -215,16 +206,11 @@ def cmd_merge(args, config):
         probes = evaluation.limit_probes(
             probes_ds.features, opt.get("probe_limit", None, int)
         )
-    reference = opt.get("reference", 0, int)
+    reference = _reference(opt, len(models))
     repair = bool(opt.get("repair", False, bool))
-    gamma, searched = _resolve_gamma(opt, models, probes, probes_ds)
+    gamma, searched = _resolve_gamma(opt, models, probes, probes_ds, reference)
     merged, report, _ = merge_and_report(
-        models,
-        method,
-        probes=probes,
-        gamma=gamma,
-        repair=repair,
-        reference_index=reference,
+        models, method, probes, gamma, repair, reference
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,6 +219,18 @@ def cmd_merge(args, config):
     if searched:
         items.append(("gamma_selected", gamma))
     text = reports.write_report(out_dir / "merge_report.txt", items)
+    sys.stdout.write(text)
+    return 0
+
+
+def _emit(opt, items):
+    """Print the report, writing it to --out first when that is given."""
+    out = opt.get("out", None, str)
+    text = (
+        reports.write_report(out, items)
+        if out
+        else reports.format_report(items)
+    )
     sys.stdout.write(text)
     return 0
 
@@ -253,14 +251,7 @@ def cmd_eval(args, config):
         items.append(
             ("ensemble_accuracy", evaluation.ensemble_accuracy(models, ds))
         )
-    out = opt.get("out", None, str)
-    text = (
-        reports.write_report(out, items)
-        if out
-        else reports.format_report(items)
-    )
-    sys.stdout.write(text)
-    return 0
+    return _emit(opt, items)
 
 
 def cmd_barrier(args, config):
@@ -279,14 +270,7 @@ def cmd_barrier(args, config):
         ("accuracies", [float(v) for v in curve.accuracies]),
         ("barrier", curve.barrier),
     ]
-    out = opt.get("out", None, str)
-    text = (
-        reports.write_report(out, items)
-        if out
-        else reports.format_report(items)
-    )
-    sys.stdout.write(text)
-    return 0
+    return _emit(opt, items)
 
 
 def cmd_analyze(args, config):
@@ -297,15 +281,7 @@ def cmd_analyze(args, config):
         probes_ds.features, opt.get("probe_limit", None, int)
     )
     report = analysis.analyze(models, probes, opt.get("gamma", None, float))
-    items = report.to_items()
-    out = opt.get("out", None, str)
-    text = (
-        reports.write_report(out, items)
-        if out
-        else reports.format_report(items)
-    )
-    sys.stdout.write(text)
-    return 0
+    return _emit(opt, report.to_items())
 
 
 def cmd_experiment(args, config):
@@ -324,12 +300,12 @@ def cmd_experiment(args, config):
     except ValueError:
         raise ConfigurationError(f"unknown split {split_name!r}") from None
     alpha = tuple(
-        _parse_float_list(opt.get("alpha", "0.5,0.5", str), "--alpha")
+        _parse_list(opt.get("alpha", "0.5,0.5", str), "--alpha", float)
     )
     spec = SplitSpec(kind, opt.get("split_seed", data_seed, int), alpha)
     parts = split(train_ds, spec)
 
-    seeds = _parse_int_list(opt.get("seeds", "0,1", str), "--seeds")
+    seeds = _parse_list(opt.get("seeds", "0,1", str), "--seeds")
     num_models = opt.get("models", len(seeds), int)
     if num_models != len(seeds):
         raise ConfigurationError(
@@ -339,23 +315,18 @@ def cmd_experiment(args, config):
         raise ConfigurationError("experiments need at least 2 models")
     if kind is not SplitKind.FULL and num_models != 2:
         raise ConfigurationError("data splits are two-way; use --models 2")
+    reference = _reference(opt, num_models)
 
     cfgs = [_train_config(opt, s) for s in seeds]
     train_sets = [parts[min(i, 1)] for i in range(num_models)]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            models = list(pool.map(trainer.train, train_sets, cfgs))
-    else:
-        models = [trainer.train(d, c) for d, c in zip(train_sets, cfgs)]
+    models = [trainer.train(d, c) for d, c in zip(train_sets, cfgs)]
 
     methods = _method_list(opt.get("methods", "direct,permute,cca", str))
     probe_limit = opt.get("probe_limit", None, int)
     probes = evaluation.limit_probes(train_ds.features, probe_limit)
     repair = bool(opt.get("repair", False, bool))
-    reference = opt.get("reference", 0, int)
     grid = opt.get("grid", evaluation.DEFAULT_GRID_SIZE, int)
-    gamma, searched = _resolve_gamma(opt, models, probes, train_ds)
+    gamma, searched = _resolve_gamma(opt, models, probes, train_ds, reference)
 
     items = [
         ("report", "experiment"),
@@ -381,25 +352,16 @@ def cmd_experiment(args, config):
         ("gamma_selected", gamma if searched else None),
         ("repair", repair),
     ]
-    first = True
-    for method in methods:
+    for k, method in enumerate(methods):
         _, rep = evaluate_merge(
-            method,
-            models,
-            train_ds,
-            test_ds,
-            gamma=gamma,
-            repair=repair,
-            probe_limit=probe_limit,
-            grid_size=grid,
-            reference_index=reference,
+            method, models, train_ds, test_ds, gamma, repair, probe_limit,
+            grid, reference,
         )
-        if first:
+        if k == 0:
             for i, a in enumerate(rep.endpoint_accuracies):
                 items.append((f"model.{i}.accuracy", a))
             items.append(("base_models_avg", rep.base_models_avg))
             items.append(("ensemble_accuracy", rep.ensemble))
-            first = False
         p = f"method.{CLI_NAME[method]}"
         items.append((f"{p}.merged_accuracy", rep.merged_accuracy))
         items.append((f"{p}.merged_loss", rep.merged_loss))
@@ -410,15 +372,8 @@ def cmd_experiment(args, config):
                 (f"{p}.layer.{s.layer_index}.corr_mean", s.corr_mean)
             )
         if rep.repair_skipped:
-            items.append(
-                (
-                    f"{p}.repair_skipped",
-                    ";".join(
-                        f"{sk.layer_index}:{sk.neuron_index}"
-                        for sk in rep.repair_skipped
-                    ),
-                )
-            )
+            skipped = evaluation._skipped_text(rep.repair_skipped)
+            items.append((f"{p}.repair_skipped", skipped))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = reports.write_report(out_dir / "experiment_report.txt", items)

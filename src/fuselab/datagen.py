@@ -193,6 +193,8 @@ def load_dataset(path):
                 raise ParseError(f"missing field {key}")
         payload = fh.read()
     m, d, k, seed = values["m"], values["d"], values["k"], values["seed"]
+    if min(m, d) < 0:
+        raise ParseError(f"negative shape in manifest: m {m}, d {d}")
     expect = m * d * 8 + m * 4
     if len(payload) != expect:
         raise ParseError(
@@ -200,4 +202,7 @@ def load_dataset(path):
         )
     feats = np.frombuffer(payload[: m * d * 8], dtype="<f8").reshape(m, d)
     labels = np.frombuffer(payload[m * d * 8 :], dtype="<u4").astype(np.int64)
-    return Dataset(feats, labels, k, seed)
+    try:
+        return Dataset(feats, labels, k, seed)
+    except (ShapeError, ValidationError) as exc:
+        raise ParseError(f"dataset {path} is corrupt: {exc}") from exc

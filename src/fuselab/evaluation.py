@@ -3,6 +3,9 @@
 The barrier of a model pair is the worst gap between the loss along the
 straight parameter path and the straight line between the endpoint losses;
 the path is taken between a reference model and an already-aligned partner.
+merge_and_report aligns and averages through merge's all-to-one loop, which
+also returns the aligned partners and the first pair's CCA solutions for the
+layer summaries, then repairs and reports; it holds no alignment code.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cca, matching, merge, trainer
+from . import merge, trainer
 from .errors import ConfigurationError, ValidationError
-from .model import DenseLayer, MethodTag, MlpModel, apply_plan, forward
+from .model import DenseLayer, MethodTag, MlpModel, forward
 
 DEFAULT_GRID_SIZE = 21
 
@@ -94,6 +97,12 @@ class LayerAlignmentSummary:
     corr_max: float
 
 
+def _skipped_text(skipped):
+    """The reset's skipped neurons as 'layer:neuron;...', or None."""
+    text = ";".join(f"{s.layer_index}:{s.neuron_index}" for s in skipped)
+    return text or None
+
+
 @dataclass(frozen=True)
 class MergeReport:
     """Everything the merge and experiment commands print about one merge."""
@@ -122,38 +131,20 @@ class MergeReport:
             ("seed_tags", ",".join(t or "-" for t in self.seed_tags)),
             ("gamma_requested", self.gamma_requested),
             ("repair", self.repair),
+            ("repair_skipped", _skipped_text(self.repair_skipped)),
         ]
-        items.append(
-            (
-                "repair_skipped",
-                ";".join(
-                    f"{s.layer_index}:{s.neuron_index}"
-                    for s in self.repair_skipped
-                )
-                or None,
-            )
-        )
         for s in self.layer_summaries:
             p = f"layer.{s.layer_index}"
             items += [
-                (f"{p}.gamma", s.gamma),
-                (f"{p}.corr_min", s.corr_min),
-                (f"{p}.corr_mean", s.corr_mean),
-                (f"{p}.corr_max", s.corr_max),
+                (f"{p}.{k}", getattr(s, k))
+                for k in ("gamma", "corr_min", "corr_mean", "corr_max")
             ]
-        if self.endpoint_accuracies is not None:
-            for i, a in enumerate(self.endpoint_accuracies):
-                items.append((f"model.{i}.accuracy", a))
-        for key in (
-            "base_models_avg",
-            "ensemble",
-            "merged_accuracy",
-            "merged_loss",
-            "barrier",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                items.append((key, value))
+        for i, a in enumerate(self.endpoint_accuracies or ()):
+            items.append((f"model.{i}.accuracy", a))
+        for key in ("base_models_avg", "ensemble", "merged_accuracy",
+                    "merged_loss", "barrier"):
+            if getattr(self, key) is not None:
+                items.append((key, getattr(self, key)))
         return items
 
 
@@ -170,28 +161,6 @@ def summaries_from_solutions(solutions):
     )
 
 
-def _align_pair(stats, other, method, gamma, summarize):
-    """(plan, CCA solutions or None) aligning other to stats.reference.
-
-    Both models are captured at most once. The solutions are computed when
-    the method is cca or `summarize` asks for them; the captures go out of
-    scope on return.
-    """
-    if method is MethodTag.IDENTITY and not summarize:
-        return matching.identity_plan(other), None
-    acts = stats.capture_pair(other)
-    sols = None
-    if method is MethodTag.CCA or summarize:
-        sols = cca.solve_pair(stats, cca.pair_scatter(stats, *acts), gamma)
-    if method is MethodTag.CCA:
-        plan = cca.plan_from_solutions(sols)
-    elif method is MethodTag.PERMUTE:
-        plan = matching.plan_from_activations(*acts)
-    else:
-        plan = merge.align(stats.reference, other, method, stats.probes, gamma)
-    return plan, sols
-
-
 def merge_and_report(
     models,
     method,
@@ -203,8 +172,9 @@ def merge_and_report(
     """Run one all-to-one merge and collect its report skeleton.
 
     Returns (merged model, report, aligned non-reference models in their
-    input order). Canonical-correlation summaries are attached whenever
-    probes are available, whatever the merge method.
+    input order). The alignment is merge_many's loop; canonical-correlation
+    summaries of the first pair are attached whenever probes are available,
+    whatever the merge method.
     """
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
@@ -212,19 +182,10 @@ def merge_and_report(
         raise ConfigurationError("reference index out of range")
     reference = models[reference_index]
     others = [m for i, m in enumerate(models) if i != reference_index]
-
-    stats = None if probes is None else cca.ReferenceStats(reference, probes)
-    aligned = []
-    summaries = ()
-    for k, other in enumerate(others):
-        if stats is None:
-            plan, sols = merge.align(reference, other, method), None
-        else:
-            plan, sols = _align_pair(stats, other, method, gamma, k == 0)
-        if k == 0 and sols is not None:
-            summaries = summaries_from_solutions(sols)
-        aligned.append(apply_plan(other, plan))
-    merged = merge.average_models([reference, *aligned])
+    merged, aligned, sols = merge._merge_all(
+        reference, others, method, probes, gamma, solve=probes is not None
+    )
+    summaries = () if sols is None else summaries_from_solutions(sols)
     skipped = ()
     if repair:
         if probes is None:

@@ -3,10 +3,18 @@
 A pair merge averages model A with model B rewritten in A's feature space:
 W_i = (W_i^a + T_i W_i^b T_{i-1}^-1) / 2 and likewise for biases. The
 multi-model form aligns every other model to one reference and takes the
-uniform average. The reset pass rescales each hidden neuron of a merged
-model so its pre-activation mean and standard deviation on probes match the
-reference model's, walking the layers bottom-up on the partially rescaled
-model so the match holds at every depth.
+uniform average.
+
+Every alignment goes through _align, the one place that dispatches on the
+method. It reads one cca.ReferenceStats per call, so the reference is
+captured once for a whole all-to-one loop and each partner once. That loop
+is _merge_all, shared by merge_many and evaluation.merge_and_report; the
+statistics are dropped when it returns.
+
+The reset pass rescales each hidden neuron of a merged model so its
+pre-activation mean and standard deviation on probes match the reference
+model's, walking the layers bottom-up on the partially rescaled model so the
+match holds at every depth.
 """
 
 from __future__ import annotations
@@ -31,17 +39,35 @@ class SkippedNeuron:
     neuron_index: int
 
 
+def _align(stats, other, method, gamma=None, solve=False, acts=None):
+    """(plan, CCA solutions or None) aligning other to stats.reference.
+
+    stats is a cca.ReferenceStats, or None without probes. The pair is
+    captured once, unless the caller passes the capture in as acts. The CCA
+    solutions are computed when the method is cca or `solve` asks for them.
+    """
+    if method is MethodTag.IDENTITY and not solve:
+        return matching.identity_plan(other), None
+    if stats is None:
+        raise ConfigurationError(f"method {method.value} needs probes")
+    if acts is None:
+        acts = stats.capture_pair(other)
+    sols = None
+    if method is MethodTag.CCA or solve:
+        sols = cca.solve_pair(stats, cca.pair_scatter(stats, *acts), gamma)
+    if method is MethodTag.CCA:
+        return cca.plan_from_solutions(sols), sols
+    if method is MethodTag.PERMUTE:
+        return matching.plan_from_activations(*acts), sols
+    if method is MethodTag.IDENTITY:
+        return matching.identity_plan(other), sols
+    raise ConfigurationError(f"unknown method {method!r}")
+
+
 def align(reference, model, method, probes=None, gamma=None):
     """Build the alignment plan mapping `model` into `reference`'s space."""
-    if method is MethodTag.IDENTITY:
-        return matching.identity_plan(model)
-    if probes is None:
-        raise ConfigurationError(f"method {method.value} needs probes")
-    if method is MethodTag.PERMUTE:
-        return matching.permute_plan(reference, model, probes)
-    if method is MethodTag.CCA:
-        return cca.cca_plan(reference, model, probes, gamma)
-    raise ConfigurationError(f"unknown method {method!r}")
+    stats = None if probes is None else cca.ReferenceStats(reference, probes)
+    return _align(stats, model, method, gamma)[0]
 
 
 def _check_same_architecture(models):
@@ -71,15 +97,29 @@ def merge_pair(model_a, model_b, plan):
     return average_models([model_a, apply_plan(model_b, plan)])
 
 
-def merge_many(reference, others, method, probes=None, gamma=None):
-    """All-to-one merge: align each of `others` to `reference`, average all."""
+def _merge_all(
+    reference, others, method, probes=None, gamma=None, solve=False
+):
+    """(merged, aligned others in order, first pair's CCA solutions or None).
+
+    `solve` asks for the first pair's CCA solutions whatever the method.
+    """
     if not others:
         raise ConfigurationError("merge_many needs at least one other model")
-    aligned = [
-        apply_plan(m, align(reference, m, method, probes, gamma))
-        for m in others
-    ]
-    return average_models([reference, *aligned])
+    stats = None if probes is None else cca.ReferenceStats(reference, probes)
+    aligned = []
+    first = None
+    for k, other in enumerate(others):
+        plan, sols = _align(stats, other, method, gamma, solve and k == 0)
+        if k == 0:
+            first = sols
+        aligned.append(apply_plan(other, plan))
+    return average_models([reference, *aligned]), aligned, first
+
+
+def merge_many(reference, others, method, probes=None, gamma=None):
+    """All-to-one merge: align each of `others` to `reference`, average all."""
+    return _merge_all(reference, others, method, probes, gamma)[0]
 
 
 def _layer_stats(weights, bias, x):

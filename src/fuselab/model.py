@@ -419,10 +419,9 @@ def _read_manifest(fh, magic, version=MODEL_FORMAT_VERSION):
 
 
 def _parse_int(value, name):
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"field {name} is not an integer: {value!r}") from None
+    if not (value.isascii() and value.isdigit()):
+        raise ParseError(f"field {name} is not a count: {value!r}")
+    return int(value)
 
 
 def load_model(path):
@@ -473,10 +472,13 @@ def load_model(path):
             f"payload is {len(payload)} bytes, manifest implies {expect}"
         )
     buf = io.BytesIO(payload)
-    layers = []
-    for rows, cols, act in shapes:
-        w = np.frombuffer(buf.read(rows * cols * 8), dtype="<f8")
-        w = w.reshape(rows, cols)
-        b = np.frombuffer(buf.read(rows * 8), dtype="<f8")
-        layers.append(DenseLayer(w, b, act))
-    return MlpModel(tuple(layers), input_dim, seed_tag)
+    try:
+        layers = []
+        for rows, cols, act in shapes:
+            w = np.frombuffer(buf.read(rows * cols * 8), dtype="<f8")
+            w = w.reshape(rows, cols)
+            b = np.frombuffer(buf.read(rows * 8), dtype="<f8")
+            layers.append(DenseLayer(w, b, act))
+        return MlpModel(tuple(layers), input_dim, seed_tag)
+    except (ShapeError, ValidationError) as exc:
+        raise ParseError(f"model {path} is corrupt: {exc}") from exc

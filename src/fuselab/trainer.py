@@ -46,6 +46,16 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 0, batch_size >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ConfigurationError("hidden widths must be positive")
+        # written so that NaN fails too
+        lr, momentum = self.learning_rate, self.momentum
+        if not (np.isfinite(lr) and lr > 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and > 0, got {lr}"
+            )
+        if not 0 <= momentum < 1:
+            raise ConfigurationError(
+                f"momentum must be in [0, 1), got {momentum}"
+            )
         object.__setattr__(
             self, "hidden_widths", tuple(int(w) for w in self.hidden_widths)
         )

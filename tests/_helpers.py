@@ -1,7 +1,12 @@
 """Shared builders for the test suite."""
 
+import importlib
+import pkgutil
+from collections import Counter
+
 import numpy as np
 
+import fuselab
 from fuselab import (
     Activation,
     AlignmentPlan,
@@ -69,3 +74,47 @@ def tiny_relu_model(weight_rows, bias_rows, head_w, head_b):
                    np.asarray(head_b, float), Activation.IDENTITY),
     )
     return MlpModel(layers, np.asarray(weight_rows).shape[1])
+
+
+def count_calls(monkeypatch, names):
+    """Wrap every binding of the named functions in every fuselab module."""
+    counts = Counter()
+    modules = [fuselab] + [
+        importlib.import_module(f"fuselab.{info.name}")
+        for info in pkgutil.iter_modules(fuselab.__path__)
+    ]
+    for name in names:
+        original = getattr(fuselab, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def model_bytes(model):
+    return b"".join(
+        layer.weights.tobytes() + layer.bias.tobytes() for layer in model.layers
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the fuselab error it raised."""
+    try:
+        return fn(*args)
+    except fuselab.FuselabError as exc:
+        return type(exc)
+
+
+def blown_up(model, factor=1e3):
+    """model with its first layer scaled: huge, badly conditioned scatter."""
+    first = model.layers[0]
+    layers = (
+        DenseLayer(first.weights * factor, first.bias * factor, first.activation),
+        *model.layers[1:],
+    )
+    return MlpModel(layers, model.input_dim)

@@ -1,20 +1,13 @@
 """Canonical correlation alignment: whitening, solutions, ridge selection."""
 
-import importlib
-import pkgutil
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fuselab
 from fuselab import (
-    DenseLayer,
     GammaSelectionError,
     MethodTag,
-    MlpModel,
     NumericalError,
     ShapeError,
     ValidationError,
@@ -42,7 +35,15 @@ from fuselab.cca import GAMMA_GRID_COEFFS, build_transform, plan_from_solutions
 from fuselab.cli import main
 from fuselab.evaluation import summaries_from_solutions
 
-from _helpers import permuted_twin, random_model, random_monomial_plan
+from _helpers import (
+    blown_up,
+    count_calls,
+    model_bytes,
+    outcome,
+    permuted_twin,
+    random_model,
+    random_monomial_plan,
+)
 
 
 def _mat(values, layer_index=0):
@@ -317,30 +318,6 @@ def _select_gamma_oracle(candidate_gammas, model_pairs, probes, eval_ds):
     return best_gamma
 
 
-def _model_bytes(model):
-    return b"".join(
-        layer.weights.tobytes() + layer.bias.tobytes() for layer in model.layers
-    )
-
-
-def _outcome(fn, *args):
-    """fn's result, or the type of the fuselab error it raised."""
-    try:
-        return fn(*args)
-    except fuselab.FuselabError as exc:
-        return type(exc)
-
-
-def _blown_up(model, factor=1e3):
-    """model with its first layer scaled: huge, badly conditioned scatter."""
-    first = model.layers[0]
-    layers = (
-        DenseLayer(first.weights * factor, first.bias * factor, first.activation),
-        *model.layers[1:],
-    )
-    return MlpModel(layers, model.input_dim)
-
-
 SEARCH_TASK = generate(4, 30, 6, seed=5)
 # fewer probe rows than neurons: every scatter is rank-deficient, so gamma 0
 # leans on the eigenvalue floor and fails where the activations are large
@@ -358,7 +335,7 @@ def gamma_search_cases(draw):
     # partners only, so the reference stays healthy
     for i in range(1, n):
         if draw(st.booleans()):
-            models[i] = _blown_up(models[i])
+            models[i] = blown_up(models[i])
     if draw(st.booleans()):
         pairs = [(models[0], m) for m in models[1:]]
     else:
@@ -409,8 +386,8 @@ class TestOnePassSearchMatchesOracle:
         oracle_candidates = candidates
         if candidates is None:
             oracle_candidates = _gamma_grid_oracle(*pairs[0], probes)
-        chosen = _outcome(select_gamma, candidates, pairs, probes, SEARCH_TASK)
-        expect = _outcome(
+        chosen = outcome(select_gamma, candidates, pairs, probes, SEARCH_TASK)
+        expect = outcome(
             _select_gamma_oracle, oracle_candidates, pairs, probes, SEARCH_TASK
         )
         assert chosen == expect
@@ -418,18 +395,18 @@ class TestOnePassSearchMatchesOracle:
         if isinstance(chosen, float):
             merge_gammas.append(chosen)
         for gamma in merge_gammas:
-            fast = _outcome(_fast_merge, models, probes, gamma)
-            slow = _outcome(_oracle_merge, models, probes, gamma)
+            fast = outcome(_fast_merge, models, probes, gamma)
+            slow = outcome(_oracle_merge, models, probes, gamma)
             if isinstance(slow, type):
                 assert fast is slow
                 continue
-            assert _model_bytes(fast[0]) == _model_bytes(slow[0])
+            assert model_bytes(fast[0]) == model_bytes(slow[0])
             assert fast[1] == slow[1]
 
     def test_candidate_failing_on_one_pair_is_dropped(self):
         reference = random_model(6, (8, 8), 4, seed=1)
         healthy = random_model(6, (8, 8), 4, seed=2)
-        blown = _blown_up(random_model(6, (8, 8), 4, seed=3))
+        blown = blown_up(random_model(6, (8, 8), 4, seed=3))
         probes = RANK_DEFICIENT
         cca_plan(reference, healthy, probes, 0.0)
         with pytest.raises(NumericalError):
@@ -458,7 +435,7 @@ class TestOnePassSearchMatchesOracle:
         probes = SEARCH_TASK.features
         merged, report, _ = merge_and_report(models, method, probes)
         expect = merge_many(models[0], models[1:], method, probes)
-        assert _model_bytes(merged) == _model_bytes(expect)
+        assert model_bytes(merged) == model_bytes(expect)
         sols = _solve_layers_oracle(models[0], models[1], probes)
         assert report.layer_summaries == summaries_from_solutions(sols)
 
@@ -474,26 +451,6 @@ class TestOnePassSearchMatchesOracle:
                 assert f.correlations.tobytes() == s.correlations.tobytes()
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap every binding of the named functions in every fuselab module."""
-    counts = Counter()
-    modules = [fuselab] + [
-        importlib.import_module(f"fuselab.{info.name}")
-        for info in pkgutil.iter_modules(fuselab.__path__)
-    ]
-    for name in names:
-        original = getattr(fuselab, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in modules:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    return counts
-
-
 def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_task):
     train_ds, _ = small_task
     save_dataset(train_ds, tmp_path / "probes.ds")
@@ -504,14 +461,15 @@ def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_
             random_model(train_ds.dim, (8, 8), train_ds.num_classes, seed=seed),
             paths[-1],
         )
-    counts = _count_calls(monkeypatch, ["capture", "inv_sqrt"])
+    counts = count_calls(monkeypatch, ["capture", "inv_sqrt"])
     code = main(["merge", *map(str, paths), "--method", "cca",
                  "--gamma-search", "auto", "--probes", str(tmp_path / "probes.ds"),
                  "--out", str(tmp_path / "out")])
     assert code == 0
     pairs, layers, candidates = 4, 2, len(GAMMA_GRID_COEFFS)
-    # the search and the merge each capture both models of every pair once
-    assert counts["capture"] == 2 * (2 * pairs)
+    # the search and the merge each capture the reference once and every
+    # partner once
+    assert counts["capture"] == 2 * (1 + pairs)
     # the reference is whitened once per (layer, gamma); each partner once
     # per (layer, gamma) it is solved at
     search = layers * candidates + pairs * layers * candidates

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from fuselab import load_dataset, load_model, parse_report, strip_timestamp
+from fuselab import (
+    cca,
+    load_dataset,
+    load_model,
+    parse_report,
+    strip_timestamp,
+    trainer,
+)
 from fuselab.cli import main
 
 TINY_TRAIN = [
@@ -75,8 +82,79 @@ class TestTrain:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--lr", "-0.5", "learning_rate"),
+            ("--lr", "0", "learning_rate"),
+            ("--lr", "inf", "learning_rate"),
+            ("--momentum", "5", "momentum"),
+            ("--momentum", "1", "momentum"),
+            ("--momentum", "-0.1", "momentum"),
+        ],
+    )
+    def test_bad_step_sizes_exit_1(
+        self, workdir, tmp_path, capsys, flag, value, field
+    ):
+        _, data, _, _ = workdir
+        out = tmp_path / "m.model"
+        code = main(["train", "--data", str(data), flag, value,
+                     "--widths", "8", "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train:")
+        assert field in err
+        assert not out.exists()
+
+
+def _weights(model):
+    return b"".join(layer.weights.tobytes() for layer in model.layers)
+
+
+def _record_search(monkeypatch):
+    """Replace the gamma search by one that records its pairs."""
+    seen = []
+
+    def select(candidates, pairs, probes, eval_ds):
+        seen.append([(_weights(a), _weights(b)) for a, b in pairs])
+        return 0.01
+
+    monkeypatch.setattr(cca, "select_gamma", select)
+    return seen
+
 
 class TestMerge:
+    def test_gamma_search_pairs_use_the_reference(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        _, data, _, models = workdir
+        seen = _record_search(monkeypatch)
+        out = tmp_path / "merged"
+        code = main(["merge", *map(str, models), "--method", "cca",
+                     "--probes", str(data), "--reference", "1",
+                     "--gamma-search", "auto", "--out", str(out)])
+        assert code == 0
+        m0, m1, m2 = (_weights(load_model(p)) for p in models)
+        assert seen == [[(m1, m0), (m1, m2)]]
+        report = parse_report((out / "merge_report.txt").read_text())
+        assert report["reference"] == "1"
+        assert report["gamma_selected"] == "0.01"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("reference", ["-1", "3"])
+    def test_reference_out_of_range_rejected_before_search(
+        self, workdir, tmp_path, capsys, monkeypatch, reference
+    ):
+        _, data, _, models = workdir
+        seen = _record_search(monkeypatch)
+        code = main(["merge", *map(str, models), "--method", "cca",
+                     "--probes", str(data), "--reference", reference,
+                     "--gamma-search", "auto", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert seen == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: merge: --reference must be in 0..2")
+
     def test_writes_model_and_report(self, workdir, tmp_path, capsys):
         _, data, _, models = workdir
         out = tmp_path / "merged"
@@ -274,15 +352,6 @@ class TestExperiment:
         rb = strip_timestamp((b / "experiment_report.txt").read_text())
         assert ra == rb
 
-    def test_threaded_training_matches_serial(self, tmp_path, capsys, monkeypatch):
-        a, b = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["experiment", *EXPERIMENT_ARGS, "--out", str(a)]) == 0
-        monkeypatch.setenv("FUSELAB_THREADS", "2")
-        assert main(["experiment", *EXPERIMENT_ARGS, "--out", str(b)]) == 0
-        capsys.readouterr()
-        assert strip_timestamp((a / "experiment_report.txt").read_text()) == \
-            strip_timestamp((b / "experiment_report.txt").read_text())
-
     def test_split_protocol_recorded(self, tmp_path, capsys):
         out = tmp_path / "exp"
         assert main(["experiment", *EXPERIMENT_ARGS, "--split", "dirichlet",
@@ -291,6 +360,19 @@ class TestExperiment:
         assert report["split"] == "dirichlet"
         assert report["alpha"] == "0.4,0.6"
         capsys.readouterr()
+
+    def test_reference_out_of_range_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def train(*args):
+            raise AssertionError("trained before checking --reference")
+
+        monkeypatch.setattr(trainer, "train", train)
+        code = main(["experiment", *EXPERIMENT_ARGS, "--reference", "2",
+                     "--gamma-search", "auto", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment: --reference must be in 0..1")
 
     def test_non_full_split_needs_two_models(self, tmp_path, capsys):
         code = main(["experiment", *TINY_TRAIN, "--seeds", "0,1,2",

@@ -1,25 +1,65 @@
 """Model averaging, aligned merging, and the statistics reset pass."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab import (
     Activation,
+    AnalysisReport,
     ConfigurationError,
     DenseLayer,
     MethodTag,
     MlpModel,
     ValidationError,
     align,
+    analyze,
     apply_plan,
     average_models,
+    build_transform,
+    capture,
+    cca_plan,
+    coefficient_distribution_ratio,
+    correlations,
+    default_gamma,
+    format_report,
+    generate,
+    identity_plan,
+    linear_sum_assignment,
+    merge_and_report,
     merge_many,
     merge_pair,
+    non_optimal_matches,
+    permute_plan,
     repair_reset,
+    scatter,
+    solve_cca,
+    topk_coefficient_coverage,
 )
+from fuselab.analysis import (
+    COVERAGE_PAIRS,
+    RATIO_KS,
+    IndirectLayerDiagnostics,
+    PairLayerDiagnostics,
+    _column_partners,
+)
+from fuselab.cca import plan_from_solutions
+from fuselab.evaluation import summaries_from_solutions
+from fuselab.matching import plan_from_activations
 from fuselab.merge import SIGMA_FLOOR, SkippedNeuron
 
-from _helpers import assert_models_allclose, permuted_twin, random_model
+from _helpers import (
+    assert_models_allclose,
+    blown_up,
+    count_calls,
+    model_bytes,
+    outcome,
+    permuted_twin,
+    random_model,
+)
 
 
 class TestAverageModels:
@@ -193,3 +233,240 @@ class TestRepairReset:
         b = random_model(2, (4,), 2, seed=1)
         with pytest.raises(ValidationError):
             repair_reset(a, b, rng.normal(size=(50, 2)))
+
+
+# --- the separate merge paths before they were joined, kept as the oracle --
+#
+# Every model is captured afresh for every pair and every scatter is formed
+# from scratch, as the code did before the alignment loop was shared.
+
+
+def _solve_oracle(acts_a, acts_b, gamma):
+    sols = []
+    for a, b in zip(acts_a, acts_b):
+        g = default_gamma(
+            a.values.T @ a.values, b.values.T @ b.values
+        ) if gamma is None else float(gamma)
+        sols.append(solve_cca(scatter(a, b, g)))
+    return sols
+
+
+def _align_oracle(reference, model, method, probes=None, gamma=None):
+    """merge.align as it was: one dispatch, one capture per call."""
+    if method is MethodTag.IDENTITY:
+        return identity_plan(model)
+    if probes is None:
+        raise ConfigurationError(f"method {method.value} needs probes")
+    if method is MethodTag.PERMUTE:
+        return permute_plan(reference, model, probes)
+    return cca_plan(reference, model, probes, gamma)
+
+
+def _merge_many_oracle(reference, others, method, probes=None, gamma=None):
+    aligned = [
+        apply_plan(m, _align_oracle(reference, m, method, probes, gamma))
+        for m in others
+    ]
+    return average_models([reference, *aligned])
+
+
+def _align_pair_oracle(reference, other, probes, method, gamma, summarize):
+    """evaluation._align_pair as it was, on fresh captures."""
+    if method is MethodTag.IDENTITY and not summarize:
+        return identity_plan(other), None
+    acts = capture(reference, probes), capture(other, probes)
+    sols = None
+    if method is MethodTag.CCA or summarize:
+        sols = _solve_oracle(*acts, gamma)
+    if method is MethodTag.CCA:
+        plan = plan_from_solutions(sols)
+    elif method is MethodTag.PERMUTE:
+        plan = plan_from_activations(*acts)
+    else:
+        plan = _align_oracle(reference, other, method, probes, gamma)
+    return plan, sols
+
+
+def _merge_and_report_oracle(models, method, probes, gamma, repair, ref):
+    """merge_and_report's own loop as it was: (merged, summaries, aligned)."""
+    reference = models[ref]
+    others = [m for i, m in enumerate(models) if i != ref]
+    aligned = []
+    summaries = ()
+    for k, other in enumerate(others):
+        if probes is None:
+            plan, sols = _align_oracle(reference, other, method), None
+        else:
+            plan, sols = _align_pair_oracle(
+                reference, other, probes, method, gamma, k == 0
+            )
+        if k == 0 and sols is not None:
+            summaries = summaries_from_solutions(sols)
+        aligned.append(apply_plan(other, plan))
+    merged = average_models([reference, *aligned])
+    if repair:
+        merged, _ = repair_reset(merged, reference, probes)
+    return merged, summaries, aligned
+
+
+def _pair_diagnostics_oracle(model_a, model_b, probes, gamma):
+    acts_a, acts_b = capture(model_a, probes), capture(model_b, probes)
+    sols = _solve_oracle(acts_a, acts_b, gamma)
+    out = []
+    for i, (a, b) in enumerate(zip(acts_a, acts_b)):
+        corr = correlations(a, b)
+        assign = linear_sum_assignment(corr)
+        transform = build_transform(sols[i], i)
+        n = corr.values.shape[0]
+        coverage = tuple(
+            (kc, kt, topk_coefficient_coverage(corr, transform, kc, kt))
+            for kc, kt in COVERAGE_PAIRS
+            if kc <= n and kt <= n
+        )
+        ratios = tuple(
+            (k, coefficient_distribution_ratio(corr, transform, k))
+            for k in RATIO_KS
+            if k <= n
+        )
+        out.append(
+            PairLayerDiagnostics(
+                i, non_optimal_matches(corr, assign), coverage, ratios
+            )
+        )
+    return out
+
+
+def _indirect_oracle(model_a, model_b, model_c, method, probes, gamma):
+    plan_ca = _align_oracle(model_a, model_c, method, probes, gamma)
+    plan_ba = _align_oracle(model_a, model_b, method, probes, gamma)
+    plan_cb = _align_oracle(model_b, model_c, method, probes, gamma)
+    out = []
+    for i, (t_ca, t_ba, t_cb) in enumerate(
+        zip(plan_ca.transforms, plan_ba.transforms, plan_cb.transforms)
+    ):
+        indirect = t_ba.inverse @ t_ca.forward
+        direct = t_cb.forward
+        mismatch = float(
+            100.0
+            * np.mean(_column_partners(indirect) != _column_partners(direct))
+        )
+        frob = float(np.linalg.norm(indirect - direct))
+        ref = float(np.linalg.norm(direct))
+        out.append(
+            IndirectLayerDiagnostics(
+                i, mismatch, frob, frob / ref if ref > 0 else math.inf
+            )
+        )
+    return out
+
+
+def _analyze_oracle(models, probes, gamma):
+    pair_layers = tuple(
+        _pair_diagnostics_oracle(models[0], models[1], probes, gamma)
+    )
+    indirect = None
+    if len(models) == 3:
+        indirect = {
+            method.value: tuple(_indirect_oracle(*models, method, probes, gamma))
+            for method in (MethodTag.PERMUTE, MethodTag.CCA)
+        }
+    return AnalysisReport(len(models), gamma, pair_layers, indirect)
+
+
+PATH_TASK = generate(4, 20, 6, seed=8)
+
+
+@st.composite
+def merge_cases(draw):
+    n = draw(st.integers(2, 4))
+    seeds = draw(
+        st.lists(st.integers(0, 80), min_size=n, max_size=n, unique=True)
+    )
+    widths = draw(st.sampled_from([(8, 8), (5,), (6, 4, 7)]))
+    models = [random_model(6, widths, 4, seed=s) for s in seeds]
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:  # sometimes a badly scaled model
+            models[i] = blown_up(models[i])
+    gamma = draw(st.sampled_from([None, None, 1e-3, 0.5, 0.0]))
+    rows = draw(st.sampled_from([5, 20, 80]))  # 5 rows: rank-deficient
+    return models, gamma, PATH_TASK.features[:rows], draw(st.booleans())
+
+
+class TestOnePathMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(merge_cases())
+    def test_merges_and_analysis_match_the_separate_paths(self, case):
+        models, gamma, probes, repair = case
+        n = len(models)
+        for method in MethodTag:
+            for ref in range(n):
+                order = [models[ref]] + models[:ref] + models[ref + 1 :]
+                fast = outcome(merge_many, order[0], order[1:], method,
+                                probes, gamma)
+                slow = outcome(_merge_many_oracle, order[0], order[1:],
+                                method, probes, gamma)
+                assert _same(fast, slow)
+                for p in (probes, None):
+                    fast = outcome(self._merge, models, method, p, gamma,
+                                    repair and p is not None, ref)
+                    slow = outcome(_merge_and_report_oracle, models, method,
+                                    p, gamma, repair and p is not None, ref)
+                    assert _same(fast, slow)
+        for ref in range(n):
+            order = [models[ref]] + models[:ref] + models[ref + 1 :]
+            fast = outcome(analyze, order[:3], probes, gamma)
+            slow = outcome(_analyze_oracle, order[:3], probes, gamma)
+            if isinstance(slow, type):
+                assert fast is slow
+            else:
+                assert _report_text(fast) == _report_text(slow)
+
+    @staticmethod
+    def _merge(models, method, probes, gamma, repair, ref):
+        merged, report, aligned = merge_and_report(
+            models, method, probes, gamma, repair, ref
+        )
+        return merged, report.layer_summaries, aligned
+
+
+def _same(fast, slow):
+    """Same error type, or byte-identical models and equal summaries."""
+    if isinstance(slow, type) or isinstance(fast, type):
+        return fast is slow
+    if isinstance(slow, MlpModel):
+        return model_bytes(fast) == model_bytes(slow)
+    merged, summaries, aligned = fast
+    return (
+        model_bytes(merged) == model_bytes(slow[0])
+        and summaries == slow[1]
+        and [model_bytes(m) for m in aligned] == [model_bytes(m) for m in slow[2]]
+    )
+
+
+def _report_text(report):
+    return format_report(report.to_items(), timestamp="-")
+
+
+class TestCapturesOncePerModel:
+    @pytest.mark.parametrize("method", [MethodTag.PERMUTE, MethodTag.CCA])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_merging_n_models_makes_n_captures(self, monkeypatch, method, n):
+        models = [random_model(6, (8, 8), 4, seed=s) for s in range(n)]
+        probes = PATH_TASK.features
+        counts = count_calls(monkeypatch, ["capture"])
+        merge_many(models[0], models[1:], method, probes)
+        assert counts["capture"] == n
+        counts.clear()
+        merge_and_report(models, method, probes, reference_index=n - 1)
+        assert counts["capture"] == n
+
+    def test_analyze_three_models_makes_five_captures(self, monkeypatch):
+        models = [random_model(6, (8, 8), 4, seed=s) for s in range(3)]
+        counts = count_calls(monkeypatch, ["capture"])
+        analyze(models, PATH_TASK.features)
+        # A once for (A, B) and (A, C); B and C once each against A, and
+        # once more each for (B, C)
+        assert counts["capture"] == 5
+        counts.clear()
+        analyze(models[:2], PATH_TASK.features)
+        assert counts["capture"] == 2

@@ -1,14 +1,19 @@
 """Model containers, forward rule, transforms, plan application, file IO."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab import (
     Activation,
     AlignmentPlan,
     DenseLayer,
+    FuselabError,
     LayerTransform,
     MethodTag,
     MlpModel,
@@ -19,7 +24,10 @@ from fuselab import (
     ValidationError,
     apply_plan,
     forward,
+    generate,
+    load_dataset,
     load_model,
+    save_dataset,
     save_model,
 )
 from _helpers import (
@@ -243,7 +251,7 @@ class TestModelFile:
         header_end = raw.index(b"end\n") + 4
         raw[header_end : header_end + 8] = np.array([np.nan]).tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError, match="m.model is corrupt"):
             load_model(path)
 
     def test_failed_save_leaves_existing_file(self, tmp_path):
@@ -259,3 +267,107 @@ class TestModelFile:
             save_model(broken, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+
+# --- corrupted files: decoding fails only with ParseError ---------------------
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 1e308]
+MANIFEST_BYTES = list(b"0123456789- \n\t\x80\xff")
+
+
+def _file_cases(kind, seed):
+    """(object, its file bytes) for one freshly saved model or dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        if kind == "model":
+            obj = random_model(3, (4, 5), 3, seed=seed, tag=f"s{seed}")
+            save_model(obj, path)
+        else:
+            obj = generate(3, 2, 4, seed=seed)
+            save_dataset(obj, path)
+        return obj, path.read_bytes()
+
+
+def _load(kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(data)
+        return (load_model if kind == "model" else load_dataset)(path)
+
+
+@st.composite
+def corruptions(draw):
+    kind = draw(st.sampled_from(["model", "dataset"]))
+    obj, data = _file_cases(kind, draw(st.integers(0, 30)))
+    raw = bytearray(data)
+    header = raw.index(b"end\n") + 4
+    floats = (len(raw) - header) // 8
+    if kind == "dataset":
+        floats = obj.m * obj.dim
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["byte", "manifest", "float", "label"]))
+        if edit == "byte":
+            pos = draw(st.integers(0, len(raw) - 1))
+            raw[pos] = draw(st.integers(0, 255))
+        elif edit == "manifest":
+            pos = draw(st.integers(0, header - 1))
+            raw[pos] = draw(st.sampled_from(MANIFEST_BYTES))
+        elif edit == "float":
+            at = header + 8 * draw(st.integers(0, floats - 1))
+            value = draw(st.sampled_from(SPECIAL_FLOATS))
+            raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+        elif kind == "dataset":
+            at = header + 8 * floats + 4 * draw(st.integers(0, obj.m - 1))
+            label = draw(st.sampled_from([obj.num_classes, 2**32 - 1]))
+            raw[at : at + 4] = np.array([label], dtype="<u4").tobytes()
+    return kind, obj, bytes(raw)
+
+
+def _same_content(kind, a, b):
+    if kind == "dataset":
+        return (
+            a.features.tobytes() == b.features.tobytes()
+            and a.labels.tobytes() == b.labels.tobytes()
+            and (a.num_classes, a.seed) == (b.num_classes, b.seed)
+        )
+    return (a.input_dim, a.seed_tag) == (b.input_dim, b.seed_tag) and all(
+        la.activation is lb.activation
+        and la.weights.tobytes() == lb.weights.tobytes()
+        and la.bias.tobytes() == lb.bias.tobytes()
+        for la, lb in zip(a.layers, b.layers, strict=True)
+    )
+
+
+class TestCorruptFiles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["model", "dataset"]), st.integers(0, 30))
+    def test_files_round_trip(self, kind, seed):
+        obj, data = _file_cases(kind, seed)
+        assert _same_content(kind, _load(kind, data), obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corruptions())
+    def test_corrupted_bytes_raise_only_parse_errors(self, case):
+        kind, _, data = case
+        try:
+            _load(kind, data)
+        except FuselabError as exc:
+            assert isinstance(exc, ParseError), repr(exc)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"seed_tag s", b"seed_tag \x80"), (b"input_dim 3", b"input_dim 4")],
+    )
+    def test_decoded_model_errors_name_the_file(self, tmp_path, old, new):
+        path = tmp_path / "bad.model"
+        save_model(random_model(3, (4,), 3, seed=1, tag="s1"), path)
+        path.write_bytes(path.read_bytes().replace(old, new))
+        with pytest.raises(ParseError, match="bad.model is corrupt"):
+            load_model(path)
+
+    def test_labels_out_of_range_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.ds"
+        save_dataset(generate(3, 2, 4, seed=0), path)
+        path.write_bytes(path.read_bytes().replace(b"\nk 3\n", b"\nk 2\n"))
+        with pytest.raises(ParseError, match="bad.ds is corrupt"):
+            load_dataset(path)

@@ -181,3 +181,17 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(ConfigurationError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("lr", [-0.5, 0.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("momentum", [5.0, 1.0, -0.1, float("nan")])
+    def test_momentum_must_be_below_one(self, momentum):
+        with pytest.raises(ConfigurationError, match="momentum"):
+            TrainConfig(momentum=momentum)
+
+    def test_step_size_edges_accepted(self):
+        TrainConfig(learning_rate=1e-9, momentum=0.0)
+        TrainConfig(learning_rate=1e12, momentum=0.999)
