@@ -1,9 +1,13 @@
 """Command line interface.
 
 Subcommands: gen-data, train, merge, eval, barrier, analyze, experiment.
-Option precedence is flags, then an optional --config file of key=value
-lines (keys are the long option names), then built-in defaults. All reports
-are deterministic text except for their timestamp line.
+build_parser declares every option once, with its type and default; options
+used by several subcommands come from shared parent parsers. An optional
+--config file of key=value lines (keys are the long option names) may set
+any option the subcommand does not require: each value is cast by that
+option's own type and becomes a parser default, so flags win over the file
+and the file wins over built-in defaults. All reports are deterministic text
+except for their timestamp line.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cca, datagen, evaluation, reports, trainer
+from . import analysis, cca, evaluation, reports, trainer
 from .datagen import SplitKind, SplitSpec, generate, load_dataset, save_dataset, split
 from .errors import ConfigurationError, FuselabError, ParseError
 from .evaluation import evaluate_merge, merge_and_report
@@ -33,19 +37,20 @@ CLI_NAME = {tag: name for name, tag in METHOD_NAMES.items()}
 
 def _parse_list(text, name, cast=int):
     try:
-        return [cast(v) for v in str(text).split(",") if v != ""]
+        return [cast(v) for v in text.split(",") if v != ""]
     except ValueError:
         kind = "integers" if cast is int else "numbers"
         raise ParseError(f"{name} wants comma-separated {kind}") from None
 
 
-def _parse_bool(text, name):
-    t = str(text).strip().lower()
+def _parse_bool(text):
+    """The config form of a store_true option."""
+    t = text.strip().lower()
     if t in ("true", "1", "yes"):
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ParseError(f"{name} wants true or false, got {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def load_config(path):
@@ -67,33 +72,9 @@ def load_config(path):
     return mapping
 
 
-class Options:
-    """Resolves flag > config > default, casting config strings."""
-
-    def __init__(self, args, config):
-        self.args = args
-        self.config = config
-
-    def get(self, name, default, cast=str):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.config:
-            raw = self.config[name]
-            if cast is bool:
-                return _parse_bool(raw, name)
-            try:
-                return cast(raw)
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"config value for {name} is invalid: {raw!r}"
-                ) from None
-        return default
-
-
 def _method_list(text):
     methods = []
-    for name in str(text).split(","):
+    for name in _parse_list(text, "--methods", str):
         name = name.strip()
         if name not in METHOD_NAMES:
             raise ConfigurationError(
@@ -108,46 +89,32 @@ def _method_list(text):
 # --- handlers -------------------------------------------------------------
 
 
-def cmd_gen_data(args, config):
-    opt = Options(args, config)
+def cmd_gen_data(args):
     ds = generate(
-        opt.get("classes", DEFAULT_CLASSES, int),
-        opt.get("per_class", DEFAULT_PER_CLASS, int),
-        opt.get("dim", DEFAULT_DIM, int),
-        opt.get("seed", 0, int),
-        sample_salt=opt.get("salt", 0, int),
+        args.classes, args.per_class, args.dim, args.seed,
+        sample_salt=args.salt,
     )
     save_dataset(ds, args.out)
     print(f"wrote {args.out} (m={ds.m}, d={ds.dim}, k={ds.num_classes})")
     return 0
 
 
-def _train_config(opt, seed):
-    init_seed, shuffle_seed = seeds_for(seed)
-    override = opt.get("shuffle_seed", None, int)
-    if override is not None:
-        shuffle_seed = override
-    widths = opt.get("widths", None, str)
-    widths = (
-        tuple(_parse_list(widths, "--widths"))
-        if widths is not None
-        else trainer.DEFAULT_HIDDEN_WIDTHS
-    )
+def _train_config(args, seed, shuffle_seed=None):
+    init_seed, seeded_shuffle = seeds_for(seed)
     return TrainConfig(
-        hidden_widths=widths,
-        epochs=opt.get("epochs", trainer.DEFAULT_EPOCHS, int),
-        batch_size=opt.get("batch_size", trainer.DEFAULT_BATCH_SIZE, int),
-        learning_rate=opt.get("lr", trainer.DEFAULT_LEARNING_RATE, float),
-        momentum=opt.get("momentum", trainer.DEFAULT_MOMENTUM, float),
+        hidden_widths=tuple(_parse_list(args.widths, "--widths")),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        momentum=args.momentum,
         init_seed=init_seed,
-        shuffle_seed=shuffle_seed,
+        shuffle_seed=seeded_shuffle if shuffle_seed is None else shuffle_seed,
     )
 
 
-def cmd_train(args, config):
-    opt = Options(args, config)
+def cmd_train(args):
     ds = load_dataset(args.data)
-    cfg = _train_config(opt, opt.get("seed", 0, int))
+    cfg = _train_config(args, args.seed, args.shuffle_seed)
     model = trainer.train(ds, cfg)
     loss, acc = trainer.cross_entropy_accuracy(model, ds)
     save_model(model, args.out)
@@ -157,31 +124,33 @@ def cmd_train(args, config):
     return 0
 
 
-def _reference(opt, count):
+def _reference(args, count):
     """The --reference index, checked against the number of models."""
-    reference = opt.get("reference", 0, int)
-    if not 0 <= reference < count:
+    if not 0 <= args.reference < count:
         raise ConfigurationError(
-            f"--reference must be in 0..{count - 1}, got {reference}"
+            f"--reference must be in 0..{count - 1}, got {args.reference}"
         )
-    return reference
+    return args.reference
 
 
-def _resolve_gamma(opt, models, probes, probes_ds, reference):
+def _resolve_gamma(args, models, probes, probes_ds, reference):
     """Returns (gamma or None, selected-by-search flag)."""
-    gamma = opt.get("gamma", None, float)
-    search = opt.get("gamma_search", None, str)
+    search = args.gamma_search
     if search is None:
-        return gamma, False
-    if gamma is not None:
+        return args.gamma, False
+    if args.gamma is not None:
         raise ConfigurationError("--gamma and --gamma-search are exclusive")
     if probes is None:
         raise ConfigurationError("--gamma-search needs probes")
     # auto: select_gamma walks the grid of the first pair
-    candidates = (
-        None if search == "auto"
-        else _parse_list(search, "--gamma-search", float)
-    )
+    candidates = None
+    if search != "auto":
+        candidates = _parse_list(search, "--gamma-search", float)
+        for g in candidates:
+            if not (np.isfinite(g) and g >= 0):
+                raise ConfigurationError(
+                    f"--gamma-search candidate {g} must be finite and >= 0"
+                )
     pairs = [
         (models[reference], m) for i, m in enumerate(models) if i != reference
     ]
@@ -189,28 +158,25 @@ def _resolve_gamma(opt, models, probes, probes_ds, reference):
     return chosen, True
 
 
-def cmd_merge(args, config):
-    opt = Options(args, config)
+def cmd_merge(args):
     models = [load_model(p) for p in args.models]
     if len(models) < 2:
         raise ConfigurationError("merge needs at least 2 model files")
-    method = _method_list(opt.get("method", "direct", str))
+    method = _method_list(args.method)
     if len(method) != 1:
         raise ConfigurationError("merge takes exactly one --method")
     method = method[0]
     probes_ds = None
     probes = None
-    probes_path = opt.get("probes", None, str)
-    if probes_path is not None:
-        probes_ds = load_dataset(probes_path)
-        probes = evaluation.limit_probes(
-            probes_ds.features, opt.get("probe_limit", None, int)
-        )
-    reference = _reference(opt, len(models))
-    repair = bool(opt.get("repair", False, bool))
-    gamma, searched = _resolve_gamma(opt, models, probes, probes_ds, reference)
+    if args.probes is not None:
+        probes_ds = load_dataset(args.probes)
+        probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
+    reference = _reference(args, len(models))
+    gamma, searched = _resolve_gamma(
+        args, models, probes, probes_ds, reference
+    )
     merged, report, _ = merge_and_report(
-        models, method, probes, gamma, repair, reference
+        models, method, probes, gamma, args.repair, reference
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,20 +189,18 @@ def cmd_merge(args, config):
     return 0
 
 
-def _emit(opt, items):
+def _emit(args, items):
     """Print the report, writing it to --out first when that is given."""
-    out = opt.get("out", None, str)
     text = (
-        reports.write_report(out, items)
-        if out
+        reports.write_report(args.out, items)
+        if args.out
         else reports.format_report(items)
     )
     sys.stdout.write(text)
     return 0
 
 
-def cmd_eval(args, config):
-    opt = Options(args, config)
+def cmd_eval(args):
     models = [load_model(p) for p in args.models]
     ds = load_dataset(args.data)
     items = [("report", "eval"), ("models", len(models))]
@@ -251,17 +215,14 @@ def cmd_eval(args, config):
         items.append(
             ("ensemble_accuracy", evaluation.ensemble_accuracy(models, ds))
         )
-    return _emit(opt, items)
+    return _emit(args, items)
 
 
-def cmd_barrier(args, config):
-    opt = Options(args, config)
+def cmd_barrier(args):
     model_a = load_model(args.models[0])
     model_b = load_model(args.models[1])
     ds = load_dataset(args.data)
-    curve = evaluation.interpolation_curve(
-        model_a, model_b, ds, opt.get("grid", evaluation.DEFAULT_GRID_SIZE, int)
-    )
+    curve = evaluation.interpolation_curve(model_a, model_b, ds, args.grid)
     items = [
         ("report", "barrier"),
         ("grid", curve.lambdas.size),
@@ -270,43 +231,34 @@ def cmd_barrier(args, config):
         ("accuracies", [float(v) for v in curve.accuracies]),
         ("barrier", curve.barrier),
     ]
-    return _emit(opt, items)
+    return _emit(args, items)
 
 
-def cmd_analyze(args, config):
-    opt = Options(args, config)
+def cmd_analyze(args):
     models = [load_model(p) for p in args.models]
     probes_ds = load_dataset(args.probes)
-    probes = evaluation.limit_probes(
-        probes_ds.features, opt.get("probe_limit", None, int)
+    probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
+    report = analysis.analyze(models, probes, args.gamma)
+    return _emit(args, report.to_items())
+
+
+def cmd_experiment(args):
+    train_ds = generate(args.classes, args.per_class, args.dim, args.data_seed)
+    test_ds = generate(
+        args.classes, args.test_per_class, args.dim, args.data_seed,
+        sample_salt=1,
     )
-    report = analysis.analyze(models, probes, opt.get("gamma", None, float))
-    return _emit(opt, report.to_items())
 
-
-def cmd_experiment(args, config):
-    opt = Options(args, config)
-    classes = opt.get("classes", DEFAULT_CLASSES, int)
-    per_class = opt.get("per_class", DEFAULT_PER_CLASS, int)
-    dim = opt.get("dim", DEFAULT_DIM, int)
-    data_seed = opt.get("data_seed", 0, int)
-    test_per_class = opt.get("test_per_class", DEFAULT_TEST_PER_CLASS, int)
-    train_ds = generate(classes, per_class, dim, data_seed)
-    test_ds = generate(classes, test_per_class, dim, data_seed, sample_salt=1)
-
-    split_name = opt.get("split", "full", str)
     try:
-        kind = SplitKind(split_name)
+        kind = SplitKind(args.split)
     except ValueError:
-        raise ConfigurationError(f"unknown split {split_name!r}") from None
-    alpha = tuple(
-        _parse_list(opt.get("alpha", "0.5,0.5", str), "--alpha", float)
-    )
-    spec = SplitSpec(kind, opt.get("split_seed", data_seed, int), alpha)
-    parts = split(train_ds, spec)
+        raise ConfigurationError(f"unknown split {args.split!r}") from None
+    alpha = tuple(_parse_list(args.alpha, "--alpha", float))
+    split_seed = args.data_seed if args.split_seed is None else args.split_seed
+    parts = split(train_ds, SplitSpec(kind, split_seed, alpha))
 
-    seeds = _parse_list(opt.get("seeds", "0,1", str), "--seeds")
-    num_models = opt.get("models", len(seeds), int)
+    seeds = _parse_list(args.seeds, "--seeds")
+    num_models = len(seeds) if args.models is None else args.models
     if num_models != len(seeds):
         raise ConfigurationError(
             f"--models says {num_models} but --seeds lists {len(seeds)}"
@@ -315,29 +267,26 @@ def cmd_experiment(args, config):
         raise ConfigurationError("experiments need at least 2 models")
     if kind is not SplitKind.FULL and num_models != 2:
         raise ConfigurationError("data splits are two-way; use --models 2")
-    reference = _reference(opt, num_models)
+    reference = _reference(args, num_models)
+    methods = _method_list(args.methods)
 
-    cfgs = [_train_config(opt, s) for s in seeds]
+    cfgs = [_train_config(args, s) for s in seeds]
     train_sets = [parts[min(i, 1)] for i in range(num_models)]
     models = [trainer.train(d, c) for d, c in zip(train_sets, cfgs)]
 
-    methods = _method_list(opt.get("methods", "direct,permute,cca", str))
-    probe_limit = opt.get("probe_limit", None, int)
-    probes = evaluation.limit_probes(train_ds.features, probe_limit)
-    repair = bool(opt.get("repair", False, bool))
-    grid = opt.get("grid", evaluation.DEFAULT_GRID_SIZE, int)
-    gamma, searched = _resolve_gamma(opt, models, probes, train_ds, reference)
+    probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
+    gamma, searched = _resolve_gamma(args, models, probes, train_ds, reference)
 
     items = [
         ("report", "experiment"),
         ("split", kind.value),
         ("alpha", alpha if kind is SplitKind.DIRICHLET else None),
-        ("split_seed", spec.seed),
-        ("classes", classes),
-        ("per_class", per_class),
-        ("dim", dim),
-        ("data_seed", data_seed),
-        ("test_per_class", test_per_class),
+        ("split_seed", split_seed),
+        ("classes", args.classes),
+        ("per_class", args.per_class),
+        ("dim", args.dim),
+        ("data_seed", args.data_seed),
+        ("test_per_class", args.test_per_class),
         ("models", num_models),
         ("seeds", seeds),
         ("reference", reference),
@@ -346,16 +295,16 @@ def cmd_experiment(args, config):
         ("batch_size", cfgs[0].batch_size),
         ("learning_rate", cfgs[0].learning_rate),
         ("momentum", cfgs[0].momentum),
-        ("probe_limit", probe_limit),
-        ("grid", grid),
+        ("probe_limit", args.probe_limit),
+        ("grid", args.grid),
         ("gamma", gamma),
         ("gamma_selected", gamma if searched else None),
-        ("repair", repair),
+        ("repair", args.repair),
     ]
     for k, method in enumerate(methods):
         _, rep = evaluate_merge(
-            method, models, train_ds, test_ds, gamma, repair, probe_limit,
-            grid, reference,
+            method, models, train_ds, test_ds, gamma, args.repair,
+            args.probe_limit, args.grid, reference,
         )
         if k == 0:
             for i, a in enumerate(rep.endpoint_accuracies):
@@ -385,10 +334,51 @@ def cmd_experiment(args, config):
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--config", help="key=value file supplying option defaults"
+    def parent():
+        return argparse.ArgumentParser(add_help=False)
+
+    config = parent()
+    config.add_argument(
+        "--config", help="key=value file setting defaults for any option "
+        "the subcommand does not require"
     )
+    mixture = parent()
+    mixture.add_argument("--classes", type=int, default=DEFAULT_CLASSES)
+    mixture.add_argument("--per-class", type=int, default=DEFAULT_PER_CLASS)
+    mixture.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    training = parent()
+    training.add_argument(
+        "--widths", default=",".join(map(str, trainer.DEFAULT_HIDDEN_WIDTHS)),
+        help="comma list of hidden widths",
+    )
+    training.add_argument("--epochs", type=int, default=trainer.DEFAULT_EPOCHS)
+    training.add_argument(
+        "--batch-size", type=int, default=trainer.DEFAULT_BATCH_SIZE
+    )
+    training.add_argument(
+        "--lr", type=float, default=trainer.DEFAULT_LEARNING_RATE
+    )
+    training.add_argument(
+        "--momentum", type=float, default=trainer.DEFAULT_MOMENTUM
+    )
+    probing = parent()
+    probing.add_argument("--probe-limit", type=int,
+                         help="use only the first N probe rows")
+    probing.add_argument("--gamma", type=float, help="CCA ridge strength")
+    merging = parent()
+    merging.add_argument("--gamma-search",
+                         help="'auto' or comma-separated ridge candidates")
+    merging.add_argument("--repair", action="store_true",
+                         help="reset hidden statistics afterwards")
+    merging.add_argument("--reference", type=int, default=0,
+                         help="index of the model the others align to")
+    grid = parent()
+    grid.add_argument("--grid", type=int, default=evaluation.DEFAULT_GRID_SIZE,
+                      help="points on the interpolation path")
+    dataset = parent()
+    dataset.add_argument("--data", required=True, help="dataset file")
+    report = parent()
+    report.add_argument("--out", help="also write the report to this file")
 
     parser = argparse.ArgumentParser(
         prog="fuselab",
@@ -397,122 +387,114 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", parents=[shared],
-                       help="write a synthetic mixture dataset")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", type=int, dest="per_class")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--salt", type=int,
+    def command(name, func, summary, parents=()):
+        p = sub.add_parser(name, parents=[config, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-data", cmd_gen_data, "write a synthetic mixture dataset",
+                [mixture])
+    p.add_argument("--seed", type=int, default=0, help="mixture seed")
+    p.add_argument("--salt", type=int, default=0,
                    help="fresh sample from the same mixture (test sets)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    p.add_argument("--out", required=True, help="dataset file")
 
-    p = sub.add_parser("train", parents=[shared], help="train one MLP")
-    p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
-    p.add_argument("--widths")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p = command("train", cmd_train, "train one MLP", [dataset, training])
+    p.add_argument("--seed", type=int, default=0,
+                   help="derives the init and shuffle seeds")
+    p.add_argument("--shuffle-seed", type=int,
+                   help="override the derived shuffle seed")
+    p.add_argument("--out", required=True, help="model file")
 
-    p = sub.add_parser("merge", parents=[shared],
-                       help="merge model files into one")
+    p = command("merge", cmd_merge, "merge model files into one",
+                [probing, merging])
     p.add_argument("models", nargs="+")
-    p.add_argument("--method", choices=sorted(METHOD_NAMES))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma-search", dest="gamma_search",
-                   help="'auto' or comma-separated ridge candidates")
-    p.add_argument("--repair", action="store_const", const=True,
-                   default=None, help="reset hidden statistics afterwards")
+    p.add_argument("--method", choices=sorted(METHOD_NAMES), default="direct")
     p.add_argument("--probes", help="dataset file for activation probes")
-    p.add_argument("--probe-limit", type=int, dest="probe_limit")
-    p.add_argument("--reference", type=int)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("eval", parents=[shared],
-                       help="accuracy of model files on a dataset")
+    p = command("eval", cmd_eval, "accuracy of model files on a dataset",
+                [dataset, report])
     p.add_argument("models", nargs="+")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("barrier", parents=[shared],
-                       help="loss along the straight path between two models")
+    p = command("barrier", cmd_barrier,
+                "loss along the straight path between two models",
+                [dataset, grid, report])
     p.add_argument("models", nargs=2)
-    p.add_argument("--data", required=True)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_barrier)
 
-    p = sub.add_parser("analyze", parents=[shared],
-                       help="matching diagnostics for 2 or 3 models")
+    p = command("analyze", cmd_analyze,
+                "matching diagnostics for 2 or 3 models", [probing, report])
     p.add_argument("models", nargs="+")
-    p.add_argument("--probes", required=True)
-    p.add_argument("--probe-limit", type=int, dest="probe_limit")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--probes", required=True, help="dataset file")
 
-    p = sub.add_parser("experiment", parents=[shared],
-                       help="generate, split, train, merge, and report")
-    p.add_argument("--methods", help="comma list of direct, permute, cca")
-    p.add_argument("--models", type=int)
-    p.add_argument("--seeds", help="comma list, one per model")
-    p.add_argument("--split", choices=[k.value for k in SplitKind])
-    p.add_argument("--alpha", help="dirichlet concentrations a,b")
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", type=int, dest="per_class")
-    p.add_argument("--test-per-class", type=int, dest="test_per_class")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--data-seed", type=int, dest="data_seed")
-    p.add_argument("--widths")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma-search", dest="gamma_search")
-    p.add_argument("--repair", action="store_const", const=True, default=None)
-    p.add_argument("--probe-limit", type=int, dest="probe_limit")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--reference", type=int)
+    p = command("experiment", cmd_experiment,
+                "generate, split, train, merge, and report",
+                [mixture, training, probing, merging, grid])
+    p.add_argument("--methods", default="direct,permute,cca",
+                   help="comma list of direct, permute, cca")
+    p.add_argument("--models", type=int, help="defaults to the seed count")
+    p.add_argument("--seeds", default="0,1", help="comma list, one per model")
+    p.add_argument("--split", choices=[k.value for k in SplitKind],
+                   default="full")
+    p.add_argument("--alpha", default="0.5,0.5",
+                   help="dirichlet concentrations a,b")
+    p.add_argument("--split-seed", type=int,
+                   help="defaults to the data seed")
+    p.add_argument("--test-per-class", type=int,
+                   default=DEFAULT_TEST_PER_CLASS)
+    p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_experiment)
-
-    # the keys a --config file may set: each subcommand's own long options
-    for p in sub.choices.values():
-        p.set_defaults(
-            options=frozenset(
-                a.dest for a in p._actions if a.option_strings
-            ) - {"help", "config"}
-        )
     return parser
 
 
-def main(argv=None):
+def parse_args(argv=None):
+    """Parse argv; a --config file's values become the subcommand's defaults.
+
+    Raises FuselabError with the stage leading its message: 'config:' for an
+    unreadable file, a bad line or an unknown key, and the command for a
+    value that the option's own type rejects.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = load_config(args.config)
-            for key in config:
-                if key not in args.options:
-                    raise ConfigurationError(
-                        f"unknown key {key!r} for {args.command}"
-                    )
-        except FuselabError as exc:
-            print(f"error: config: {exc}", file=sys.stderr)
-            return 1
+    if args.config is None:
+        return args
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    settable = {
+        a.dest: a for a in command._actions
+        if a.option_strings and not a.required
+        and a.dest not in ("help", "config")
+    }
     try:
-        return args.func(args, config)
+        config = load_config(args.config)
+        for key in config:
+            if key not in settable:
+                raise ConfigurationError(
+                    f"unknown key {key!r} for {args.command}"
+                )
+    except FuselabError as exc:
+        raise type(exc)(f"config: {exc}") from None
+    defaults = {}
+    for key, raw in config.items():
+        action = settable[key]
+        cast = _parse_bool if action.nargs == 0 else action.type or str
+        try:
+            defaults[key] = cast(raw)
+        except ValueError:
+            raise ParseError(
+                f"{args.command}: config value for {key} is invalid: {raw!r}"
+            ) from None
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    try:
+        args = parse_args(argv)
+    except FuselabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        return args.func(args)
     except FuselabError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
-from .model import _read_manifest, _write_atomic
+from .model import _read_manifest, _reading, _write_atomic
 
 CLASS_MARGIN = 3.0
 
@@ -170,11 +170,7 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ParseError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
+    with _reading(path, "dataset") as fh:
         fields = _read_manifest(fh, DATASET_MAGIC, DATASET_FORMAT_VERSION)
         values = {}
         for key, rest in fields:
@@ -192,14 +188,14 @@ def load_dataset(path):
             if key not in values:
                 raise ParseError(f"missing field {key}")
         payload = fh.read()
-    m, d, k, seed = values["m"], values["d"], values["k"], values["seed"]
-    if min(m, d) < 0:
-        raise ParseError(f"negative shape in manifest: m {m}, d {d}")
-    expect = m * d * 8 + m * 4
-    if len(payload) != expect:
-        raise ParseError(
-            f"payload is {len(payload)} bytes, manifest implies {expect}"
-        )
+        m, d, k, seed = values["m"], values["d"], values["k"], values["seed"]
+        if min(m, d) < 0:
+            raise ParseError(f"negative shape in manifest: m {m}, d {d}")
+        expect = m * d * 8 + m * 4
+        if len(payload) != expect:
+            raise ParseError(
+                f"payload is {len(payload)} bytes, manifest implies {expect}"
+            )
     feats = np.frombuffer(payload[: m * d * 8], dtype="<f8").reshape(m, d)
     labels = np.frombuffer(payload[m * d * 8 :], dtype="<u4").astype(np.int64)
     try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import merge, trainer
+from .activations import _check_gamma
 from .errors import ConfigurationError, ValidationError
 from .model import DenseLayer, MethodTag, MlpModel, forward
 
@@ -174,12 +175,14 @@ def merge_and_report(
     Returns (merged model, report, aligned non-reference models in their
     input order). The alignment is merge_many's loop; canonical-correlation
     summaries of the first pair are attached whenever probes are available,
-    whatever the merge method.
+    whatever the merge method. A given gamma is checked whatever the method.
     """
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
     if not 0 <= reference_index < len(models):
         raise ConfigurationError("reference index out of range")
+    if gamma is not None:
+        _check_gamma(gamma)
     reference = models[reference_index]
     others = [m for i, m in enumerate(models) if i != reference_index]
     merged, aligned, sols = merge._merge_all(

@@ -19,7 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
+from .errors import (
+    ConfigurationError, NumericalError, ParseError, ShapeError, ValidationError
+)
 
 INVERSE_ATOL = 1e-8
 RCOND_FLOOR = 1e-12
@@ -259,8 +261,6 @@ class LayerTransform:
     @classmethod
     def general(cls, matrix, layer_index, inverse=None):
         """Dense transform; the inverse comes from a pivoted solve."""
-        from .errors import NumericalError
-
         m = _as_matrix(matrix, "transform")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"transform must be square, got {m.shape}")
@@ -397,6 +397,20 @@ def _write_atomic(path, data):
         raise
 
 
+@contextlib.contextmanager
+def _reading(path, kind):
+    """The open file; a ParseError raised while decoding it names the file."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot read {kind} {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except ParseError as exc:
+            raise ParseError(f"{kind} {path}: {exc}") from exc
+
+
 def _read_manifest(fh, magic, version=MODEL_FORMAT_VERSION):
     first = fh.readline().decode("ascii", errors="replace").strip()
     parts = first.split()
@@ -425,11 +439,7 @@ def _parse_int(value, name):
 
 
 def load_model(path):
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ParseError(f"cannot read model {path}: {exc}") from exc
-    with fh:
+    with _reading(path, "model") as fh:
         fields = _read_manifest(fh, MODEL_MAGIC)
         input_dim = None
         declared = None
@@ -466,11 +476,11 @@ def load_model(path):
                 f"layers says {declared}, manifest lists {len(shapes)}"
             )
         payload = fh.read()
-    expect = sum(rows * cols + rows for rows, cols, _ in shapes) * 8
-    if len(payload) != expect:
-        raise ParseError(
-            f"payload is {len(payload)} bytes, manifest implies {expect}"
-        )
+        expect = sum(rows * cols + rows for rows, cols, _ in shapes) * 8
+        if len(payload) != expect:
+            raise ParseError(
+                f"payload is {len(payload)} bytes, manifest implies {expect}"
+            )
     buf = io.BytesIO(payload)
     try:
         layers = []

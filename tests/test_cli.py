@@ -11,7 +11,7 @@ from fuselab import (
     strip_timestamp,
     trainer,
 )
-from fuselab.cli import main
+from fuselab.cli import build_parser, main, parse_args
 
 TINY_TRAIN = [
     "--classes", "4", "--per-class", "25", "--dim", "6",
@@ -466,3 +466,168 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "m.model")])
         assert code == 1
         assert "error: train:" in capsys.readouterr().err
+
+
+# --- satellites of the one-declaration parser -------------------------------
+
+
+class TestGammaChecks:
+    @pytest.mark.parametrize("gamma", ["-1", "nan"])
+    def test_gamma_checked_without_a_cca_solve(
+        self, workdir, tmp_path, capsys, gamma
+    ):
+        _, _, _, models = workdir
+        out = tmp_path / "x"
+        code = main(["merge", str(models[0]), str(models[1]),
+                     "--method", "direct", "--gamma", gamma,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: merge: gamma must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "search, bad", [("nan,0.1", "nan"), ("nan", "nan"),
+                        ("-1,0.1", "-1"), ("0.1,inf", "inf")],
+    )
+    def test_bad_search_candidates_rejected_before_search(
+        self, workdir, tmp_path, capsys, monkeypatch, search, bad
+    ):
+        _, data, _, models = workdir
+        seen = _record_search(monkeypatch)
+        code = main(["merge", str(models[0]), str(models[1]),
+                     "--method", "cca", "--probes", str(data),
+                     f"--gamma-search={search}", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert seen == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: merge: --gamma-search candidate " + bad)
+
+
+class TestFileErrors:
+    def test_bad_model_file_is_named(self, workdir, tmp_path, capsys):
+        _, _, _, models = workdir
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(b"garbage\n")
+        code = main(["merge", str(models[0]), str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: merge: model {bad}: bad magic line")
+
+
+class TestMethodList:
+    def test_empty_methods_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def train(*args):
+            raise AssertionError("trained before checking --methods")
+
+        monkeypatch.setattr(trainer, "train", train)
+        code = main(["experiment", *EXPERIMENT_ARGS, "--methods", "",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment: no methods given")
+
+    def test_trailing_comma_ignored(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["experiment", *EXPERIMENT_ARGS, "--methods", "permute,",
+                     "--out", str(out)]) == 0
+        report = parse_report((out / "experiment_report.txt").read_text())
+        assert "method.permute.merged_accuracy" in report
+        assert "method.direct.merged_accuracy" not in report
+        capsys.readouterr()
+
+
+# --- one declaration per option ---------------------------------------------
+
+SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
+
+
+def _settable(command):
+    """Every long option of the subcommand that a config file may set."""
+    return [
+        a for a in SUBCOMMANDS[command]._actions
+        if a.option_strings and not a.required
+        and a.dest not in ("help", "config")
+    ]
+
+
+def _required_args(command):
+    """Placeholder values for the subcommand's positionals and required flags."""
+    argv = []
+    for a in SUBCOMMANDS[command]._actions:
+        if not a.option_strings:
+            argv += ["m0.model", "m1.model"]
+        elif a.required:
+            argv += [a.option_strings[-1], "x"]
+    return argv
+
+
+def _sample(action):
+    """(flag arguments, config value) that differ from the built-in default."""
+    if action.nargs == 0:
+        return [], "true"
+    if action.choices:
+        value = list(action.choices)[-1]
+    else:
+        value = {int: "7", float: "0.25"}.get(action.type, "7,8")
+    return [value], value
+
+
+SETTABLE = [
+    (command, action.option_strings[-1], *_sample(action))
+    for command in SUBCOMMANDS
+    for action in _settable(command)
+]
+
+
+class TestOneDeclaration:
+    @pytest.mark.parametrize(
+        "command, option, flag_args, value", SETTABLE,
+        ids=[f"{c}{o}" for c, o, _, _ in SETTABLE],
+    )
+    def test_config_value_parses_like_the_flag(
+        self, tmp_path, command, option, flag_args, value
+    ):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(f"{option.lstrip('-')} = {value}\n")
+        base = [command, *_required_args(command)]
+        by_flag = vars(parse_args([*base, option, *flag_args]))
+        by_config = vars(parse_args([*base, "--config", str(cfg)]))
+        by_flag.pop("config")
+        by_config.pop("config")
+        assert by_config == by_flag
+        default = vars(parse_args(base))
+        default.pop("config")
+        assert by_flag != default
+
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_required_flag_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text("out = elsewhere\n")
+        code = main(["merge", "m0.model", "m1.model", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: config: unknown key 'out' for merge" in err
+
+    def test_config_turns_repair_on(self, workdir, tmp_path, capsys):
+        _, data, _, models = workdir
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text("repair = true\n")
+        out = tmp_path / "merged"
+        code = main(["merge", str(models[0]), str(models[1]),
+                     "--method", "permute", "--probes", str(data),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        report = parse_report((out / "merge_report.txt").read_text())
+        assert report["repair"] == "true"
+        capsys.readouterr()

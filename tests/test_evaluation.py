@@ -166,6 +166,16 @@ class TestMergeAndReport:
         with pytest.raises(ConfigurationError):
             merge_and_report([a, a], MethodTag.IDENTITY, reference_index=2)
 
+    @pytest.mark.parametrize("method", list(MethodTag))
+    @pytest.mark.parametrize("gamma", [float("nan"), -1.0, float("inf")])
+    def test_bad_gamma_rejected_whatever_the_method(
+        self, small_pair, method, gamma
+    ):
+        # no probes: nothing would reach the CCA solver's own check
+        a, b = small_pair
+        with pytest.raises(ValidationError, match="gamma"):
+            merge_and_report([a, b], method, gamma=gamma)
+
     def test_report_items_round_numbers(self, small_pair, small_task):
         train_ds, test_ds = small_task
         a, b = small_pair

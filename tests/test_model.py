@@ -289,10 +289,15 @@ def _file_cases(kind, seed):
 
 
 def _load(kind, data):
+    """Decode data from a file; a ParseError must name that file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f"
         path.write_bytes(data)
-        return (load_model if kind == "model" else load_dataset)(path)
+        try:
+            return (load_model if kind == "model" else load_dataset)(path)
+        except ParseError as exc:
+            assert str(path) in str(exc), str(exc)
+            raise
 
 
 @st.composite
@@ -364,6 +369,22 @@ class TestCorruptFiles:
         path.write_bytes(path.read_bytes().replace(old, new))
         with pytest.raises(ParseError, match="bad.model is corrupt"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", ["model", "dataset"])
+    @pytest.mark.parametrize("edit", ["magic", "field", "payload"])
+    def test_manifest_errors_name_the_file(self, tmp_path, kind, edit):
+        _, data = _file_cases(kind, 0)
+        if edit == "magic":
+            data = b"garbage\n" + data.split(b"\n", 1)[1]
+        elif edit == "field":
+            data = data.replace(b"\nend\n", b"\nwhat 3\nend\n", 1)
+        else:
+            data = data[:-1]
+        path = tmp_path / f"bad.{kind}"
+        path.write_bytes(data)
+        load = load_model if kind == "model" else load_dataset
+        with pytest.raises(ParseError, match=re.escape(f"{kind} {path}: ")):
+            load(path)
 
     def test_labels_out_of_range_name_the_file(self, tmp_path):
         path = tmp_path / "bad.ds"
