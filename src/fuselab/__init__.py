@@ -21,7 +21,6 @@ from .analysis import (
     coefficient_distribution_ratio,
     indirect_matching_diagnostics,
     non_optimal_matches,
-    pair_diagnostics,
     topk_coefficient_coverage,
     wasserstein_1d,
 )
@@ -30,7 +29,6 @@ from .cca import (
     build_transform,
     cca_plan,
     default_gamma,
-    gamma_grid,
     inv_sqrt,
     select_gamma,
     solve_cca,

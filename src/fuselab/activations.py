@@ -72,7 +72,6 @@ class ScatterStats:
     s_bb: np.ndarray
     s_ab: np.ndarray
     gamma: float
-    m: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +131,6 @@ def scatter(a, b, gamma=0.0):
         s_bb=b.values.T @ b.values,
         s_ab=a.values.T @ b.values,
         gamma=float(gamma),
-        m=a.m,
     )
 
 

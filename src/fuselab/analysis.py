@@ -240,12 +240,6 @@ def _diagnose_pair(stats, other, gamma):
     return out, plans
 
 
-def pair_diagnostics(model_a, model_b, probes, gamma=None):
-    """Per-layer matching diagnostics for one model pair."""
-    stats = cca.ReferenceStats(model_a, probes)
-    return _diagnose_pair(stats, model_b, gamma)[0]
-
-
 def _mean(diagnostics, key):
     return float(np.mean([getattr(d, key) for d in diagnostics]))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .activations import ScatterStats, _check_gamma, _check_pair, capture
 from .errors import GammaSelectionError, NumericalError, ShapeError, ValidationError
-from .model import AlignmentPlan, LayerTransform, MethodTag
+from .model import AlignmentPlan, LayerTransform, MethodTag, _check_rcond
 
 EIGENVALUE_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-8
@@ -109,12 +109,10 @@ def build_transform(sol, layer_index):
             f"projection basis at layer {layer_index} is singular; "
             f"a larger gamma may help: {exc}"
         ) from exc
-    norm = np.linalg.norm(sol.p_a, 1) * np.linalg.norm(pa_inv, 1)
-    if norm == 0 or 1.0 / norm < 1e-12:
-        raise NumericalError(
-            f"projection basis at layer {layer_index} has reciprocal "
-            "condition below 1e-12; increase gamma"
-        )
+    _check_rcond(
+        sol.p_a, pa_inv, f"projection basis at layer {layer_index}",
+        "; increase gamma",
+    )
     t = (sol.p_b @ pa_inv).T
     try:
         return LayerTransform.general(t, layer_index)
@@ -172,7 +170,7 @@ def pair_scatter(stats, acts_a, acts_b):
         stats.grams = [a.values.T @ a.values for a in acts_a]
     return [
         ScatterStats(
-            s_aa, b.values.T @ b.values, a.values.T @ b.values, 0.0, a.m
+            s_aa, b.values.T @ b.values, a.values.T @ b.values, 0.0
         )
         for a, b, s_aa in zip(acts_a, acts_b, stats.grams)
     ]
@@ -222,16 +220,9 @@ def cca_plan(model_a, model_b, probes, gamma=None):
 
 
 def _grid(gram_pairs):
+    """Scale-aware candidate ridges: GAMMA_GRID_COEFFS x mean diag scatter."""
     scale = float(np.mean([_layer_scale(*grams) for grams in gram_pairs]))
     return [c * scale for c in GAMMA_GRID_COEFFS]
-
-
-def gamma_grid(model_a, model_b, probes):
-    """Scale-aware candidate ridges: GAMMA_GRID_COEFFS x mean diag scatter."""
-    return _grid(
-        (a.values.T @ a.values, b.values.T @ b.values)
-        for a, b in zip(capture(model_a, probes), capture(model_b, probes))
-    )
 
 
 def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
@@ -240,7 +231,7 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     Each candidate is scored by the mean accuracy of the merged models over
     all pairs; a candidate whose merge fails numerically on any pair is
     dropped. Ties go to the larger gamma. candidate_gammas=None walks
-    gamma_grid of the first pair, read from that pair's statistics.
+    the scale-aware grid of the first pair, read from its statistics.
 
     Pairs are walked in the outer loop, so each pair is captured and its
     scatter formed once, and pairs sharing a reference share its Grams and

@@ -258,15 +258,11 @@ def cmd_experiment(args):
     parts = split(train_ds, SplitSpec(kind, split_seed, alpha))
 
     seeds = _parse_list(args.seeds, "--seeds")
-    num_models = len(seeds) if args.models is None else args.models
-    if num_models != len(seeds):
-        raise ConfigurationError(
-            f"--models says {num_models} but --seeds lists {len(seeds)}"
-        )
+    num_models = len(seeds)
     if num_models < 2:
         raise ConfigurationError("experiments need at least 2 models")
     if kind is not SplitKind.FULL and num_models != 2:
-        raise ConfigurationError("data splits are two-way; use --models 2")
+        raise ConfigurationError("data splits are two-way; give 2 --seeds")
     reference = _reference(args, num_models)
     methods = _method_list(args.methods)
 
@@ -301,16 +297,17 @@ def cmd_experiment(args):
         ("gamma_selected", gamma if searched else None),
         ("repair", args.repair),
     ]
-    for k, method in enumerate(methods):
+    accs = [evaluation.accuracy(m, test_ds) for m in models]
+    items += [(f"model.{i}.accuracy", a) for i, a in enumerate(accs)]
+    items.append(("base_models_avg", float(np.mean(accs))))
+    items.append(
+        ("ensemble_accuracy", evaluation.ensemble_accuracy(models, test_ds))
+    )
+    for method in methods:
         _, rep = evaluate_merge(
             method, models, train_ds, test_ds, gamma, args.repair,
             args.probe_limit, args.grid, reference,
         )
-        if k == 0:
-            for i, a in enumerate(rep.endpoint_accuracies):
-                items.append((f"model.{i}.accuracy", a))
-            items.append(("base_models_avg", rep.base_models_avg))
-            items.append(("ensemble_accuracy", rep.ensemble))
         p = f"method.{CLI_NAME[method]}"
         items.append((f"{p}.merged_accuracy", rep.merged_accuracy))
         items.append((f"{p}.merged_loss", rep.merged_loss))
@@ -432,7 +429,6 @@ def build_parser():
                 [mixture, training, probing, merging, grid])
     p.add_argument("--methods", default="direct,permute,cca",
                    help="comma list of direct, permute, cca")
-    p.add_argument("--models", type=int, help="defaults to the seed count")
     p.add_argument("--seeds", default="0,1", help="comma list, one per model")
     p.add_argument("--split", choices=[k.value for k in SplitKind],
                    default="full")

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
-from .model import _read_manifest, _reading, _write_atomic
+from .model import _check_seed, _read_manifest, _reading, _write_atomic
 
 CLASS_MARGIN = 3.0
 
@@ -79,6 +79,7 @@ class SplitSpec:
     alpha: tuple = (0.5, 0.5)
 
     def __post_init__(self):
+        _check_seed("split seed", self.seed)
         if self.kind is SplitKind.DIRICHLET:
             a = tuple(float(v) for v in self.alpha)
             if len(a) != 2 or any(v <= 0 for v in a):
@@ -94,6 +95,8 @@ def generate(num_classes, per_class, dim, seed, sample_salt=0):
         raise ConfigurationError(
             "need num_classes >= 2, per_class >= 1, dim >= 1"
         )
+    _check_seed("seed", seed)
+    _check_seed("sample_salt", sample_salt)
     center_rng = np.random.default_rng([int(seed), 0])
     centers = center_rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

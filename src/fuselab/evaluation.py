@@ -116,9 +116,6 @@ class MergeReport:
     repair: bool = False
     repair_skipped: tuple = ()
     layer_summaries: tuple = ()
-    endpoint_accuracies: tuple | None = None
-    base_models_avg: float | None = None
-    ensemble: float | None = None
     merged_accuracy: float | None = None
     merged_loss: float | None = None
     barrier: float | None = None
@@ -140,10 +137,7 @@ class MergeReport:
                 (f"{p}.{k}", getattr(s, k))
                 for k in ("gamma", "corr_min", "corr_mean", "corr_max")
             ]
-        for i, a in enumerate(self.endpoint_accuracies or ()):
-            items.append((f"model.{i}.accuracy", a))
-        for key in ("base_models_avg", "ensemble", "merged_accuracy",
-                    "merged_loss", "barrier"):
+        for key in ("merged_accuracy", "merged_loss", "barrier"):
             if getattr(self, key) is not None:
                 items.append((key, getattr(self, key)))
         return items
@@ -218,7 +212,11 @@ def evaluate_merge(
     grid_size=DEFAULT_GRID_SIZE,
     reference_index=0,
 ):
-    """Merge `models` with `method` and score everything on the test set."""
+    """Merge `models` with `method` and score the merge on the test set.
+
+    Endpoint and ensemble accuracies are left to the caller, which scores
+    them once however many methods it merges with.
+    """
     probes = limit_probes(train_ds.features, probe_limit)
     merged, report, aligned = merge_and_report(
         models,
@@ -228,7 +226,6 @@ def evaluate_merge(
         repair=repair,
         reference_index=reference_index,
     )
-    endpoint = tuple(accuracy(m, test_ds) for m in models)
     loss, acc = trainer.cross_entropy_accuracy(merged, test_ds)
     barrier = None
     if len(models) == 2:
@@ -237,9 +234,6 @@ def evaluate_merge(
         ).barrier
     return merged, dataclasses.replace(
         report,
-        endpoint_accuracies=endpoint,
-        base_models_avg=float(np.mean(endpoint)),
-        ensemble=ensemble_accuracy(models, test_ds),
         merged_accuracy=acc,
         merged_loss=loss,
         barrier=barrier,

@@ -117,7 +117,7 @@ def linear_sum_assignment(c):
 def identity_plan(model):
     """The do-nothing plan: identity transform at every hidden layer."""
     transforms = tuple(
-        LayerTransform.permutation(np.eye(layer.out_dim), i)
+        LayerTransform.from_mapping(np.arange(layer.out_dim), i)
         for i, layer in enumerate(model.layers[:-1])
     )
     return AlignmentPlan(transforms, MethodTag.IDENTITY)

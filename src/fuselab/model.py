@@ -114,6 +114,12 @@ def _check_seed_tag(tag):
         )
 
 
+def _check_seed(name, value):
+    # numpy's generators take only non-negative integer seeds
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class MlpModel:
     """Immutable MLP: ReLU hidden layers, Identity output layer."""
@@ -206,6 +212,17 @@ def _check_permutation_matrix(m):
         )
 
 
+def _check_rcond(matrix, inverse, what, hint=""):
+    """Raise NumericalError if matrix's 1-norm reciprocal condition is low."""
+    norm = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
+    rcond = 1.0 / norm if norm > 0 else 0.0
+    if rcond < RCOND_FLOOR:
+        raise NumericalError(
+            f"{what} has reciprocal condition {rcond:.3e} below "
+            f"{RCOND_FLOOR:g}{hint}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class LayerTransform:
     """Invertible map applied to one hidden layer's feature space.
@@ -245,18 +262,13 @@ class LayerTransform:
         return self.forward.shape[0]
 
     @classmethod
-    def permutation(cls, matrix, layer_index):
-        m = _as_matrix(matrix, "transform")
-        return cls(m, m.T, TransformKind.PERMUTATION, layer_index)
-
-    @classmethod
     def from_mapping(cls, mapping, layer_index):
         """Permutation transform with forward[i, mapping[i]] = 1."""
         mapping = np.asarray(mapping, dtype=np.intp)
         n = mapping.shape[0]
         m = np.zeros((n, n))
         m[np.arange(n), mapping] = 1.0
-        return cls.permutation(m, layer_index)
+        return cls(m, m.T, TransformKind.PERMUTATION, layer_index)
 
     @classmethod
     def general(cls, matrix, layer_index, inverse=None):
@@ -273,13 +285,7 @@ class LayerTransform:
                     f"transform at layer {layer_index} is singular: {exc}"
                 ) from exc
         inv = _as_matrix(inverse, "inverse transform")
-        norm = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
-        rcond = 1.0 / norm if norm > 0 else 0.0
-        if rcond < RCOND_FLOOR:
-            raise NumericalError(
-                f"transform at layer {layer_index} has reciprocal condition "
-                f"{rcond:.3e} below {RCOND_FLOOR:g}"
-            )
+        _check_rcond(m, inv, f"transform at layer {layer_index}")
         return cls(m, inv, TransformKind.GENERAL, layer_index)
 
     def inverted(self):

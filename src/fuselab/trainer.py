@@ -18,7 +18,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .model import Activation, DenseLayer, MlpModel, forward
+from .model import Activation, DenseLayer, MlpModel, _check_seed, forward
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
 DEFAULT_EPOCHS = 30
@@ -42,6 +42,8 @@ class TrainConfig:
     shuffle_seed: int = SHUFFLE_SEED_OFFSET
 
     def __post_init__(self):
+        _check_seed("init_seed", self.init_seed)
+        _check_seed("shuffle_seed", self.shuffle_seed)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("epochs must be >= 0, batch_size >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
@@ -86,11 +88,6 @@ def _log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def softmax(logits):
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
-
-
 def _check_scorable(model, ds):
     if ds.m == 0:
         raise ValidationError("dataset has no rows")
@@ -114,6 +111,8 @@ def cross_entropy_accuracy(model, ds):
     return loss, acc
 
 
+# a diverging run is caught by its non-finite loss, not by numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(ds, cfg):
     """SGD with momentum on softmax cross-entropy; returns the final model."""
     model = init_model(
@@ -167,4 +166,11 @@ def train(ds, cfg):
     layers = tuple(
         DenseLayer(w, b, a) for w, b, a in zip(weights, biases, acts)
     )
-    return MlpModel(layers, ds.dim, model.seed_tag)
+    model = MlpModel(layers, ds.dim, model.seed_tag)
+    # the last step's loss is never checked inside the loop
+    if ds.m and not np.isfinite(cross_entropy_accuracy(model, ds)[0]):
+        raise TrainingDivergedError(
+            cfg.epochs, 0,
+            f"non-finite training loss after epoch {cfg.epochs - 1}",
+        )
+    return model

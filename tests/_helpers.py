@@ -5,6 +5,7 @@ import pkgutil
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 import fuselab
 from fuselab import (
@@ -57,6 +58,29 @@ def random_monomial_plan(widths, seed, low=0.5, high=2.0):
         diag = np.diag(rng.uniform(low, high, size=w))
         transforms.append(LayerTransform.general(perm @ diag, i))
     return AlignmentPlan(tuple(transforms), MethodTag.CCA)
+
+
+def random_case(draw, min_dim=1, max_rows=20):
+    """(model with random weights and biases, permutation plan, inputs),
+    sized and seeded by a hypothesis draw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = [
+        draw(st.integers(min_dim, 6)),
+        *draw(st.lists(st.integers(1, 10), min_size=1, max_size=3)),
+        draw(st.integers(2, 4)),
+    ]
+    layers = tuple(
+        DenseLayer(
+            rng.standard_normal((fan_out, fan_in)),
+            rng.standard_normal(fan_out),
+            Activation.RELU if k < len(dims) - 2 else Activation.IDENTITY,
+        )
+        for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
+    )
+    model = MlpModel(layers, dims[0])
+    plan = random_permutation_plan(model.hidden_widths, int(rng.integers(2**32)))
+    rows = draw(st.integers(10, max_rows))
+    return model, plan, rng.standard_normal((rows, dims[0]))
 
 
 def permuted_twin(model, seed):

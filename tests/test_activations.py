@@ -72,7 +72,6 @@ class TestScatter:
         np.testing.assert_allclose(stats.s_bb, b.values.T @ b.values, atol=1e-12)
         np.testing.assert_allclose(stats.s_ab, a.values.T @ b.values, atol=1e-12)
         assert stats.gamma == 0.5
-        assert stats.m == 25
 
     def test_mismatched_rows_rejected(self, rng):
         a = _mat(rng.normal(size=(10, 3)))

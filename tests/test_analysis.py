@@ -16,7 +16,6 @@ from fuselab import (
     coefficient_distribution_ratio,
     indirect_matching_diagnostics,
     non_optimal_matches,
-    pair_diagnostics,
     topk_coefficient_coverage,
     wasserstein_1d,
 )
@@ -183,7 +182,7 @@ class TestPairDiagnosticsAndAnalyze:
     def test_structure_on_trained_pair(self, small_pair, small_task):
         train_ds, _ = small_task
         a, b = small_pair
-        layers = pair_diagnostics(a, b, train_ds.features[:200])
+        layers = analyze([a, b], train_ds.features[:200]).pair_layers
         assert [d.layer_index for d in layers] == [0, 1]
         for d in layers:
             assert 0.0 <= d.non_optimal_pct <= 100.0
@@ -196,7 +195,7 @@ class TestPairDiagnosticsAndAnalyze:
     def test_narrow_layers_drop_oversized_ks(self, rng):
         a = random_model(3, (4, 4), 2, seed=1)
         b = random_model(3, (4, 4), 2, seed=2)
-        layers = pair_diagnostics(a, b, rng.normal(size=(100, 3)))
+        layers = analyze([a, b], rng.normal(size=(100, 3))).pair_layers
         for d in layers:
             assert [(kc, kt) for kc, kt, _ in d.coverage] == []
             assert [k for k, _ in d.wasserstein_ratios] == [1, 2]

@@ -18,7 +18,6 @@ from fuselab import (
     cca_plan,
     default_gamma,
     forward,
-    gamma_grid,
     generate,
     inv_sqrt,
     merge_and_report,
@@ -31,7 +30,14 @@ from fuselab import (
     solve_layers,
 )
 from fuselab.activations import ActivationMatrix, scatter
-from fuselab.cca import GAMMA_GRID_COEFFS, build_transform, plan_from_solutions
+from fuselab.cca import (
+    GAMMA_GRID_COEFFS,
+    ReferenceStats,
+    _grid,
+    build_transform,
+    pair_scatter,
+    plan_from_solutions,
+)
 from fuselab.cli import main
 from fuselab.evaluation import summaries_from_solutions
 
@@ -226,7 +232,10 @@ class TestGammaHandling:
     def test_gamma_grid_scales(self, small_pair, small_task):
         train_ds, _ = small_task
         a, b = small_pair
-        grid = gamma_grid(a, b, train_ds.features[:100])
+        stats = ReferenceStats(a, train_ds.features[:100])
+        pair = pair_scatter(stats, *stats.capture_pair(b))
+        grid = _grid((s.s_aa, s.s_bb) for s in pair)
+        assert grid == _gamma_grid_oracle(a, b, train_ds.features[:100])
         assert len(grid) == len(GAMMA_GRID_COEFFS)
         ratios = np.diff(np.log10(grid))
         np.testing.assert_allclose(ratios, 1.0, atol=1e-9)
@@ -422,8 +431,7 @@ class TestOnePassSearchMatchesOracle:
     def test_auto_grid_is_gamma_grid_of_first_pair(self, small_pair, small_task):
         train_ds, _ = small_task
         probes = train_ds.features[:100]
-        grid = gamma_grid(*small_pair, probes)
-        assert grid == _gamma_grid_oracle(*small_pair, probes)
+        grid = _gamma_grid_oracle(*small_pair, probes)
         assert select_gamma(None, [small_pair], probes, train_ds) == select_gamma(
             grid, [small_pair], probes, train_ds
         )

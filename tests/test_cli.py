@@ -1,17 +1,26 @@
-"""End-to-end command line coverage, all in-process through main()."""
+"""End-to-end command line coverage, in-process through main() except
+where a test needs the stderr a user sees."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fuselab import (
     cca,
+    generate,
     load_dataset,
     load_model,
     parse_report,
+    save_dataset,
     strip_timestamp,
     trainer,
 )
 from fuselab.cli import build_parser, main, parse_args
+
+from _helpers import count_calls
 
 TINY_TRAIN = [
     "--classes", "4", "--per-class", "25", "--dim", "6",
@@ -105,6 +114,56 @@ class TestTrain:
         assert err.startswith("error: train:")
         assert field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "epochs, message",
+        [
+            # the loop's own batch check catches the divergence
+            ("30", "non-finite loss at epoch 3, batch 0"),
+            # only the check after the last step sees it
+            ("3", "non-finite training loss after epoch 2"),
+        ],
+    )
+    def test_divergence_prints_only_the_error(self, tmp_path, epochs, message):
+        data = tmp_path / "d.ds"
+        save_dataset(generate(4, 10, 4, seed=0), data)
+        out = tmp_path / "m.model"
+        run = subprocess.run(
+            [sys.executable, "-m", "fuselab.cli", "train", "--data", str(data),
+             "--lr", "1e6", "--epochs", epochs, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode == 1
+        assert run.stderr == f"error: train: {message}\n"
+        assert run.stdout == ""
+        assert not out.exists()
+
+
+NEGATIVE_SEEDS = [
+    ("gen-data", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("gen-data", ["--salt", "-1"], "sample_salt must be >= 0, got -1"),
+    ("train", ["--seed", "-1"], "init_seed must be >= 0, got -1"),
+    ("train", ["--shuffle-seed", "-1"], "shuffle_seed must be >= 0, got -1"),
+    ("experiment", ["--data-seed", "-2"], "seed must be >= 0, got -2"),
+    ("experiment", ["--split", "eighty-twenty", "--split-seed", "-5"],
+     "split seed must be >= 0, got -5"),
+    ("experiment", ["--seeds=-1,2"], "init_seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", NEGATIVE_SEEDS)
+def test_negative_seed_is_a_named_error(
+    workdir, tmp_path, capsys, command, flags, message
+):
+    _, data, _, _ = workdir
+    needs = {"gen-data": [], "train": ["--data", str(data)],
+             "experiment": TINY_TRAIN}
+    out = tmp_path / "out"
+    code = main([command, *needs[command], *flags, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {command}: {message}\n"
+    assert not out.exists()
 
 
 def _weights(model):
@@ -380,11 +439,29 @@ class TestExperiment:
         assert code == 1
         assert "error: experiment:" in capsys.readouterr().err
 
-    def test_seed_count_must_match_models(self, tmp_path, capsys):
-        code = main(["experiment", *TINY_TRAIN, "--seeds", "0,1",
-                     "--models", "3", "--out", str(tmp_path / "x")])
+    def test_endpoints_and_ensemble_scored_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        counts = count_calls(monkeypatch, ["accuracy", "ensemble_accuracy"])
+        out = tmp_path / "exp"
+        assert main(["experiment", *EXPERIMENT_ARGS, "--out", str(out)]) == 0
+        # 2 models, 3 methods: one score per model and one ensemble
+        assert counts == {"accuracy": 2, "ensemble_accuracy": 1}
+        capsys.readouterr()
+
+    def test_model_count_is_the_seed_count(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", *TINY_TRAIN, "--seeds", "0,1",
+                  "--models", "3", "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        cfg = tmp_path / "models.cfg"
+        cfg.write_text("models = 2\n")
+        code = main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "y")])
         assert code == 1
-        assert "error: experiment:" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: config: unknown key 'models' for experiment\n"
+        )
 
 
 class TestConfigPrecedence:

@@ -59,6 +59,14 @@ class TestGenerate:
         with pytest.raises(ConfigurationError):
             generate(2, 0, 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"seed": -1}, "seed"), ({"seed": 0, "sample_salt": -1}, "sample_salt")],
+    )
+    def test_negative_seed_is_named(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be >= 0"):
+            generate(2, 5, 2, **kwargs)
+
 
 def _assert_partition(ds, part1, part2):
     assert part1.m + part2.m == ds.m
@@ -70,6 +78,10 @@ def _assert_partition(ds, part1, part2):
 
 
 class TestSplits:
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ConfigurationError, match="^split seed must be >= 0"):
+            SplitSpec(SplitKind.EIGHTY_TWENTY, seed=-5)
+
     def test_full_gives_everything_to_both(self):
         ds = generate(4, 20, 3, seed=1)
         p1, p2 = split(ds, SplitSpec(SplitKind.FULL))

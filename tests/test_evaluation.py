@@ -179,18 +179,18 @@ class TestMergeAndReport:
     def test_report_items_round_numbers(self, small_pair, small_task):
         train_ds, test_ds = small_task
         a, b = small_pair
-        _, report = evaluate_merge(
+        merged, report = evaluate_merge(
             MethodTag.PERMUTE, [a, b], train_ds, test_ds, probe_limit=150
         )
         items = dict(report.to_items())
         assert items["report"] == "merge"
         assert items["method"] == "permute"
         assert items["models"] == 2
-        assert items["model.0.accuracy"] == accuracy(a, test_ds)
-        assert items["base_models_avg"] == pytest.approx(
-            (accuracy(a, test_ds) + accuracy(b, test_ds)) / 2.0
-        )
-        assert "merged_accuracy" in items and "barrier" in items
+        assert items["merged_accuracy"] == accuracy(merged, test_ds)
+        assert "barrier" in items
+        # the endpoints and the ensemble are the caller's to score
+        assert not any(k.startswith("model.") for k in items)
+        assert "base_models_avg" not in items and "ensemble" not in items
 
 
 class TestEvaluateMerge:
@@ -222,7 +222,6 @@ class TestEvaluateMerge:
         )
         assert report.barrier is None
         assert report.num_models == 3
-        assert len(report.endpoint_accuracies) == 3
 
     def test_probe_limit_changes_probe_set(self, small_pair, small_task):
         train_ds, test_ds = small_task

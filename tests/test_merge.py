@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuselab import (
@@ -39,6 +39,7 @@ from fuselab import (
     solve_cca,
     topk_coefficient_coverage,
 )
+from fuselab.activations import DEGENERATE_VARIANCE
 from fuselab.analysis import (
     COVERAGE_PAIRS,
     RATIO_KS,
@@ -58,6 +59,7 @@ from _helpers import (
     model_bytes,
     outcome,
     permuted_twin,
+    random_case,
     random_model,
 )
 
@@ -140,6 +142,19 @@ class TestMergePair:
 
 
 class TestMergeMany:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_permuted_twin_merges_back_to_the_model_bytes(self, data):
+        model, plan, probes = random_case(data.draw, min_dim=2, max_rows=60)
+        for a in capture(model, probes):
+            assume(np.all(a.variances() >= DEGENERATE_VARIANCE))
+            # two neurons correlated by +-1 are interchangeable to matching
+            off = np.abs(correlations(a, a).values) - np.eye(a.width)
+            assume(off.max(initial=0.0) < 1.0 - 1e-9)
+        twin = apply_plan(model, plan)
+        merged = merge_many(model, [twin], MethodTag.PERMUTE, probes)
+        assert model_bytes(merged) == model_bytes(model)
+
     def test_needs_at_least_one_other(self):
         a = random_model(3, (4,), 2, seed=0)
         with pytest.raises(ConfigurationError):

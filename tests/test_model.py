@@ -32,7 +32,9 @@ from fuselab import (
 )
 from _helpers import (
     assert_models_allclose,
+    model_bytes,
     permuted_twin,
+    random_case,
     random_model,
     random_monomial_plan,
     tiny_relu_model,
@@ -108,6 +110,10 @@ class TestModelValidation:
             MlpModel(layers, 4, seed_tag=tag)
 
 
+def _permutation(matrix):
+    return LayerTransform(matrix, matrix.T, TransformKind.PERMUTATION, 0)
+
+
 class TestLayerTransform:
     def test_permutation_inverse_is_transpose(self):
         t = LayerTransform.from_mapping([2, 0, 1], 0)
@@ -116,9 +122,9 @@ class TestLayerTransform:
 
     def test_permutation_structure_enforced(self):
         with pytest.raises(ValidationError):
-            LayerTransform.permutation(np.array([[1.0, 0.0], [1.0, 0.0]]), 0)
+            _permutation(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValidationError):
-            LayerTransform.permutation(np.array([[0.5, 0.5], [0.5, 0.5]]), 0)
+            _permutation(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_general_round_trips(self, rng):
         m = rng.standard_normal((6, 6)) + 3 * np.eye(6)
@@ -186,6 +192,28 @@ class TestApplyPlan:
         t = LayerTransform.from_mapping(np.arange(4), 1)
         with pytest.raises(ValidationError):
             AlignmentPlan((t,), MethodTag.IDENTITY)
+
+
+class TestPermutationProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_permutation_plan_preserves_forward(self, data):
+        model, plan, x = random_case(data.draw)
+        twin = apply_plan(model, plan)
+        # every layer after the first sums its terms in permuted order, so
+        # the logits agree to rounding, not bit for bit
+        expect = forward(model, x)
+        np.testing.assert_allclose(
+            forward(twin, x), expect, rtol=0,
+            atol=1e-12 * max(1.0, float(np.abs(expect).max())),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_inverse_plan_round_trips_bytes(self, data):
+        model, plan, _ = random_case(data.draw)
+        back = apply_plan(apply_plan(model, plan), plan.inverse())
+        assert model_bytes(back) == model_bytes(model)
 
 
 class TestModelFile:

@@ -1,8 +1,12 @@
 """The flat key: value report format."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab import ParseError, ValidationError, format_report, parse_report, strip_timestamp, write_report
 from fuselab.reports import REPORT_FORMAT_VERSION, format_value
@@ -99,3 +103,35 @@ class TestWriteReport:
             write_report(path, [("k", "caf\u00e9")], timestamp="T")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+
+
+# what reports hold: printable ASCII keys without ' ' or ':', and scalar,
+# text or list values whose text stays on one line
+KEYS = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=":"),
+    min_size=1, max_size=12,
+).filter(lambda k: k not in ("format_version", "timestamp"))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(st.one_of(st.integers(), st.floats(allow_nan=False)), max_size=4),
+)
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(KEYS, VALUES, max_size=8))
+    def test_write_then_parse_returns_every_value(self, entries):
+        items = list(entries.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.txt"
+            write_report(path, items, timestamp="T")
+            parsed = parse_report(path.read_text())
+        assert list(parsed) == ["format_version", "timestamp", *entries]
+        for key, value in items:
+            assert parsed[key] == format_value(value)
+            if isinstance(value, float):
+                assert float(parsed[key]) == value

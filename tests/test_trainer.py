@@ -1,5 +1,7 @@
 """SGD trainer, loss and accuracy evaluation, seed handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from fuselab import (
     seeds_for,
     train,
 )
-from fuselab.trainer import SHUFFLE_SEED_OFFSET, softmax
+from fuselab.trainer import SHUFFLE_SEED_OFFSET, _log_softmax
 
 
 class TestInitModel:
@@ -65,14 +67,14 @@ class TestSeedsFor:
 class TestEvaluation:
     def test_softmax_rows_sum_to_one(self, rng):
         logits = rng.normal(size=(10, 4))
-        probs = softmax(logits)
+        probs = np.exp(_log_softmax(logits))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0)
 
     def test_softmax_shift_invariant(self, rng):
         logits = rng.normal(size=(5, 3))
         np.testing.assert_allclose(
-            softmax(logits), softmax(logits + 1000.0), atol=1e-12
+            _log_softmax(logits), _log_softmax(logits + 1000.0), atol=1e-12
         )
 
     def test_known_loss_for_uniform_logits(self):
@@ -171,6 +173,32 @@ class TestTrain:
             train(train_ds, cfg)
         assert info.value.epoch >= 0
         assert info.value.batch >= 0
+
+    def test_divergence_raises_without_numpy_warnings(self, small_task):
+        # no errstate around the call: the named error is the only signal
+        train_ds, _ = small_task
+        cfg = TrainConfig(hidden_widths=(8,), epochs=2, learning_rate=1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError):
+                train(train_ds, cfg)
+
+    def test_last_step_divergence_raises(self):
+        # every batch loss is finite, but the model the last step leaves
+        # behind has a non-finite training loss
+        ds = generate(4, 10, 4, seed=0)
+        cfg = TrainConfig(epochs=3, learning_rate=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError) as info:
+                train(ds, cfg)
+        assert (info.value.epoch, info.value.batch) == (3, 0)
+        assert "after epoch 2" in str(info.value)
+
+    @pytest.mark.parametrize("field", ["init_seed", "shuffle_seed"])
+    def test_negative_seed_is_named(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be >= 0"):
+            TrainConfig(**{field: -1})
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
