@@ -86,6 +86,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .trainer import TrainConfig, cross_entropy_accuracy, init_model, seeds_for, train
+from .trainer import (TrainConfig, cross_entropy_accuracy, init_model,
+                      seeds_for, train, train_many)
 
 __version__ = "0.1.0"

@@ -115,8 +115,9 @@ def _train_config(args, seed, shuffle_seed=None):
 def cmd_train(args):
     ds = load_dataset(args.data)
     cfg = _train_config(args, args.seed, args.shuffle_seed)
-    model = trainer.train(ds, cfg)
-    loss, acc = trainer.cross_entropy_accuracy(model, ds)
+    model, scores = trainer.train_scored(ds, [cfg])[0]
+    # no scores only for an empty dataset, which this call then rejects
+    loss, acc = scores or trainer.cross_entropy_accuracy(model, ds)
     save_model(model, args.out)
     print(f"wrote {args.out}")
     print(f"train_loss: {reports.format_value(loss)}")
@@ -267,8 +268,10 @@ def cmd_experiment(args):
     methods = _method_list(args.methods)
 
     cfgs = [_train_config(args, s) for s in seeds]
-    train_sets = [parts[min(i, 1)] for i in range(num_models)]
-    models = [trainer.train(d, c) for d, c in zip(train_sets, cfgs)]
+    if kind is SplitKind.FULL:
+        models = trainer.train_many(train_ds, cfgs)
+    else:
+        models = [trainer.train(d, c) for d, c in zip(parts, cfgs)]
 
     probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
     gamma, searched = _resolve_gamma(args, models, probes, train_ds, reference)

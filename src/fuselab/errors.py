@@ -30,11 +30,15 @@ class GammaSelectionError(FuselabError):
 
 
 class TrainingDivergedError(FuselabError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss. In a pool of several models,
+    model_index names the model, and the message starts with it."""
 
-    def __init__(self, epoch, batch, message=None):
+    def __init__(self, epoch, batch, message=None, model_index=None,
+                 seed_tag=None):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(
-            message or f"non-finite loss at epoch {epoch}, batch {batch}"
-        )
+        self.model_index = model_index
+        message = message or f"non-finite loss at epoch {epoch}, batch {batch}"
+        if model_index is not None:
+            message = f"model {model_index} ({seed_tag}): {message}"
+        super().__init__(message)

@@ -101,7 +101,10 @@ class DenseLayer:
             raise ShapeError(
                 f"layer expects {self.in_dim} input columns, got {x.shape}"
             )
-        return self.activation.apply(x @ self.weights.T + self.bias)
+        z = x @ self.weights.T  # fresh, so the bias and ReLU go in place
+        z += self.bias
+        relu = self.activation is Activation.RELU
+        return np.maximum(z, 0.0, out=z) if relu else z
 
 
 def _check_seed_tag(tag):
@@ -184,9 +187,7 @@ def forward(model, inputs):
         )
     if not np.all(np.isfinite(x)):
         raise ValidationError("inputs contain non-finite entries")
-    for layer in model.layers:
-        x = layer.apply(x)
-    return x
+    return model.layers[-1].apply(hidden_outputs(model, x)[-1])
 
 
 def hidden_outputs(model, inputs):

@@ -3,7 +3,7 @@
 Determinism is the contract here: the init stream and the epoch-shuffle
 stream are separate generators seeded independently, every reduction is a
 plain numpy sum, and the same (dataset, config) pair always yields the same
-model bit for bit.
+model bit for bit, whether it trains alone or in a lockstep pool.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def init_model(input_dim, hidden_widths, num_classes, init_seed, seed_tag=None):
 
 
 def _log_softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _check_scorable(model, ds):
@@ -113,64 +113,104 @@ def cross_entropy_accuracy(model, ds):
 
 # a diverging run is caught by its non-finite loss, not by numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
+def train_scored(ds, cfgs):
+    """train_many's models as (model, cross_entropy_accuracy on ds) pairs;
+    the scores are None when ds has no rows."""
+    if not cfgs:
+        raise ConfigurationError("train_many needs at least one config")
+    cfg = cfgs[0]
+    for field in ("hidden_widths", "epochs", "batch_size", "learning_rate",
+                  "momentum"):
+        if any(getattr(c, field) != getattr(cfg, field) for c in cfgs):
+            raise ConfigurationError(f"pooled configs differ in {field}")
+    tags = [f"init{c.init_seed}.shuf{c.shuffle_seed}" for c in cfgs]
+    # a divergence names its model only when there are several
+    who = [{"model_index": k, "seed_tag": tag} if len(cfgs) > 1 else {}
+           for k, tag in enumerate(tags)]
+    inits = [init_model(ds.dim, cfg.hidden_widths, ds.num_classes, c.init_seed)
+             for c in cfgs]
+    # one flat buffer holds every parameter of the pool, so one momentum step
+    # covers all layers; model k's layer i is weights[i][k], biases[i][k, 0]
+    shapes = [(len(cfgs), *layer.weights.shape) for layer in inits[0].layers]
+    shapes += [(len(cfgs), 1, shape[1]) for shape in shapes]
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    params, grads, velocity = np.zeros((3, ends[-1]))
+    views, grad_views = (
+        [v.reshape(s) for v, s in zip(np.split(flat, ends[:-1]), shapes)]
+        for flat in (params, grads)
+    )
+    n_layers = len(shapes) // 2
+    weights, biases = views[:n_layers], views[n_layers:]
+    for k, model in enumerate(inits):
+        for i, layer in enumerate(model.layers):
+            weights[i][k], biases[i][k] = layer.weights, layer.bias
+
+    rngs = [np.random.default_rng(int(c.shuffle_seed)) for c in cfgs]
+    pool = np.arange(len(cfgs))[:, None]
+    failed = {}
+    for epoch in range(cfg.epochs):
+        order = np.stack([rng.permutation(ds.m) for rng in rngs])
+        for batch_no, start in enumerate(range(0, ds.m, cfg.batch_size)):
+            idx = order[:, start : start + cfg.batch_size]
+            n = idx.shape[1]
+            picked = (pool, np.arange(n), ds.labels[idx])
+            # post[i] is layer i's input; ReLU keeps post > 0 where pre > 0
+            post = [ds.features[idx]]
+            for i in range(n_layers):
+                z = post[i] @ weights[i].transpose(0, 2, 1)
+                z += biases[i]
+                post.append(np.maximum(z, 0.0, out=z) if i < n_layers - 1 else z)
+
+            logp = _log_softmax(post.pop())
+            # a sum is finite exactly when the mean is
+            finite = np.isfinite(np.add.reduce(logp[picked], axis=1))
+            if not finite[0]:
+                raise TrainingDivergedError(epoch, batch_no, **who[0])
+            for k in np.flatnonzero(~finite):
+                failed.setdefault(k, (epoch, batch_no))
+
+            # (softmax - onehot) / n, built in place
+            delta = np.exp(logp)
+            delta[picked] -= 1.0
+            delta /= n
+            for i in range(n_layers - 1, -1, -1):
+                np.matmul(delta.transpose(0, 2, 1), post[i], out=grad_views[i])
+                np.add.reduce(delta, axis=1, keepdims=True,
+                              out=grad_views[n_layers + i])
+                if i > 0:
+                    delta = delta @ weights[i]
+                    delta *= post[i] > 0
+            # every gradient was taken at the old parameters
+            velocity *= cfg.momentum
+            grads *= cfg.learning_rate
+            velocity -= grads
+            params += velocity
+
+    trained = []
+    for k, init in enumerate(inits):
+        if k in failed:
+            raise TrainingDivergedError(*failed[k], **who[k])
+        model = MlpModel(tuple(
+            DenseLayer(w[k], b[k, 0], layer.activation)
+            for w, b, layer in zip(weights, biases, init.layers)
+        ), ds.dim, tags[k])
+        scores = cross_entropy_accuracy(model, ds) if ds.m else None
+        # the last step's loss is never checked inside the loop
+        if scores and not np.isfinite(scores[0]):
+            raise TrainingDivergedError(cfg.epochs, 0, "non-finite training "
+                                        f"loss after epoch {cfg.epochs - 1}",
+                                        **who[k])
+        trained.append((model, scores))
+    return trained
+
+
+def train_many(ds, cfgs):
+    """Models trained from cfgs in one lockstep SGD loop, each bit-identical
+    to train(ds, cfg). The configs must share every field but the seeds;
+    divergence raises what training them one by one, in order, would."""
+    return [model for model, _ in train_scored(ds, cfgs)]
+
+
 def train(ds, cfg):
     """SGD with momentum on softmax cross-entropy; returns the final model."""
-    model = init_model(
-        ds.dim,
-        cfg.hidden_widths,
-        ds.num_classes,
-        cfg.init_seed,
-        seed_tag=f"init{cfg.init_seed}.shuf{cfg.shuffle_seed}",
-    )
-    weights = [layer.weights.copy() for layer in model.layers]
-    biases = [layer.bias.copy() for layer in model.layers]
-    acts = [layer.activation for layer in model.layers]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    n_layers = len(weights)
-
-    shuffle_rng = np.random.default_rng(int(cfg.shuffle_seed))
-    onehot = np.eye(ds.num_classes)
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(ds.m)
-        for batch_no, start in enumerate(range(0, ds.m, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            x = ds.features[idx]
-            y = ds.labels[idx]
-
-            pre = []
-            post = [x]
-            h = x
-            for i in range(n_layers):
-                z = h @ weights[i].T + biases[i]
-                pre.append(z)
-                h = acts[i].apply(z)
-                post.append(h)
-
-            logp = _log_softmax(pre[-1])
-            loss = -logp[np.arange(idx.size), y].mean()
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, batch_no)
-
-            delta = (np.exp(logp) - onehot[y]) / idx.size
-            for i in range(n_layers - 1, -1, -1):
-                gw = delta.T @ post[i]
-                gb = delta.sum(axis=0)
-                if i > 0:
-                    delta = (delta @ weights[i]) * (pre[i - 1] > 0)
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb
-                weights[i] += vel_w[i]
-                biases[i] += vel_b[i]
-
-    layers = tuple(
-        DenseLayer(w, b, a) for w, b, a in zip(weights, biases, acts)
-    )
-    model = MlpModel(layers, ds.dim, model.seed_tag)
-    # the last step's loss is never checked inside the loop
-    if ds.m and not np.isfinite(cross_entropy_accuracy(model, ds)[0]):
-        raise TrainingDivergedError(
-            cfg.epochs, 0,
-            f"non-finite training loss after epoch {cfg.epochs - 1}",
-        )
-    return model
+    return train_many(ds, [cfg])[0]

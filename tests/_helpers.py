@@ -60,7 +60,7 @@ def random_monomial_plan(widths, seed, low=0.5, high=2.0):
     return AlignmentPlan(tuple(transforms), MethodTag.CCA)
 
 
-def random_case(draw, min_dim=1, max_rows=20):
+def random_case(draw, min_dim=1, max_rows=20, min_rows=10):
     """(model with random weights and biases, permutation plan, inputs),
     sized and seeded by a hypothesis draw."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -79,7 +79,7 @@ def random_case(draw, min_dim=1, max_rows=20):
     )
     model = MlpModel(layers, dims[0])
     plan = random_permutation_plan(model.hidden_widths, int(rng.integers(2**32)))
-    rows = draw(st.integers(10, max_rows))
+    rows = draw(st.integers(min_rows, max_rows))
     return model, plan, rng.standard_normal((rows, dims[0]))
 
 

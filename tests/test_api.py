@@ -81,6 +81,7 @@ PUBLIC = [
     "strip_timestamp",
     "topk_coefficient_coverage",
     "train",
+    "train_many",
     "wasserstein_1d",
     "write_report",
 ]

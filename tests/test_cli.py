@@ -82,6 +82,16 @@ class TestTrain:
         assert "train_loss: " in printed
         assert "train_accuracy: " in printed
 
+    def test_training_set_scored_once(self, workdir, tmp_path, monkeypatch,
+                                      capsys):
+        # the printed loss and accuracy are the divergence check's own
+        _, data, _, _ = workdir
+        counts = count_calls(monkeypatch, ["cross_entropy_accuracy"])
+        assert main(["train", "--data", str(data), "--widths", "8",
+                     "--epochs", "1", "--out", str(tmp_path / "m")]) == 0
+        assert counts == {"cross_entropy_accuracy": 1}
+        capsys.readouterr()
+
     def test_deterministic_bytes(self, workdir, tmp_path):
         _, data, _, _ = workdir
         a, b = tmp_path / "a.model", tmp_path / "b.model"
@@ -423,10 +433,11 @@ class TestExperiment:
     def test_reference_out_of_range_rejected_before_training(
         self, tmp_path, capsys, monkeypatch
     ):
-        def train(*args):
+        def train_many(*args):
             raise AssertionError("trained before checking --reference")
 
-        monkeypatch.setattr(trainer, "train", train)
+        # every training call, pooled or single, goes through train_many
+        monkeypatch.setattr(trainer, "train_many", train_many)
         code = main(["experiment", *EXPERIMENT_ARGS, "--reference", "2",
                      "--gamma-search", "auto", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -448,6 +459,16 @@ class TestExperiment:
         # 2 models, 3 methods: one score per model and one ensemble
         assert counts == {"accuracy": 2, "ensemble_accuracy": 1}
         capsys.readouterr()
+
+    def test_diverging_pool_names_its_model(self, tmp_path, capsys):
+        code = main(["experiment", "--classes", "4", "--per-class", "10",
+                     "--dim", "4", "--seeds", "1,2", "--lr", "1e6",
+                     "--epochs", "3", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: model 0 (init1.shuf1000004): "
+            "non-finite loss at epoch 2, batch 1\n"
+        )
 
     def test_model_count_is_the_seed_count(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -597,10 +618,11 @@ class TestMethodList:
     def test_empty_methods_rejected_before_training(
         self, tmp_path, capsys, monkeypatch
     ):
-        def train(*args):
+        def train_many(*args):
             raise AssertionError("trained before checking --methods")
 
-        monkeypatch.setattr(trainer, "train", train)
+        # every training call, pooled or single, goes through train_many
+        monkeypatch.setattr(trainer, "train_many", train_many)
         code = main(["experiment", *EXPERIMENT_ARGS, "--methods", "",
                      "--out", str(tmp_path / "x")])
         assert code == 1

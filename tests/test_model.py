@@ -30,6 +30,7 @@ from fuselab import (
     save_dataset,
     save_model,
 )
+from fuselab.model import hidden_outputs
 from _helpers import (
     assert_models_allclose,
     model_bytes,
@@ -214,6 +215,23 @@ class TestPermutationProperties:
         model, plan, _ = random_case(data.draw)
         back = apply_plan(apply_plan(model, plan), plan.inverse())
         assert model_bytes(back) == model_bytes(model)
+
+
+class TestLayerLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_outputs_match_the_allocating_expression(self, data):
+        # the in-place layer loop against the expression it replaced; the
+        # draws include 3 hidden layers and 1-row inputs
+        model, _, x = random_case(data.draw, min_rows=1)
+        before = x.copy()
+        expect, h = [], x
+        for layer in model.layers:
+            h = layer.activation.apply(h @ layer.weights.T + layer.bias)
+            expect.append(h.tobytes())
+        assert forward(model, x).tobytes() == expect[-1]
+        assert [o.tobytes() for o in hidden_outputs(model, x)] == expect[:-1]
+        assert x.tobytes() == before.tobytes()
 
 
 class TestModelFile:

@@ -1,14 +1,18 @@
 """SGD trainer, loss and accuracy evaluation, seed handling."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab import (
     Activation,
     ConfigurationError,
     DenseLayer,
+    FuselabError,
     MlpModel,
     ShapeError,
     TrainConfig,
@@ -20,8 +24,107 @@ from fuselab import (
     init_model,
     seeds_for,
     train,
+    train_many,
 )
 from fuselab.trainer import SHUFFLE_SEED_OFFSET, _log_softmax
+from _helpers import model_bytes
+
+
+# the serial loop train_many replaced, kept as the oracle for its bytes and
+# its divergence errors
+@np.errstate(over="ignore", invalid="ignore")
+def serial_train(ds, cfg):
+    model = init_model(
+        ds.dim,
+        cfg.hidden_widths,
+        ds.num_classes,
+        cfg.init_seed,
+        seed_tag=f"init{cfg.init_seed}.shuf{cfg.shuffle_seed}",
+    )
+    weights = [layer.weights.copy() for layer in model.layers]
+    biases = [layer.bias.copy() for layer in model.layers]
+    acts = [layer.activation for layer in model.layers]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    n_layers = len(weights)
+
+    shuffle_rng = np.random.default_rng(int(cfg.shuffle_seed))
+    onehot = np.eye(ds.num_classes)
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(ds.m)
+        for batch_no, start in enumerate(range(0, ds.m, cfg.batch_size)):
+            idx = order[start : start + cfg.batch_size]
+            x = ds.features[idx]
+            y = ds.labels[idx]
+
+            pre = []
+            post = [x]
+            h = x
+            for i in range(n_layers):
+                z = h @ weights[i].T + biases[i]
+                pre.append(z)
+                h = acts[i].apply(z)
+                post.append(h)
+
+            logp = _log_softmax(pre[-1])
+            loss = -logp[np.arange(idx.size), y].mean()
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, batch_no)
+
+            delta = (np.exp(logp) - onehot[y]) / idx.size
+            for i in range(n_layers - 1, -1, -1):
+                gw = delta.T @ post[i]
+                gb = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i]) * (pre[i - 1] > 0)
+                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw
+                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb
+                weights[i] += vel_w[i]
+                biases[i] += vel_b[i]
+
+    layers = tuple(
+        DenseLayer(w, b, a) for w, b, a in zip(weights, biases, acts)
+    )
+    model = MlpModel(layers, ds.dim, model.seed_tag)
+    if ds.m and not np.isfinite(cross_entropy_accuracy(model, ds)[0]):
+        raise TrainingDivergedError(
+            cfg.epochs, 0,
+            f"non-finite training loss after epoch {cfg.epochs - 1}",
+        )
+    return model
+
+
+def serial_outcome(ds, cfgs):
+    """(model bytes and tags) of serial training, or (the model_index a pool
+    should name, error) for the first config whose training raises."""
+    trained = []
+    for k, cfg in enumerate(cfgs):
+        try:
+            trained.append(serial_train(ds, cfg))
+        except FuselabError as exc:
+            named = len(cfgs) > 1 and isinstance(exc, TrainingDivergedError)
+            return (k if named else None), exc
+    return [(model_bytes(m), m.seed_tag) for m in trained]
+
+
+def pool_outcome(ds, cfgs):
+    try:
+        models = train_many(ds, cfgs)
+    except FuselabError as exc:
+        return getattr(exc, "model_index", None), exc
+    return [(model_bytes(m), m.seed_tag) for m in models]
+
+
+def same_outcome(got, expect):
+    if isinstance(expect, list):
+        assert got == expect
+        return
+    assert not isinstance(got, list), f"expected {expect[1]!r}"
+    (k_got, got), (k_expect, expect) = got, expect
+    assert type(got) is type(expect)
+    assert k_got == k_expect
+    if isinstance(expect, TrainingDivergedError):
+        assert (got.epoch, got.batch) == (expect.epoch, expect.batch)
 
 
 class TestInitModel:
@@ -223,3 +326,107 @@ class TestTrain:
     def test_step_size_edges_accepted(self):
         TrainConfig(learning_rate=1e-9, momentum=0.0)
         TrainConfig(learning_rate=1e12, momentum=0.999)
+
+
+def pool_configs(n, seed, **shared):
+    return [
+        TrainConfig(init_seed=seed + k, shuffle_seed=seed + 7 * k + 1, **shared)
+        for k in range(n)
+    ]
+
+
+class TestTrainMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        rows=st.integers(2, 30),
+        batch=st.sampled_from(["one", "short-by-one", "any"]),
+        any_batch=st.integers(1, 40),
+        epochs=st.integers(0, 3),
+        momentum=st.sampled_from([0.0, 0.9]),
+        seed=st.integers(0, 1000),
+    )
+    def test_models_match_the_serial_oracle(
+        self, n, widths, rows, batch, any_batch, epochs, momentum, seed
+    ):
+        # "short-by-one" leaves a 1-row last batch
+        batch_size = {"one": 1, "short-by-one": max(rows - 1, 1),
+                      "any": any_batch}[batch]
+        ds = generate(3, 10, 4, seed=seed).subset(np.arange(rows))
+        cfgs = pool_configs(n, seed, hidden_widths=tuple(widths),
+                            epochs=epochs, batch_size=batch_size,
+                            momentum=momentum)
+        expect = serial_outcome(ds, cfgs)
+        assert pool_outcome(ds, cfgs) == expect
+        assert [(model_bytes(m), m.seed_tag)
+                for m in map(train, [ds] * n, cfgs)] == expect
+
+    # about a quarter of these pools mix diverging and healthy models
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        widths=st.sampled_from([(32, 32), (64, 64)]),
+        learning_rate=st.sampled_from([1e2, 1e3, 1e4, 1e6]),
+        epochs=st.integers(1, 3),
+        batch_size=st.sampled_from([8, 13]),
+        seed=st.integers(0, 50),
+    )
+    def test_divergence_matches_the_serial_oracle(
+        self, n, widths, learning_rate, epochs, batch_size, seed
+    ):
+        # no errstate here: a numpy warning from a model that has already
+        # diverged would fail the test
+        ds = generate(4, 10, 4, seed=0)
+        cfgs = pool_configs(n, seed, hidden_widths=widths, epochs=epochs,
+                            batch_size=batch_size, learning_rate=learning_rate)
+        same_outcome(pool_outcome(ds, cfgs), serial_outcome(ds, cfgs))
+
+    @pytest.mark.parametrize(
+        "seeds, expect",
+        [
+            # model 1 diverges at (1, 0), before model 0 does at (1, 1)
+            ((0, 3), (0, 1, 1)),
+            # model 0 never diverges; model 1 does at (1, 1)
+            ((1, 0), (1, 1, 1)),
+        ],
+    )
+    def test_first_model_in_order_names_the_divergence(self, seeds, expect):
+        ds = generate(4, 10, 4, seed=0)
+        widths = (64, 64) if seeds == (0, 3) else (16, 16)
+        cfgs = [TrainConfig(hidden_widths=widths, epochs=3, batch_size=8,
+                            learning_rate=1e6, init_seed=s, shuffle_seed=s + 7)
+                for s in seeds]
+        with pytest.raises(TrainingDivergedError) as info:
+            train_many(ds, cfgs)
+        err = info.value
+        assert (err.model_index, err.epoch, err.batch) == expect
+        k = expect[0]
+        tag = f"init{seeds[k]}.shuf{seeds[k] + 7}"
+        assert str(err).startswith(f"model {k} ({tag}): non-finite loss")
+        same_outcome(pool_outcome(ds, cfgs), serial_outcome(ds, cfgs))
+
+    def test_single_model_error_is_not_named(self):
+        ds = generate(4, 10, 4, seed=0)
+        with pytest.raises(TrainingDivergedError) as info:
+            train_many(ds, [TrainConfig(epochs=3, learning_rate=1e6)])
+        assert info.value.model_index is None
+        assert str(info.value) == "non-finite training loss after epoch 2"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hidden_widths", (8,)), ("epochs", 2), ("batch_size", 5),
+         ("learning_rate", 0.1), ("momentum", 0.5)],
+    )
+    def test_shared_fields_must_agree(self, small_task, field, value):
+        base = TrainConfig(hidden_widths=(4,), epochs=1)
+        # the seeds may differ; a later field differing too is not named
+        changes = {"init_seed": 5, "shuffle_seed": 6, "momentum": 0.1}
+        other = dataclasses.replace(base, **{**changes, field: value})
+        with pytest.raises(ConfigurationError,
+                           match=f"^pooled configs differ in {field}$"):
+            train_many(small_task[0], [base, base, other])
+
+    def test_empty_pool_rejected(self, small_task):
+        with pytest.raises(ConfigurationError, match="at least one config"):
+            train_many(small_task[0], [])
