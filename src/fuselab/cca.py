@@ -12,7 +12,10 @@ call: the reference's capture and Gram matrices, formed once, and its
 inverse square roots, one per (layer, gamma). A partner is captured and its
 scatter formed once (pair_scatter) and then solved at any number of ridges
 (solve_pair). The gamma search walks pairs in the outer loop and candidates
-in the inner loop, so no model is captured twice. Every product is the same
+in the inner loop, so no model is captured twice. For `merge --gamma-search`
+the same loop also keeps each candidate's merge as a running parameter sum,
+so the command captures each model once in total and writes the winning
+candidate's merge without solving any pair again. Every product is the same
 BLAS call on the same operands as a from-scratch solve, so results are
 bit-identical.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from .activations import ScatterStats, _check_gamma, _check_pair, capture
 from .errors import GammaSelectionError, NumericalError, ShapeError, ValidationError
-from .model import AlignmentPlan, LayerTransform, MethodTag, _check_rcond
+from .model import AlignmentPlan, LayerTransform, MethodTag, _check_rcond, apply_plan
 
 EIGENVALUE_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-8
@@ -237,8 +240,20 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     scatter formed once, and pairs sharing a reference share its Grams and
     inverse square roots.
     """
-    from .evaluation import accuracy
-    from .merge import merge_pair
+    return _search(candidate_gammas, model_pairs, probes, eval_ds)[0]
+
+
+def _search(candidate_gammas, model_pairs, probes, eval_ds, keep_merge=False):
+    """(select_gamma's choice, its merge or None).
+
+    keep_merge asks for the merge as (model, layer summaries), what
+    merge_and_report makes of [reference, *partners] at the chosen gamma;
+    it comes back when every pair has the same reference and
+    _ModelSum.exact holds. Each live candidate then keeps its first pair's
+    summaries and a running sum of [reference, *aligned partners].
+    """
+    from .evaluation import accuracy, summaries_from_solutions
+    from .merge import _ModelSum, average_models
 
     candidates = None
     if candidate_gammas is not None:
@@ -247,6 +262,13 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
             raise GammaSelectionError("no candidate gammas given")
     if not model_pairs:
         raise GammaSelectionError("no model pairs given")
+    reference = model_pairs[0][0]
+    keep = (
+        keep_merge
+        and all(a is reference for a, _ in model_pairs)
+        and _ModelSum.exact(reference, len(model_pairs) + 1)
+    )
+    kept = {}  # candidate index -> (first pair's summaries, _ModelSum)
     stats = None
     scores = None  # candidate index -> accuracy per pair, failures removed
     for model_a, model_b in model_pairs:
@@ -266,21 +288,31 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
         for c in list(scores):
             try:
                 sols = solve_pair(stats, pair, candidates[c])
-                merged = merge_pair(model_a, model_b, plan_from_solutions(sols))
+                aligned = apply_plan(model_b, plan_from_solutions(sols))
+                merged = average_models([model_a, aligned])
                 scores[c].append(accuracy(merged, eval_ds))
             except (NumericalError, ValidationError):
                 del scores[c]
+                kept.pop(c, None)
+                continue
+            if keep:
+                if c not in kept:
+                    kept[c] = summaries_from_solutions(sols), _ModelSum(model_a)
+                kept[c][1].add(aligned)
         if not scores:
             break
-    best_gamma = None
+    best = None
     best_score = -np.inf
     for c, pair_scores in scores.items():
         score = float(np.mean(pair_scores))
         # candidates ascend, so >= sends exact ties to the larger gamma
         if score >= best_score:
-            best_gamma, best_score = candidates[c], score
-    if best_gamma is None:
+            best, best_score = c, score
+    if best is None:
         raise GammaSelectionError(
             "every candidate gamma failed during merging"
         )
-    return best_gamma
+    if not keep:
+        return candidates[best], None
+    summaries, total = kept[best]
+    return candidates[best], (total.mean(), summaries)

@@ -134,11 +134,14 @@ def _reference(args, count):
     return args.reference
 
 
-def _resolve_gamma(args, models, probes, probes_ds, reference):
-    """Returns (gamma or None, selected-by-search flag)."""
+def _resolve_gamma(args, models, probes, probes_ds, reference, keep=False):
+    """Returns (gamma or None, the search's merge at that gamma or None).
+
+    keep asks the search for its cca merge, which it returns when it can.
+    """
     search = args.gamma_search
     if search is None:
-        return args.gamma, False
+        return args.gamma, None
     if args.gamma is not None:
         raise ConfigurationError("--gamma and --gamma-search are exclusive")
     if probes is None:
@@ -155,8 +158,7 @@ def _resolve_gamma(args, models, probes, probes_ds, reference):
     pairs = [
         (models[reference], m) for i, m in enumerate(models) if i != reference
     ]
-    chosen = cca.select_gamma(candidates, pairs, probes, probes_ds)
-    return chosen, True
+    return cca._search(candidates, pairs, probes, probes_ds, keep)
 
 
 def cmd_merge(args):
@@ -173,17 +175,17 @@ def cmd_merge(args):
         probes_ds = load_dataset(args.probes)
         probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
     reference = _reference(args, len(models))
-    gamma, searched = _resolve_gamma(
-        args, models, probes, probes_ds, reference
+    gamma, made = _resolve_gamma(
+        args, models, probes, probes_ds, reference, method is MethodTag.CCA
     )
     merged, report, _ = merge_and_report(
-        models, method, probes, gamma, args.repair, reference
+        models, method, probes, gamma, args.repair, reference, made=made
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(merged, out_dir / "merged.model")
     items = report.to_items()
-    if searched:
+    if args.gamma_search is not None:
         items.append(("gamma_selected", gamma))
     text = reports.write_report(out_dir / "merge_report.txt", items)
     sys.stdout.write(text)
@@ -266,6 +268,7 @@ def cmd_experiment(args):
         raise ConfigurationError("data splits are two-way; give 2 --seeds")
     reference = _reference(args, num_models)
     methods = _method_list(args.methods)
+    evaluation._check_grid(args.grid)
 
     cfgs = [_train_config(args, s) for s in seeds]
     if kind is SplitKind.FULL:
@@ -274,7 +277,7 @@ def cmd_experiment(args):
         models = [trainer.train(d, c) for d, c in zip(parts, cfgs)]
 
     probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
-    gamma, searched = _resolve_gamma(args, models, probes, train_ds, reference)
+    gamma, _ = _resolve_gamma(args, models, probes, train_ds, reference)
 
     items = [
         ("report", "experiment"),
@@ -297,7 +300,7 @@ def cmd_experiment(args):
         ("probe_limit", args.probe_limit),
         ("grid", args.grid),
         ("gamma", gamma),
-        ("gamma_selected", gamma if searched else None),
+        ("gamma_selected", None if args.gamma_search is None else gamma),
         ("repair", args.repair),
     ]
     accs = [evaluation.accuracy(m, test_ds) for m in models]
@@ -446,6 +449,30 @@ def build_parser():
     return parser
 
 
+def _join_dash_values(command, argv):
+    """argv with `--option -1,2` joined into `--option=-1,2`.
+
+    argparse takes a token that starts with '-' for an option, so a
+    single-value option followed by one that names none of the
+    subcommand's options stops with a usage error; joined, the value
+    reaches the option's own check. Tokens after `--` are left alone.
+    """
+    known = command._option_string_actions
+    joined = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return joined + argv[i:]
+        last = known.get(joined[-1]) if joined else None
+        if (
+            last and last.nargs is None
+            and token.startswith("-") and token not in known
+        ):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def parse_args(argv=None):
     """Parse argv; a --config file's values become the subcommand's defaults.
 
@@ -454,10 +481,14 @@ def parse_args(argv=None):
     value that the option's own type rejects.
     """
     parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in commands:
+        argv = _join_dash_values(commands[argv[0]], argv)
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    command = parser._subparsers._group_actions[0].choices[args.command]
+    command = commands[args.command]
     settable = {
         a.dest: a for a in command._actions
         if a.option_strings and not a.required

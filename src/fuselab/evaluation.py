@@ -5,7 +5,8 @@ straight parameter path and the straight line between the endpoint losses;
 the path is taken between a reference model and an already-aligned partner.
 merge_and_report aligns and averages through merge's all-to-one loop, which
 also returns the aligned partners and the first pair's CCA solutions for the
-layer summaries, then repairs and reports; it holds no alignment code.
+layer summaries, or takes the merge the gamma search already made, then
+repairs and reports; it holds no alignment code.
 """
 
 from __future__ import annotations
@@ -68,13 +69,17 @@ class BarrierCurve:
     barrier: float
 
 
+def _check_grid(grid_size):
+    if grid_size < 2:
+        raise ConfigurationError("grid needs at least the two endpoints")
+
+
 def interpolation_curve(model_a, model_b, ds, grid_size=DEFAULT_GRID_SIZE):
     """Loss and accuracy along (1-lam) A + lam B; barrier included.
 
     model_b is used as handed in: align it first if alignment is wanted.
     """
-    if grid_size < 2:
-        raise ConfigurationError("grid needs at least the two endpoints")
+    _check_grid(grid_size)
     if not model_a.same_architecture(model_b):
         raise ValidationError("interpolation endpoints must share shapes")
     lambdas = np.linspace(0.0, 1.0, grid_size)
@@ -163,6 +168,8 @@ def merge_and_report(
     gamma=None,
     repair=False,
     reference_index=0,
+    *,
+    made=None,
 ):
     """Run one all-to-one merge and collect its report skeleton.
 
@@ -170,6 +177,9 @@ def merge_and_report(
     input order). The alignment is merge_many's loop; canonical-correlation
     summaries of the first pair are attached whenever probes are available,
     whatever the merge method. A given gamma is checked whatever the method.
+    `made` is (merged model, layer summaries) of this merge when the caller
+    has already made it, as the gamma search does; nothing is aligned again
+    and no aligned models come back.
     """
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
@@ -178,11 +188,14 @@ def merge_and_report(
     if gamma is not None:
         _check_gamma(gamma)
     reference = models[reference_index]
-    others = [m for i, m in enumerate(models) if i != reference_index]
-    merged, aligned, sols = merge._merge_all(
-        reference, others, method, probes, gamma, solve=probes is not None
-    )
-    summaries = () if sols is None else summaries_from_solutions(sols)
+    if made is None:
+        others = [m for i, m in enumerate(models) if i != reference_index]
+        merged, aligned, sols = merge._merge_all(
+            reference, others, method, probes, gamma, solve=probes is not None
+        )
+        summaries = () if sols is None else summaries_from_solutions(sols)
+    else:
+        (merged, summaries), aligned = made, None
     skipped = ()
     if repair:
         if probes is None:

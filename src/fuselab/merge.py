@@ -92,6 +92,41 @@ def average_models(models):
     return MlpModel(tuple(layers), models[0].input_dim, tag)
 
 
+class _ModelSum:
+    """average_models of models added one at a time, from a parameter sum.
+
+    np.mean sums from +0.0 in list order and divides by the count; so does
+    mean() (-0.0 + 0.0 is +0.0, where a copy would keep -0.0). For a
+    one-element parameter of 8 or more models np.mean sums pairwise
+    instead, and exact() is False.
+    """
+
+    def __init__(self, first):
+        self.first = first
+        self.sums = [[x.weights + 0.0, x.bias + 0.0] for x in first.layers]
+        self.tags = [first.seed_tag]
+
+    @staticmethod
+    def exact(first, count):
+        sizes = [p.size for x in first.layers for p in (x.weights, x.bias)]
+        return count < 8 or min(sizes) > 1
+
+    def add(self, model):
+        for (w, b), x in zip(self.sums, model.layers):
+            w += x.weights
+            b += x.bias
+        self.tags.append(model.seed_tag)
+
+    def mean(self):
+        n = len(self.tags)
+        layers = tuple(
+            DenseLayer(w / n, b / n, x.activation)
+            for (w, b), x in zip(self.sums, self.first.layers)
+        )
+        tag = "+".join(t for t in self.tags if t) or None
+        return MlpModel(layers, self.first.input_dim, tag)
+
+
 def merge_pair(model_a, model_b, plan):
     """Average model_a with model_b carried through the plan."""
     return average_models([model_a, apply_plan(model_b, plan)])

@@ -1,13 +1,20 @@
 """Canonical correlation alignment: whitening, solutions, ridge selection."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuselab import (
+    DenseLayer,
     GammaSelectionError,
     MethodTag,
+    MlpModel,
     NumericalError,
     ShapeError,
     ValidationError,
@@ -17,9 +24,11 @@ from fuselab import (
     capture,
     cca_plan,
     default_gamma,
+    format_report,
     forward,
     generate,
     inv_sqrt,
+    load_model,
     merge_and_report,
     merge_many,
     merge_pair,
@@ -28,6 +37,7 @@ from fuselab import (
     select_gamma,
     solve_cca,
     solve_layers,
+    strip_timestamp,
 )
 from fuselab.activations import ActivationMatrix, scatter
 from fuselab.cca import (
@@ -38,7 +48,7 @@ from fuselab.cca import (
     pair_scatter,
     plan_from_solutions,
 )
-from fuselab.cli import main
+from fuselab.cli import METHOD_NAMES, main, parse_args
 from fuselab.evaluation import summaries_from_solutions
 
 from _helpers import (
@@ -459,6 +469,146 @@ class TestOnePassSearchMatchesOracle:
                 assert f.correlations.tobytes() == s.correlations.tobytes()
 
 
+def _two_pass_search_merge(
+    models, candidates, probe_limit, reference, repair, method="cca"
+):
+    """`merge --gamma-search` in two passes, the oracle: pick the ridge, then
+    merge again at it."""
+    probes = SEARCH_TASK.features[:probe_limit]
+    pairs = [(models[reference], m) for i, m in enumerate(models) if i != reference]
+    gamma = select_gamma(candidates, pairs, probes, SEARCH_TASK)
+    merged, report, _ = merge_and_report(
+        models, METHOD_NAMES[method], probes, gamma, repair, reference
+    )
+    items = report.to_items() + [("gamma_selected", gamma)]
+    return (
+        model_bytes(merged), merged.seed_tag, strip_timestamp(format_report(items))
+    )
+
+
+def _cli_search_merge(
+    models, candidates, probe_limit, reference, repair, method="cca"
+):
+    """`merge --gamma-search` as the command runs it."""
+    search = "auto" if candidates is None else ",".join(map(repr, candidates))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        save_dataset(SEARCH_TASK, root / "probes.ds")
+        paths = [root / f"m{i}.model" for i in range(len(models))]
+        for model, path in zip(models, paths):
+            save_model(model, path)
+        argv = ["merge", *paths, "--method", method, "--probes",
+                root / "probes.ds", "--reference", reference,
+                "--gamma-search", search, "--out", root / "out"]
+        if probe_limit is not None:
+            argv += ["--probe-limit", probe_limit]
+        if repair:
+            argv.append("--repair")
+        args = parse_args([str(a) for a in argv])
+        with contextlib.redirect_stdout(io.StringIO()):
+            args.func(args)
+        merged = load_model(root / "out" / "merged.model")
+        report = (root / "out" / "merge_report.txt").read_text()
+    return model_bytes(merged), merged.seed_tag, strip_timestamp(report)
+
+
+def _with_random_biases(model, seed):
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        DenseLayer(x.weights, rng.standard_normal(x.bias.shape), x.activation)
+        for x in model.layers
+    )
+    return MlpModel(layers, model.input_dim, model.seed_tag)
+
+
+@st.composite
+def search_merge_cases(draw):
+    n = draw(st.integers(2, 5))
+    seeds = draw(
+        st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True)
+    )
+    tags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    models = [
+        _with_random_biases(
+            random_model(6, (8, 8), 4, seed=s, tag=f"s{s}" if t else None), s
+        )
+        for s, t in zip(seeds, tags)
+    ]
+    reference = draw(st.integers(0, n - 1))
+    # partners only, so the reference stays healthy
+    for i in range(n):
+        if i != reference and draw(st.booleans()):
+            models[i] = blown_up(models[i])
+    candidates = draw(
+        st.none()
+        | st.lists(st.sampled_from(GAMMAS[:-1]), min_size=1, max_size=4)
+    )
+    # 5 probe rows: rank-deficient scatters, so small ridges fail on the
+    # blown-up partners
+    probe_limit = draw(st.sampled_from([5, 5, None]))
+    repair = draw(st.booleans())
+    # the search keeps its merge for cca only
+    method = draw(st.sampled_from(["cca", "cca", "permute", "direct"]))
+    return models, candidates, probe_limit, reference, repair, method
+
+
+class TestSearchMergeMatchesTwoPass:
+    @settings(max_examples=60, deadline=None)
+    @given(search_merge_cases())
+    def test_same_model_bytes_and_report(self, case):
+        fast = outcome(_cli_search_merge, *case)
+        slow = outcome(_two_pass_search_merge, *case)
+        assert fast == slow
+
+    @pytest.mark.parametrize("candidates", [None, [1e-3, 1.0]])
+    def test_negative_zero_weights(self, candidates):
+        # np.mean sums from +0.0, so the merge of all -0.0 models has +0.0
+        # where a sum started from a copy of the reference would keep -0.0
+        models = [
+            MlpModel(
+                tuple(
+                    DenseLayer(
+                        np.full_like(x.weights, -0.0),
+                        np.full_like(x.bias, -0.0),
+                        x.activation,
+                    )
+                    for x in random_model(6, (8, 8), 4, seed=s).layers
+                ),
+                6,
+            )
+            for s in range(3)
+        ]
+        fast = _cli_search_merge(models, candidates, None, 1, False)
+        assert fast == _two_pass_search_merge(models, candidates, None, 1, False)
+        merged = np.frombuffer(fast[0], dtype=np.float64)
+        assert merged.size > 0
+        assert not np.signbit(merged).any()
+
+    def test_candidate_failing_on_a_later_pair(self):
+        # gamma 0 merges the first partner and fails on the blown-up second
+        models = [
+            random_model(6, (8, 8), 4, seed=1),
+            random_model(6, (8, 8), 4, seed=2),
+            blown_up(random_model(6, (8, 8), 4, seed=3)),
+        ]
+        probes = RANK_DEFICIENT
+        cca_plan(models[0], models[1], probes, 0.0)
+        with pytest.raises(NumericalError):
+            cca_plan(models[0], models[2], probes, 0.0)
+        case = (models, [0.0, 1e-3, 1.0], len(probes), 0, True)
+        assert _cli_search_merge(*case) == _two_pass_search_merge(*case)
+
+    def test_one_element_parameters_of_eight_models(self):
+        # np.mean sums a one-element parameter of 8 or more models pairwise
+        models = [
+            _with_random_biases(random_model(6, (1, 8), 4, seed=s, tag=f"s{s}"), s)
+            for s in range(20, 30)
+        ]
+        # with these seeds a running sum would differ in the last bit
+        case = (models, [1e-3, 1.0], None, 1, False)
+        assert _cli_search_merge(*case) == _two_pass_search_merge(*case)
+
+
 def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_task):
     train_ds, _ = small_task
     save_dataset(train_ds, tmp_path / "probes.ds")
@@ -470,16 +620,22 @@ def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_
             paths[-1],
         )
     counts = count_calls(monkeypatch, ["capture", "inv_sqrt"])
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     code = main(["merge", *map(str, paths), "--method", "cca",
                  "--gamma-search", "auto", "--probes", str(tmp_path / "probes.ds"),
                  "--out", str(tmp_path / "out")])
     assert code == 0
     pairs, layers, candidates = 4, 2, len(GAMMA_GRID_COEFFS)
-    # the search and the merge each capture the reference once and every
-    # partner once
-    assert counts["capture"] == 2 * (1 + pairs)
+    # the search captures the reference once and every partner once, and
+    # the merge it writes is the winning candidate's, so nothing is redone
+    assert counts["capture"] == 1 + pairs
     # the reference is whitened once per (layer, gamma); each partner once
     # per (layer, gamma) it is solved at
-    search = layers * candidates + pairs * layers * candidates
-    merge = layers + pairs * layers
-    assert counts["inv_sqrt"] == search + merge
+    assert counts["inv_sqrt"] == layers * candidates + pairs * layers * candidates
+    assert counts["svd"] == pairs * layers * candidates

@@ -176,6 +176,40 @@ def test_negative_seed_is_a_named_error(
     assert not out.exists()
 
 
+DASH_VALUES = [
+    ("experiment", ["--seeds", "-1,2"], "init_seed must be >= 0, got -1"),
+    ("experiment", ["--split", "dirichlet", "--alpha", "-1,2"],
+     "dirichlet split needs two positive concentrations"),
+    ("experiment", ["--gamma-search", "-1,2"],
+     "--gamma-search candidate -1.0 must be finite and >= 0"),
+    ("train", ["--widths", "-3,4"], "hidden widths must be positive"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", DASH_VALUES)
+def test_value_starting_with_a_dash_reads_as_the_equals_form(
+    workdir, tmp_path, capsys, command, flags, message
+):
+    # argparse alone reads -1,2 as an option and exits 2 with a usage error
+    _, data, _, _ = workdir
+    needs = {"train": ["--data", str(data)], "experiment": TINY_TRAIN}
+    equals = [*flags[:-2], f"{flags[-2]}={flags[-1]}"]
+    for form in (flags, equals):
+        out = tmp_path / "out"
+        code = main([command, *needs[command], *form, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {command}: {message}\n"
+        assert not out.exists()
+
+
+def test_option_names_and_tokens_after_double_dash_are_not_joined(capsys):
+    with pytest.raises(SystemExit):  # --repair is an option, not --out's value
+        parse_args(["experiment", "--out", "--repair"])
+    capsys.readouterr()
+    args = parse_args(["merge", "--out", "o", "--", "--reference", "-1"])
+    assert args.models == ["--reference", "-1"]
+
+
 def _weights(model):
     return b"".join(layer.weights.tobytes() for layer in model.layers)
 
@@ -184,11 +218,11 @@ def _record_search(monkeypatch):
     """Replace the gamma search by one that records its pairs."""
     seen = []
 
-    def select(candidates, pairs, probes, eval_ds):
+    def search(candidates, pairs, probes, eval_ds, keep_merge=False):
         seen.append([(_weights(a), _weights(b)) for a, b in pairs])
-        return 0.01
+        return 0.01, None
 
-    monkeypatch.setattr(cca, "select_gamma", select)
+    monkeypatch.setattr(cca, "_search", search)
     return seen
 
 
@@ -443,6 +477,20 @@ class TestExperiment:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: experiment: --reference must be in 0..1")
+
+    def test_grid_below_two_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def train_many(*args):
+            raise AssertionError("trained before checking --grid")
+
+        monkeypatch.setattr(trainer, "train_many", train_many)
+        code = main(["experiment", *EXPERIMENT_ARGS, "--grid", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: grid needs at least the two endpoints\n"
+        )
 
     def test_non_full_split_needs_two_models(self, tmp_path, capsys):
         code = main(["experiment", *TINY_TRAIN, "--seeds", "0,1,2",
