@@ -80,7 +80,6 @@ from .model import (
     LayerTransform,
     MethodTag,
     MlpModel,
-    TransformKind,
     apply_plan,
     forward,
     load_model,

@@ -173,17 +173,21 @@ def indirect_matching_diagnostics(
     Builds T_CA, T_BA, T_CB with the given method, forms the indirect
     T_CAB = T_BA^-1 T_CA, and reports per layer how much it disagrees with
     the direct T_CB: percent of C-neurons whose B-partner changes, the
-    Frobenius norm of the difference, and that norm over ||T_CB||_F.
+    Frobenius norm of the difference, and that norm over ||T_CB||_F. Each
+    model is captured once.
     """
     if method not in (MethodTag.PERMUTE, MethodTag.CCA):
         raise ConfigurationError(
             "indirect matching is defined for permute and cca"
         )
     stats = cca.ReferenceStats(model_a, probes)
-    plan_ca = merge._align(stats, model_c, method, gamma)[0]
-    plan_ba = merge._align(stats, model_b, method, gamma)[0]
+    acts_ac = stats.capture_pair(model_c)
+    acts_ab = stats.capture_pair(model_b)
+    plan_ca = merge._align(stats, model_c, method, gamma, acts=acts_ac)[0]
+    plan_ba = merge._align(stats, model_b, method, gamma, acts=acts_ab)[0]
+    acts_bc = acts_ab[1], acts_ac[1]
     stats = cca.ReferenceStats(model_b, probes)
-    plan_cb = merge._align(stats, model_c, method, gamma)[0]
+    plan_cb = merge._align(stats, model_c, method, gamma, acts=acts_bc)[0]
     return _indirect(plan_ca, plan_ba, plan_cb)
 
 
@@ -195,7 +199,7 @@ class PairLayerDiagnostics:
     wasserstein_ratios: tuple  # ((k, ratio), ...)
 
 
-def _pair_plans(stats, other, gamma, acts=None):
+def _pair_plans(stats, other, gamma, acts):
     """{method: plan} for permute and cca from one capture of the pair."""
     plan, sols = merge._align(
         stats, other, MethodTag.PERMUTE, gamma, solve=True, acts=acts
@@ -207,7 +211,8 @@ def _pair_plans(stats, other, gamma, acts=None):
 
 
 def _diagnose_pair(stats, other, gamma):
-    """(pair diagnostics, _pair_plans) of other against stats.reference."""
+    """(pair diagnostics, _pair_plans, the pair's capture) of other against
+    stats.reference."""
     acts = stats.capture_pair(other)
     plans = _pair_plans(stats, other, gamma, acts)
     out = []
@@ -237,7 +242,7 @@ def _diagnose_pair(stats, other, gamma):
                 i, _non_optimal_pct(corr.values, mapping), coverage, ratios
             )
         )
-    return out, plans
+    return out, plans, acts
 
 
 def _mean(diagnostics, key):
@@ -282,18 +287,20 @@ def analyze(models, probes, gamma=None):
     """Pair diagnostics for the first two models; triple diagnostics when a
     third is given.
 
-    The pairs (A, B), (A, C) and (B, C) are each captured once, and both
-    methods' plans come from that capture.
+    Each model is captured once: (B, C) is aligned from the captures of
+    B and C against A, and both methods' plans come from one capture.
     """
     if len(models) not in (2, 3):
         raise ConfigurationError("analysis works on 2 or 3 models")
     stats = cca.ReferenceStats(models[0], probes)
-    pair_layers, plans_ab = _diagnose_pair(stats, models[1], gamma)
+    pair_layers, plans_ab, acts_ab = _diagnose_pair(stats, models[1], gamma)
     indirect = None
     if len(models) == 3:
-        plans_ac = _pair_plans(stats, models[2], gamma)
+        acts_ac = stats.capture_pair(models[2])
+        plans_ac = _pair_plans(stats, models[2], gamma, acts_ac)
+        acts_bc = acts_ab[1], acts_ac[1]
         stats = cca.ReferenceStats(models[1], probes)
-        plans_bc = _pair_plans(stats, models[2], gamma)
+        plans_bc = _pair_plans(stats, models[2], gamma, acts_bc)
         indirect = {
             method.value: tuple(
                 _indirect(plans_ac[method], plans_ab[method], plans_bc[method])

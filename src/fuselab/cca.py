@@ -248,9 +248,10 @@ def _search(candidate_gammas, model_pairs, probes, eval_ds, keep_merge=False):
 
     keep_merge asks for the merge as (model, layer summaries), what
     merge_and_report makes of [reference, *partners] at the chosen gamma;
-    it comes back when every pair has the same reference and
-    _ModelSum.exact holds. Each live candidate then keeps its first pair's
-    summaries and a running sum of [reference, *aligned partners].
+    it comes back whenever every pair has the same reference. Each live
+    candidate then keeps its first pair's summaries and a merge._ModelSum
+    of [reference, *aligned partners], the sum average_models folds, so
+    the merge is the same bytes for any model count.
     """
     from .evaluation import accuracy, summaries_from_solutions
     from .merge import _ModelSum, average_models
@@ -263,11 +264,7 @@ def _search(candidate_gammas, model_pairs, probes, eval_ds, keep_merge=False):
     if not model_pairs:
         raise GammaSelectionError("no model pairs given")
     reference = model_pairs[0][0]
-    keep = (
-        keep_merge
-        and all(a is reference for a, _ in model_pairs)
-        and _ModelSum.exact(reference, len(model_pairs) + 1)
-    )
+    keep = keep_merge and all(a is reference for a, _ in model_pairs)
     kept = {}  # candidate index -> (first pair's summaries, _ModelSum)
     stats = None
     scores = None  # candidate index -> accuracy per pair, failures removed

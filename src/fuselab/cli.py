@@ -137,7 +137,7 @@ def _reference(args, count):
 def _resolve_gamma(args, models, probes, probes_ds, reference, keep=False):
     """Returns (gamma or None, the search's merge at that gamma or None).
 
-    keep asks the search for its cca merge, which it returns when it can.
+    keep asks the search for its cca merge, which it always returns.
     """
     search = args.gamma_search
     if search is None:

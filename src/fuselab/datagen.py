@@ -179,8 +179,6 @@ def load_dataset(path):
         for key, rest in fields:
             if key not in ("m", "d", "k", "seed"):
                 raise ParseError(f"unknown manifest field {key!r}")
-            if key in values:
-                raise ParseError(f"duplicate manifest field {key!r}")
             try:
                 values[key] = int(rest)
             except ValueError:

@@ -70,58 +70,55 @@ def align(reference, model, method, probes=None, gamma=None):
     return _align(stats, model, method, gamma)[0]
 
 
-def _check_same_architecture(models):
-    first = models[0]
-    for i, m in enumerate(models[1:], start=1):
-        if not first.same_architecture(m):
-            raise ValidationError(
-                f"model {i} does not share the reference architecture"
-            )
-
-
 def average_models(models):
     """Uniform elementwise average of identically shaped models."""
-    _check_same_architecture(models)
-    layers = []
-    for i in range(models[0].num_layers):
-        w = np.mean([m.layers[i].weights for m in models], axis=0)
-        b = np.mean([m.layers[i].bias for m in models], axis=0)
-        layers.append(DenseLayer(w, b, models[0].layers[i].activation))
-    tags = [m.seed_tag for m in models if m.seed_tag]
-    tag = "+".join(tags) if tags else None
-    return MlpModel(tuple(layers), models[0].input_dim, tag)
+    total = _ModelSum(models[0])
+    for m in models[1:]:
+        total.add(m)
+    return total.mean()
 
 
 class _ModelSum:
-    """average_models of models added one at a time, from a parameter sum.
+    """Models added one at a time; mean() is their average, byte for byte
+    what np.mean(..., axis=0) gives over each parameter.
 
-    np.mean sums from +0.0 in list order and divides by the count; so does
-    mean() (-0.0 + 0.0 is +0.0, where a copy would keep -0.0). For a
-    one-element parameter of 8 or more models np.mean sums pairwise
-    instead, and exact() is False.
+    np.mean sums a parameter from +0.0 in list order and divides by the
+    count; so does mean() (-0.0 + 0.0 is +0.0, where a copy would keep
+    -0.0). A one-element parameter is the exception: np.mean sums it
+    pairwise from 8 models on, so its values are kept for np.mean itself.
     """
 
     def __init__(self, first):
         self.first = first
-        self.sums = [[x.weights + 0.0, x.bias + 0.0] for x in first.layers]
+        self.params = [
+            [[p] if p.size == 1 else p + 0.0 for p in (x.weights, x.bias)]
+            for x in first.layers
+        ]
         self.tags = [first.seed_tag]
 
-    @staticmethod
-    def exact(first, count):
-        sizes = [p.size for x in first.layers for p in (x.weights, x.bias)]
-        return count < 8 or min(sizes) > 1
-
     def add(self, model):
-        for (w, b), x in zip(self.sums, model.layers):
-            w += x.weights
-            b += x.bias
+        if not self.first.same_architecture(model):
+            raise ValidationError(
+                f"model {len(self.tags)} does not share the reference "
+                "architecture"
+            )
+        for kept, x in zip(self.params, model.layers):
+            for k, p in zip(kept, (x.weights, x.bias)):
+                if isinstance(k, list):
+                    k.append(p)
+                else:
+                    k += p
         self.tags.append(model.seed_tag)
 
     def mean(self):
         n = len(self.tags)
+
+        def avg(k):
+            return np.mean(k, axis=0) if isinstance(k, list) else k / n
+
         layers = tuple(
-            DenseLayer(w / n, b / n, x.activation)
-            for (w, b), x in zip(self.sums, self.first.layers)
+            DenseLayer(avg(w), avg(b), x.activation)
+            for (w, b), x in zip(self.params, self.first.layers)
         )
         tag = "+".join(t for t in self.tags if t) or None
         return MlpModel(layers, self.first.input_dim, tag)

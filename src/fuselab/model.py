@@ -40,11 +40,6 @@ class Activation(Enum):
         return z
 
 
-class TransformKind(Enum):
-    PERMUTATION = "permutation"
-    GENERAL = "general"
-
-
 class MethodTag(Enum):
     """How an alignment plan was produced."""
 
@@ -200,19 +195,6 @@ def hidden_outputs(model, inputs):
     return outs
 
 
-def _check_permutation_matrix(m):
-    ones = m == 1.0
-    zeros = m == 0.0
-    if not np.all(ones | zeros):
-        raise ValidationError("permutation transform has entries not in {0, 1}")
-    if not (
-        np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)
-    ):
-        raise ValidationError(
-            "permutation transform needs exactly one 1 per row and column"
-        )
-
-
 def _check_rcond(matrix, inverse, what, hint=""):
     """Raise NumericalError if matrix's 1-norm reciprocal condition is low."""
     norm = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
@@ -228,13 +210,12 @@ def _check_rcond(matrix, inverse, what, hint=""):
 class LayerTransform:
     """Invertible map applied to one hidden layer's feature space.
 
-    Both directions are stored explicitly; construction fails rather than
-    hand back something that cannot be inverted reliably.
+    Both directions are stored as dense matrices, and construction fails
+    unless forward @ inverse is the identity to within INVERSE_ATOL.
     """
 
     forward: np.ndarray
     inverse: np.ndarray
-    kind: TransformKind
     layer_index: int
 
     def __post_init__(self):
@@ -244,8 +225,6 @@ class LayerTransform:
             raise ShapeError(
                 f"transform must be square, got {f.shape} and {g.shape}"
             )
-        if self.kind is TransformKind.PERMUTATION:
-            _check_permutation_matrix(f)
         n = f.shape[0]
         resid = np.max(np.abs(f @ g - np.eye(n)))
         if resid > INVERSE_ATOL:
@@ -264,35 +243,39 @@ class LayerTransform:
 
     @classmethod
     def from_mapping(cls, mapping, layer_index):
-        """Permutation transform with forward[i, mapping[i]] = 1."""
-        mapping = np.asarray(mapping, dtype=np.intp)
-        n = mapping.shape[0]
+        """Permutation P with P[i, mapping[i]] = 1, stored as (P, P.T)."""
+        mapping = np.asarray(mapping)
+        n = mapping.size
+        if not (
+            mapping.ndim == 1
+            and np.issubdtype(mapping.dtype, np.integer)
+            and np.array_equal(np.sort(mapping), np.arange(n))
+        ):
+            raise ValidationError(
+                f"mapping at layer {layer_index} is not a 1-d integer "
+                f"permutation: {np.array2string(mapping, threshold=8)}"
+            )
         m = np.zeros((n, n))
         m[np.arange(n), mapping] = 1.0
-        return cls(m, m.T, TransformKind.PERMUTATION, layer_index)
+        return cls(m, m.T, layer_index)
 
     @classmethod
-    def general(cls, matrix, layer_index, inverse=None):
+    def general(cls, matrix, layer_index):
         """Dense transform; the inverse comes from a pivoted solve."""
         m = _as_matrix(matrix, "transform")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"transform must be square, got {m.shape}")
-        n = m.shape[0]
-        if inverse is None:
-            try:
-                inverse = np.linalg.solve(m, np.eye(n))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"transform at layer {layer_index} is singular: {exc}"
-                ) from exc
-        inv = _as_matrix(inverse, "inverse transform")
+        try:
+            inv = np.linalg.solve(m, np.eye(m.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"transform at layer {layer_index} is singular: {exc}"
+            ) from exc
         _check_rcond(m, inv, f"transform at layer {layer_index}")
-        return cls(m, inv, TransformKind.GENERAL, layer_index)
+        return cls(m, inv, layer_index)
 
     def inverted(self):
-        return LayerTransform(
-            self.inverse, self.forward, self.kind, self.layer_index
-        )
+        return LayerTransform(self.inverse, self.forward, self.layer_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +308,9 @@ def apply_plan(model, plan):
     """Rewrite a model's weights in the plan's target feature space.
 
     Hidden layer i becomes T_i W_i T_{i-1}^-1 (T at the input is the
-    identity); the output layer only absorbs the last inverse. For
-    permutation transforms the network function is unchanged; general
+    identity); the output layer only absorbs the last inverse. Every
+    transform is applied through its stored dense pair, whatever built it.
+    A permutation keeps the network function up to rounding; other
     transforms commute with ReLU only in special cases, so the function may
     change and callers are expected to know which regime they are in.
     """
@@ -436,6 +420,9 @@ def _read_manifest(fh, magic, version=MODEL_FORMAT_VERSION):
         if not line:
             continue
         key, _, rest = line.partition(" ")
+        # every field is given once, bar a model's one "layer" line per layer
+        if key != "layer" and any(k == key for k, _ in fields):
+            raise ParseError(f"duplicate manifest field {key!r}")
         fields.append((key, rest))
 
 

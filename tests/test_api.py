@@ -36,7 +36,6 @@ PUBLIC = [
     "SplitSpec",
     "TrainConfig",
     "TrainingDivergedError",
-    "TransformKind",
     "ValidationError",
     "accuracy",
     "align",

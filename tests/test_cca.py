@@ -639,3 +639,23 @@ def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_
     # per (layer, gamma) it is solved at
     assert counts["inv_sqrt"] == layers * candidates + pairs * layers * candidates
     assert counts["svd"] == pairs * layers * candidates
+
+
+def test_gamma_search_merge_of_ten_models_with_a_width_one_layer(
+    tmp_path, monkeypatch
+):
+    # the one-element biases of the width-1 layer are averaged as np.mean
+    # averages them, inside the search, so its merge is still the one written
+    save_dataset(SEARCH_TASK, tmp_path / "probes.ds")
+    paths = []
+    for seed in range(20, 30):
+        paths.append(tmp_path / f"m{seed}.model")
+        model = random_model(6, (1, 8), 4, seed=seed)
+        save_model(_with_random_biases(model, seed), paths[-1])
+    counts = count_calls(monkeypatch, ["capture"])
+    code = main(["merge", *map(str, paths), "--method", "cca",
+                 "--gamma-search", "auto",
+                 "--probes", str(tmp_path / "probes.ds"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert counts["capture"] == len(paths)

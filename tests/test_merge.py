@@ -28,6 +28,7 @@ from fuselab import (
     format_report,
     generate,
     identity_plan,
+    indirect_matching_diagnostics,
     linear_sum_assignment,
     merge_and_report,
     merge_many,
@@ -50,7 +51,7 @@ from fuselab.analysis import (
 from fuselab.cca import plan_from_solutions
 from fuselab.evaluation import summaries_from_solutions
 from fuselab.matching import plan_from_activations
-from fuselab.merge import SIGMA_FLOOR, SkippedNeuron
+from fuselab.merge import SIGMA_FLOOR, SkippedNeuron, _ModelSum
 
 from _helpers import (
     assert_models_allclose,
@@ -97,6 +98,61 @@ class TestAverageModels:
         b = random_model(3, (5,), 2, seed=1)
         with pytest.raises(ValidationError):
             average_models([a, b])
+
+
+def _average_models_oracle(models):
+    """average_models as np.mean over each parameter of the stacked models."""
+    layers = []
+    for i in range(models[0].num_layers):
+        w = np.mean([m.layers[i].weights for m in models], axis=0)
+        b = np.mean([m.layers[i].bias for m in models], axis=0)
+        layers.append(DenseLayer(w, b, models[0].layers[i].activation))
+    tags = [m.seed_tag for m in models if m.seed_tag]
+    tag = "+".join(tags) if tags else None
+    return MlpModel(tuple(layers), models[0].input_dim, tag)
+
+
+def _parameter(rng, shape):
+    """Values over several magnitudes, about a fifth of them +-0.0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    zeros = np.copysign(0.0, rng.standard_normal(shape))
+    return np.where(rng.random(shape) < 0.2, zeros, values)
+
+
+@st.composite
+def mean_cases(draw):
+    """1-12 models of one shape whose layers are often 1 wide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = st.sampled_from([1, 1, 2, 5])
+    dims = [draw(width), *draw(st.lists(width, min_size=1, max_size=2)),
+            draw(width)]
+    models = []
+    for k in range(draw(st.integers(1, 12))):
+        layers = tuple(
+            DenseLayer(
+                _parameter(rng, (fan_out, fan_in)),
+                _parameter(rng, fan_out),
+                Activation.RELU if i < len(dims) - 2 else Activation.IDENTITY,
+            )
+            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
+        )
+        tag = draw(st.sampled_from([None, f"m{k}"]))
+        models.append(MlpModel(layers, dims[0], tag))
+    return models
+
+
+class TestOneMean:
+    @settings(max_examples=300, deadline=None)
+    @given(mean_cases())
+    def test_matches_np_mean_bytes(self, models):
+        # np.mean sums a one-element parameter pairwise from 8 models on
+        expect = _average_models_oracle(models)
+        total = _ModelSum(models[0])
+        for m in models[1:]:
+            total.add(m)
+        for got in (average_models(models), total.mean()):
+            assert model_bytes(got) == model_bytes(expect)
+            assert got.seed_tag == expect.seed_tag
 
 
 class TestAlign:
@@ -475,13 +531,22 @@ class TestCapturesOncePerModel:
         merge_and_report(models, method, probes, reference_index=n - 1)
         assert counts["capture"] == n
 
-    def test_analyze_three_models_makes_five_captures(self, monkeypatch):
+    def test_analyze_three_models_makes_three_captures(self, monkeypatch):
         models = [random_model(6, (8, 8), 4, seed=s) for s in range(3)]
         counts = count_calls(monkeypatch, ["capture"])
         analyze(models, PATH_TASK.features)
         # A once for (A, B) and (A, C); B and C once each against A, and
-        # once more each for (B, C)
-        assert counts["capture"] == 5
+        # (B, C) reuses those two captures
+        assert counts["capture"] == 3
         counts.clear()
         analyze(models[:2], PATH_TASK.features)
         assert counts["capture"] == 2
+
+    @pytest.mark.parametrize("method", [MethodTag.PERMUTE, MethodTag.CCA])
+    def test_indirect_diagnostics_make_three_captures(
+        self, monkeypatch, method
+    ):
+        models = [random_model(6, (8, 8), 4, seed=s) for s in range(3)]
+        counts = count_calls(monkeypatch, ["capture"])
+        indirect_matching_diagnostics(*models, method, PATH_TASK.features)
+        assert counts["capture"] == 3

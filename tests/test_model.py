@@ -20,7 +20,6 @@ from fuselab import (
     NumericalError,
     ParseError,
     ShapeError,
-    TransformKind,
     ValidationError,
     apply_plan,
     forward,
@@ -111,27 +110,28 @@ class TestModelValidation:
             MlpModel(layers, 4, seed_tag=tag)
 
 
-def _permutation(matrix):
-    return LayerTransform(matrix, matrix.T, TransformKind.PERMUTATION, 0)
-
-
 class TestLayerTransform:
     def test_permutation_inverse_is_transpose(self):
         t = LayerTransform.from_mapping([2, 0, 1], 0)
         np.testing.assert_array_equal(t.inverse, t.forward.T)
-        assert t.kind is TransformKind.PERMUTATION
 
     def test_permutation_structure_enforced(self):
-        with pytest.raises(ValidationError):
-            _permutation(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ValidationError):
-            _permutation(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        for mapping in [
+            [-1, 0],  # negative: numpy would wrap it round to [1, 0]
+            [0.7, 1.2],  # non-integer: a cast would truncate it to [0, 1]
+            [1.0, 0.0],  # a permutation, but of floats
+            [True, False],
+            [0, 2],  # out of range
+            [[0, 1]],  # not 1-d
+            [0, 0],  # repeated
+        ]:
+            with pytest.raises(ValidationError, match="mapping at layer 3 "):
+                LayerTransform.from_mapping(mapping, 3)
 
     def test_general_round_trips(self, rng):
         m = rng.standard_normal((6, 6)) + 3 * np.eye(6)
         t = LayerTransform.general(m, 1)
         np.testing.assert_allclose(t.forward @ t.inverse, np.eye(6), atol=1e-8)
-        assert t.kind is TransformKind.GENERAL
 
     def test_singular_matrix_rejected(self):
         m = np.ones((3, 3))
@@ -145,7 +145,7 @@ class TestLayerTransform:
 
     def test_mismatched_inverse_rejected(self):
         with pytest.raises(ValidationError):
-            LayerTransform(np.eye(2), 2 * np.eye(2), TransformKind.GENERAL, 0)
+            LayerTransform(np.eye(2), 2 * np.eye(2), 0)
 
 
 class TestApplyPlan:
@@ -334,6 +334,13 @@ def _file_cases(kind, seed):
         return obj, path.read_bytes()
 
 
+# fields a manifest may give only once (a model repeats "layer" per layer)
+_SINGLE_FIELDS = {
+    "model": (b"input_dim", b"layers", b"seed_tag"),
+    "dataset": (b"m", b"d", b"seed"),
+}
+
+
 def _load(kind, data):
     """Decode data from a file; a ParseError must name that file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -417,19 +424,33 @@ class TestCorruptFiles:
             load_model(path)
 
     @pytest.mark.parametrize("kind", ["model", "dataset"])
-    @pytest.mark.parametrize("edit", ["magic", "field", "payload"])
+    @pytest.mark.parametrize(
+        "edit", ["magic", "field", "payload", "repeat0", "repeat1", "repeat2"]
+    )
     def test_manifest_errors_name_the_file(self, tmp_path, kind, edit):
         _, data = _file_cases(kind, 0)
+        expect = ""
         if edit == "magic":
             data = b"garbage\n" + data.split(b"\n", 1)[1]
         elif edit == "field":
             data = data.replace(b"\nend\n", b"\nwhat 3\nend\n", 1)
+        elif edit.startswith("repeat"):
+            # one field's line again, verbatim, just before "end"
+            key = _SINGLE_FIELDS[kind][int(edit[-1])]
+            head, end, payload = data.partition(b"\nend\n")
+            line = next(
+                x for x in head.split(b"\n") if x.split(b" ")[0] == key
+            )
+            data = head + b"\n" + line + end + payload
+            expect = f"duplicate manifest field {key.decode()!r}"
         else:
             data = data[:-1]
         path = tmp_path / f"bad.{kind}"
         path.write_bytes(data)
         load = load_model if kind == "model" else load_dataset
-        with pytest.raises(ParseError, match=re.escape(f"{kind} {path}: ")):
+        with pytest.raises(
+            ParseError, match=re.escape(f"{kind} {path}: {expect}")
+        ):
             load(path)
 
     def test_labels_out_of_range_name_the_file(self, tmp_path):
