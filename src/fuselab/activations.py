@@ -1,14 +1,17 @@
 """Hidden-feature statistics on a probe set.
 
 Capture runs probes through a model and keeps the post-activation output of
-every hidden layer, column-centered. Scatter and correlation statistics for
-a pair of models at the same layer are built from those centered matrices;
-neurons whose probe variance is below DEGENERATE_VARIANCE cannot carry a
-correlation and are flagged instead of poisoning downstream algebra.
+every hidden layer, column-centered. Alignment reads a capture pair only
+through its _PairStats: per layer, each model's Gram X^T X, column norms
+and dead-neuron mask, and S_ab = A^T B. The permute correlations and the
+CCA solutions at any ridge all come from those. Neurons whose probe
+variance is below DEGENERATE_VARIANCE cannot carry a correlation and are
+flagged instead of poisoning downstream algebra.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +125,78 @@ def _check_gamma(gamma):
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
 
 
+def _columns(x):
+    """(column norms, dead-neuron mask) of one centered activation block."""
+    return np.linalg.norm(x.values, axis=0), x.variances() < DEGENERATE_VARIANCE
+
+
+def _correlations(s_ab, columns_a, columns_b):
+    (norm_a, dead_a), (norm_b, dead_b) = columns_a, columns_b
+    denom = np.outer(norm_a, norm_b)
+    mask = np.logical_or.outer(dead_a, dead_b)
+    denom[mask] = 1.0
+    values = s_ab / denom
+    values[mask] = 0.0
+    return CorrelationMatrix(values, mask)
+
+
+# one model's per-layer statistics from its capture; roots holds the Grams'
+# inverse square roots per (layer, gamma) while the side is a reference
+_Side = namedtuple("_Side", "model grams columns roots")
+
+
+def _side(model, acts, columns=True):
+    grams = [x.values.T @ x.values for x in acts]
+    return _Side(model, grams, [_columns(x) for x in acts] if columns else None, {})
+
+
+class _PairStats:
+    """Everything alignment reads of one capture pair: the reference's side
+    a (shared by all its pairs), the partner's side b, s_ab[i] = A_i^T B_i,
+    and solved, the (gamma key, solutions) of the last CCA solve."""
+
+    def __init__(self, a, b, s_ab):
+        self.a, self.b, self.s_ab, self.solved = a, b, s_ab, None
+
+    def correlations(self):
+        layers = zip(self.s_ab, self.a.columns, self.b.columns)
+        return [_correlations(*layer) for layer in layers]
+
+
+def _pair(a, acts_a, b, acts_b):
+    """_PairStats of two captures on one probe set, given their sides."""
+    for x, y in zip(acts_a, acts_b):
+        _check_pair(x, y)
+    return _PairStats(a, b, [x.values.T @ y.values for x, y in zip(acts_a, acts_b)])
+
+
+def _pair_stats(models, reference_index, probes, columns=True):
+    """Yield models[reference_index]'s _PairStats against each other model
+    in order, capturing each model once. A partner's capture is dropped once
+    its statistics are formed, so a consumer holds one at most. columns=False
+    skips the column statistics, which only correlations read."""
+    reference = models[reference_index]
+    acts = capture(reference, probes)
+    a = _side(reference, acts, columns)
+    for partner in models[:reference_index] + models[reference_index + 1:]:
+        acts_b = capture(partner, probes)
+        pair = _pair(a, acts, _side(partner, acts_b, columns), acts_b)
+        del acts_b
+        yield pair
+
+
+def _pairs_among(models, probes, index_pairs):
+    """[_PairStats of (models[i], models[j]) for (i, j) in index_pairs]."""
+    acts = [capture(m, probes) for m in models]
+    sides = [_side(m, x) for m, x in zip(models, acts)]
+    return [_pair(sides[i], acts[i], sides[j], acts[j]) for i, j in index_pairs]
+
+
 def scatter(a, b, gamma=0.0):
     """Scatter matrices X^T X of the centered activations, ridge recorded."""
-    _check_pair(a, b)
+    pair = _pair(_side(None, [a], False), [a], _side(None, [b], False), [b])
     _check_gamma(gamma)
-    return ScatterStats(
-        s_aa=a.values.T @ a.values,
-        s_bb=b.values.T @ b.values,
-        s_ab=a.values.T @ b.values,
-        gamma=float(gamma),
-    )
+    return ScatterStats(*pair.a.grams, *pair.b.grams, *pair.s_ab, float(gamma))
 
 
 def correlations(a, b):
@@ -141,13 +206,4 @@ def correlations(a, b):
     get value 0 and a raised flag in the mask.
     """
     _check_pair(a, b)
-    dead_a = a.variances() < DEGENERATE_VARIANCE
-    dead_b = b.variances() < DEGENERATE_VARIANCE
-    norm_a = np.linalg.norm(a.values, axis=0)
-    norm_b = np.linalg.norm(b.values, axis=0)
-    denom = np.outer(norm_a, norm_b)
-    mask = np.logical_or.outer(dead_a, dead_b)
-    denom[mask] = 1.0
-    values = (a.values.T @ b.values) / denom
-    values[mask] = 0.0
-    return CorrelationMatrix(values, mask)
+    return _correlations(a.values.T @ b.values, _columns(a), _columns(b))

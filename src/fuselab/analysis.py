@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cca, merge
-from .activations import correlations
+from . import cca, matching, merge
+from .activations import _pairs_among
 from .errors import ConfigurationError, ShapeError, ValidationError
 from .model import MethodTag
 
@@ -180,14 +180,11 @@ def indirect_matching_diagnostics(
         raise ConfigurationError(
             "indirect matching is defined for permute and cca"
         )
-    stats = cca.ReferenceStats(model_a, probes)
-    acts_ac = stats.capture_pair(model_c)
-    acts_ab = stats.capture_pair(model_b)
-    plan_ca = merge._align(stats, model_c, method, gamma, acts=acts_ac)[0]
-    plan_ba = merge._align(stats, model_b, method, gamma, acts=acts_ab)[0]
-    acts_bc = acts_ab[1], acts_ac[1]
-    stats = cca.ReferenceStats(model_b, probes)
-    plan_cb = merge._align(stats, model_c, method, gamma, acts=acts_bc)[0]
+    models = model_a, model_b, model_c
+    pairs = iter(_pairs_among(models, probes, ((0, 2), (0, 1), (1, 2))))
+    plan_ca, plan_ba, plan_cb = (
+        merge._align(m, method, pairs, gamma) for m in (model_c, model_b, model_c)
+    )
     return _indirect(plan_ca, plan_ba, plan_cb)
 
 
@@ -199,31 +196,28 @@ class PairLayerDiagnostics:
     wasserstein_ratios: tuple  # ((k, ratio), ...)
 
 
-def _pair_plans(stats, other, gamma, acts):
-    """{method: plan} for permute and cca from one capture of the pair."""
-    plan, sols = merge._align(
-        stats, other, MethodTag.PERMUTE, gamma, solve=True, acts=acts
-    )
-    return {
-        MethodTag.PERMUTE: plan,
+def _pair_plans(pair, gamma):
+    """({method: plan} for permute and cca, the pair's correlations)."""
+    sols = cca.solve_pair(pair, gamma)
+    corrs = pair.correlations()
+    plans = {
+        MethodTag.PERMUTE: matching._plan_from_correlations(corrs),
         MethodTag.CCA: cca.plan_from_solutions(sols),
     }
+    return plans, corrs
 
 
-def _diagnose_pair(stats, other, gamma):
-    """(pair diagnostics, _pair_plans, the pair's capture) of other against
-    stats.reference."""
-    acts = stats.capture_pair(other)
-    plans = _pair_plans(stats, other, gamma, acts)
+def _diagnose_pair(pair, gamma):
+    """(pair diagnostics, _pair_plans' plans) of one pair's statistics."""
+    plans, corrs = _pair_plans(pair, gamma)
     out = []
-    for i, (a, b, matched, transform) in enumerate(
+    for i, (corr, matched, transform) in enumerate(
         zip(
-            *acts,
+            corrs,
             plans[MethodTag.PERMUTE].transforms,
             plans[MethodTag.CCA].transforms,
         )
     ):
-        corr = correlations(a, b)
         n = corr.values.shape[0]
         # row i of a permutation holds its matched column's 1
         mapping = np.argmax(matched.forward, axis=1)
@@ -242,7 +236,7 @@ def _diagnose_pair(stats, other, gamma):
                 i, _non_optimal_pct(corr.values, mapping), coverage, ratios
             )
         )
-    return out, plans, acts
+    return out, plans
 
 
 def _mean(diagnostics, key):
@@ -287,20 +281,17 @@ def analyze(models, probes, gamma=None):
     """Pair diagnostics for the first two models; triple diagnostics when a
     third is given.
 
-    Each model is captured once: (B, C) is aligned from the captures of
-    B and C against A, and both methods' plans come from one capture.
+    Each model is captured once, and both methods' plans and the
+    diagnostics' correlations come from one pair's statistics.
     """
     if len(models) not in (2, 3):
         raise ConfigurationError("analysis works on 2 or 3 models")
-    stats = cca.ReferenceStats(models[0], probes)
-    pair_layers, plans_ab, acts_ab = _diagnose_pair(stats, models[1], gamma)
+    index_pairs = ((0, 1), (0, 2), (1, 2))[: 1 if len(models) == 2 else 3]
+    pairs = _pairs_among(models, probes, index_pairs)
+    pair_layers, plans_ab = _diagnose_pair(pairs[0], gamma)
     indirect = None
     if len(models) == 3:
-        acts_ac = stats.capture_pair(models[2])
-        plans_ac = _pair_plans(stats, models[2], gamma, acts_ac)
-        acts_bc = acts_ab[1], acts_ac[1]
-        stats = cca.ReferenceStats(models[1], probes)
-        plans_bc = _pair_plans(stats, models[2], gamma, acts_bc)
+        plans_ac, plans_bc = (_pair_plans(p, gamma)[0] for p in pairs[1:])
         indirect = {
             method.value: tuple(
                 _indirect(plans_ac[method], plans_ab[method], plans_bc[method])

@@ -7,26 +7,26 @@ maximally correlated. The layer transform that rewrites model B's features
 in model A's basis is T = (P_b P_a^-1)^T; with an invertible linear mixing
 between the two feature spaces this recovers the mixing's inverse exactly.
 
-Only the ridge depends on gamma. ReferenceStats holds what does not, for one
-call: the reference's capture and Gram matrices, formed once, and its
-inverse square roots, one per (layer, gamma). A partner is captured and its
-scatter formed once (pair_scatter) and then solved at any number of ridges
-(solve_pair). The gamma search walks pairs in the outer loop and candidates
-in the inner loop, so no model is captured twice. For `merge --gamma-search`
-the same loop also keeps each candidate's merge as a running parameter sum,
-so the command captures each model once in total and writes the winning
-candidate's merge without solving any pair again. Every product is the same
-BLAS call on the same operands as a from-scratch solve, so results are
-bit-identical.
+Only the ridge depends on gamma. solve_pair solves one
+activations._PairStats at any ridge, keeping the reference's inverse
+square roots once per (layer, gamma). The gamma search walks pairs in the
+outer loop, as they are formed, and candidates in the inner loop; for
+`merge --gamma-search` it also keeps each candidate's merge as a running
+parameter sum, so the winner is written without solving any pair again.
+Every product is the same BLAS call on the same operands as a from-scratch
+solve, so results are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 
-from .activations import ScatterStats, _check_gamma, _check_pair, capture
+# capture stays bound here: bench/test_tracer.py checks that the tracer
+# wraps every module's binding of it
+from .activations import _check_gamma, _pair_stats, capture  # noqa: F401
 from .errors import GammaSelectionError, NumericalError, ShapeError, ValidationError
 from .model import AlignmentPlan, LayerTransform, MethodTag, _check_rcond, apply_plan
 
@@ -135,66 +135,27 @@ def default_gamma(s_aa, s_bb):
     return DEFAULT_GAMMA_COEFF * _layer_scale(s_aa, s_bb)
 
 
-class ReferenceStats:
-    """Gamma-free statistics of one reference model on one probe set.
-
-    The reference is captured by the first capture_pair and its activations
-    kept; its per-layer Gram matrices are formed by the first pair_scatter
-    and kept; its inverse square roots are kept once per (layer, gamma). A
-    partner's capture, Gram and cross-scatter live only as long as the
-    caller holds them. Build one per call and drop it when the call's
-    alignment loop ends: probes are mutable arrays, so the statistics must
-    not outlive the call that computed them.
-    """
-
-    def __init__(self, reference, probes):
-        self.reference = reference
-        self.probes = probes
-        self.acts = None
-        self.grams = None
-        self.roots = {}
-
-    def capture_pair(self, other):
-        """The reference's (captured once) and other's activations."""
-        if self.acts is None:
-            self.acts = capture(self.reference, self.probes)
-        return self.acts, capture(other, self.probes)
-
-
-def pair_scatter(stats, acts_a, acts_b):
-    """Per-layer ScatterStats of the reference against a partner.
-
-    acts_a must be the reference's capture on stats.probes. The ridge is
-    applied at solve time, so every entry records gamma 0.
-    """
-    for a, b in zip(acts_a, acts_b):
-        _check_pair(a, b)
-    if stats.grams is None:
-        stats.grams = [a.values.T @ a.values for a in acts_a]
-    return [
-        ScatterStats(
-            s_aa, b.values.T @ b.values, a.values.T @ b.values, 0.0
-        )
-        for a, b, s_aa in zip(acts_a, acts_b, stats.grams)
-    ]
-
-
-def solve_pair(stats, scatters, gamma=None):
-    """Per-layer CCA solutions from pair_scatter's output.
+def solve_pair(pair, gamma=None):
+    """Per-layer CCA solutions of one activations._PairStats.
 
     gamma=None applies the scale-aware default independently per layer;
-    a float applies that exact ridge everywhere.
+    a float applies that exact ridge everywhere. The solutions are kept on
+    the pair until it is solved at another ridge.
     """
+    # hex() keeps -0.0 and 0.0 apart: the ridged matrices may differ
+    key = None if gamma is None else float(gamma).hex()
+    if pair.solved is not None and pair.solved[0] == key:
+        return pair.solved[1]
     sols = []
-    for i, s in enumerate(scatters):
-        g = default_gamma(s.s_aa, s.s_bb) if gamma is None else float(gamma)
-        # hex() keeps -0.0 and 0.0 apart: the ridged matrices may differ
-        key = (i, g.hex())
-        root_a = stats.roots.get(key)
+    for i, (s_aa, s_bb, s_ab) in enumerate(
+        zip(pair.a.grams, pair.b.grams, pair.s_ab)
+    ):
+        g = default_gamma(s_aa, s_bb) if gamma is None else float(gamma)
+        root_a = pair.a.roots.get((i, g.hex()))
         if root_a is None:
-            root_a = stats.roots[key] = inv_sqrt(s.s_aa, g)
-        root_b = inv_sqrt(s.s_bb, g)
-        sols.append(_whitened_solution(root_a, s.s_ab, root_b, g))
+            root_a = pair.a.roots[i, g.hex()] = inv_sqrt(s_aa, g)
+        sols.append(_whitened_solution(root_a, s_ab, inv_sqrt(s_bb, g), g))
+    pair.solved = key, sols
     return sols
 
 
@@ -204,10 +165,8 @@ def solve_layers(model_a, model_b, probes, gamma=None):
     gamma=None applies the scale-aware default independently per layer;
     a float applies that exact ridge everywhere.
     """
-    stats = ReferenceStats(model_a, probes)
-    return solve_pair(
-        stats, pair_scatter(stats, *stats.capture_pair(model_b)), gamma
-    )
+    pair = next(_pair_stats([model_a, model_b], 0, probes, columns=False))
+    return solve_pair(pair, gamma)
 
 
 def plan_from_solutions(solutions):
@@ -222,9 +181,11 @@ def cca_plan(model_a, model_b, probes, gamma=None):
     return plan_from_solutions(solve_layers(model_a, model_b, probes, gamma))
 
 
-def _grid(gram_pairs):
+def _grid(pair):
     """Scale-aware candidate ridges: GAMMA_GRID_COEFFS x mean diag scatter."""
-    scale = float(np.mean([_layer_scale(*grams) for grams in gram_pairs]))
+    scale = float(
+        np.mean([_layer_scale(*g) for g in zip(pair.a.grams, pair.b.grams)])
+    )
     return [c * scale for c in GAMMA_GRID_COEFFS]
 
 
@@ -236,22 +197,25 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     dropped. Ties go to the larger gamma. candidate_gammas=None walks
     the scale-aware grid of the first pair, read from its statistics.
 
-    Pairs are walked in the outer loop, so each pair is captured and its
-    scatter formed once, and pairs sharing a reference share its Grams and
-    inverse square roots.
+    Each model is captured once per run of pairs sharing a reference, and
+    such pairs share its Grams and inverse square roots.
     """
-    return _search(candidate_gammas, model_pairs, probes, eval_ds)[0]
+    runs = (list(run) for _, run in groupby(model_pairs, lambda p: id(p[0])))
+    pairs = chain.from_iterable(
+        _pair_stats([run[0][0], *(b for _, b in run)], 0, probes, columns=False)
+        for run in runs
+    )
+    return _search(candidate_gammas, pairs, eval_ds)[0]
 
 
-def _search(candidate_gammas, model_pairs, probes, eval_ds, keep_merge=False):
-    """(select_gamma's choice, its merge or None).
+def _search(candidate_gammas, pairs, eval_ds, keep_merge=False):
+    """(select_gamma's choice, its merge or None) over an iterable of
+    activations._PairStats, formed as they are consumed.
 
     keep_merge asks for the merge as (model, layer summaries), what
-    merge_and_report makes of [reference, *partners] at the chosen gamma;
-    it comes back whenever every pair has the same reference. Each live
-    candidate then keeps its first pair's summaries and a merge._ModelSum
-    of [reference, *aligned partners], the sum average_models folds, so
-    the merge is the same bytes for any model count.
+    merge_and_report makes of [reference, *partners] at the chosen gamma,
+    for pairs sharing one reference. Each live candidate keeps its first
+    pair's summaries and a merge._ModelSum, the sum average_models folds.
     """
     from .evaluation import accuracy, summaries_from_solutions
     from .merge import _ModelSum, average_models
@@ -261,43 +225,38 @@ def _search(candidate_gammas, model_pairs, probes, eval_ds, keep_merge=False):
         candidates = sorted(float(g) for g in candidate_gammas)
         if not candidates:
             raise GammaSelectionError("no candidate gammas given")
-    if not model_pairs:
-        raise GammaSelectionError("no model pairs given")
-    reference = model_pairs[0][0]
-    keep = keep_merge and all(a is reference for a, _ in model_pairs)
     kept = {}  # candidate index -> (first pair's summaries, _ModelSum)
-    stats = None
     scores = None  # candidate index -> accuracy per pair, failures removed
-    for model_a, model_b in model_pairs:
-        if stats is None or stats.reference is not model_a:
-            stats = ReferenceStats(model_a, probes)
-        try:
-            pair = pair_scatter(stats, *stats.capture_pair(model_b))
-        except (NumericalError, ValidationError):
+    try:
+        for pair in pairs:
             if candidates is None:
-                raise
-            scores = {}  # every candidate would fail on this pair
-            break
+                candidates = sorted(_grid(pair))
+            if scores is None:
+                scores = {c: [] for c in range(len(candidates))}
+            for c in list(scores):
+                try:
+                    sols = solve_pair(pair, candidates[c])
+                    aligned = apply_plan(pair.b.model, plan_from_solutions(sols))
+                    merged = average_models([pair.a.model, aligned])
+                    scores[c].append(accuracy(merged, eval_ds))
+                except (NumericalError, ValidationError):
+                    del scores[c]
+                    kept.pop(c, None)
+                    continue
+                if keep_merge:
+                    if c not in kept:
+                        kept[c] = (summaries_from_solutions(sols),
+                                   _ModelSum(pair.a.model))
+                    kept[c][1].add(aligned)
+            if not scores:
+                break
+    except (NumericalError, ValidationError):
+        # only forming a pair raises out of the loop body
         if candidates is None:
-            candidates = sorted(_grid((s.s_aa, s.s_bb) for s in pair))
-        if scores is None:
-            scores = {c: [] for c in range(len(candidates))}
-        for c in list(scores):
-            try:
-                sols = solve_pair(stats, pair, candidates[c])
-                aligned = apply_plan(model_b, plan_from_solutions(sols))
-                merged = average_models([model_a, aligned])
-                scores[c].append(accuracy(merged, eval_ds))
-            except (NumericalError, ValidationError):
-                del scores[c]
-                kept.pop(c, None)
-                continue
-            if keep:
-                if c not in kept:
-                    kept[c] = summaries_from_solutions(sols), _ModelSum(model_a)
-                kept[c][1].add(aligned)
-        if not scores:
-            break
+            raise
+        scores = {}  # every candidate would fail on this pair
+    if scores is None:
+        raise GammaSelectionError("no model pairs given")
     best = None
     best_score = -np.inf
     for c, pair_scores in scores.items():
@@ -309,7 +268,7 @@ def _search(candidate_gammas, model_pairs, probes, eval_ds, keep_merge=False):
         raise GammaSelectionError(
             "every candidate gamma failed during merging"
         )
-    if not keep:
+    if not keep_merge:
         return candidates[best], None
     summaries, total = kept[best]
     return candidates[best], (total.mean(), summaries)

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import analysis, cca, evaluation, reports, trainer
 from .datagen import SplitKind, SplitSpec, generate, load_dataset, save_dataset, split
+from .activations import _pair_stats
 from .errors import ConfigurationError, FuselabError, ParseError
-from .evaluation import evaluate_merge, merge_and_report
+from .evaluation import merge_and_report
 from .model import MethodTag, load_model, save_model
 from .trainer import TrainConfig, seeds_for
 
@@ -134,17 +135,18 @@ def _reference(args, count):
     return args.reference
 
 
-def _resolve_gamma(args, models, probes, probes_ds, reference, keep=False):
+def _resolve_gamma(args, pairs, probes_ds, keep=False):
     """Returns (gamma or None, the search's merge at that gamma or None).
 
-    keep asks the search for its cca merge, which it always returns.
+    pairs (None without probes) are the reference's _PairStats against the
+    others; keep asks the search for its cca merge, which it always returns.
     """
     search = args.gamma_search
     if search is None:
         return args.gamma, None
     if args.gamma is not None:
         raise ConfigurationError("--gamma and --gamma-search are exclusive")
-    if probes is None:
+    if pairs is None:
         raise ConfigurationError("--gamma-search needs probes")
     # auto: select_gamma walks the grid of the first pair
     candidates = None
@@ -155,10 +157,7 @@ def _resolve_gamma(args, models, probes, probes_ds, reference, keep=False):
                 raise ConfigurationError(
                     f"--gamma-search candidate {g} must be finite and >= 0"
                 )
-    pairs = [
-        (models[reference], m) for i, m in enumerate(models) if i != reference
-    ]
-    return cca._search(candidates, pairs, probes, probes_ds, keep)
+    return cca._search(candidates, pairs, probes_ds, keep)
 
 
 def cmd_merge(args):
@@ -175,9 +174,10 @@ def cmd_merge(args):
         probes_ds = load_dataset(args.probes)
         probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
     reference = _reference(args, len(models))
-    gamma, made = _resolve_gamma(
-        args, models, probes, probes_ds, reference, method is MethodTag.CCA
-    )
+    pairs = None  # the search forms them as it goes; it reads no correlations
+    if probes is not None:
+        pairs = _pair_stats(models, reference, probes, columns=False)
+    gamma, made = _resolve_gamma(args, pairs, probes_ds, method is MethodTag.CCA)
     merged, report, _ = merge_and_report(
         models, method, probes, gamma, args.repair, reference, made=made
     )
@@ -277,7 +277,9 @@ def cmd_experiment(args):
         models = [trainer.train(d, c) for d, c in zip(parts, cfgs)]
 
     probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
-    gamma, _ = _resolve_gamma(args, models, probes, train_ds, reference)
+    # one capture per model: the search and every method read these pairs
+    pairs = list(_pair_stats(models, reference, probes))
+    gamma, _ = _resolve_gamma(args, pairs, train_ds)
 
     items = [
         ("report", "experiment"),
@@ -310,9 +312,9 @@ def cmd_experiment(args):
         ("ensemble_accuracy", evaluation.ensemble_accuracy(models, test_ds))
     )
     for method in methods:
-        _, rep = evaluate_merge(
-            method, models, train_ds, test_ds, gamma, args.repair,
-            args.probe_limit, args.grid, reference,
+        _, rep = evaluation._evaluate_merge(
+            method, models, test_ds, probes, gamma, args.repair, args.grid,
+            reference, pairs,
         )
         p = f"method.{CLI_NAME[method]}"
         items.append((f"{p}.merged_accuracy", rep.merged_accuracy))

@@ -3,10 +3,11 @@
 The barrier of a model pair is the worst gap between the loss along the
 straight parameter path and the straight line between the endpoint losses;
 the path is taken between a reference model and an already-aligned partner.
-merge_and_report aligns and averages through merge's all-to-one loop, which
-also returns the aligned partners and the first pair's CCA solutions for the
-layer summaries, or takes the merge the gamma search already made, then
-repairs and reports; it holds no alignment code.
+merge_and_report reads the reference's activations._PairStats against each
+partner: the first pair's CCA solutions give the layer summaries, and
+merge's all-to-one loop aligns and averages from the same pairs (or it
+takes the merge the gamma search made). It then repairs and reports. An
+experiment forms its pairs once for every method.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import merge, trainer
-from .activations import _check_gamma
+from itertools import chain
+
+from . import cca, merge, trainer
+from .activations import _check_gamma, _pair_stats
 from .errors import ConfigurationError, ValidationError
 from .model import DenseLayer, MethodTag, MlpModel, forward
 
@@ -161,16 +164,8 @@ def summaries_from_solutions(solutions):
     )
 
 
-def merge_and_report(
-    models,
-    method,
-    probes=None,
-    gamma=None,
-    repair=False,
-    reference_index=0,
-    *,
-    made=None,
-):
+def merge_and_report(models, method, probes=None, gamma=None, repair=False,
+                     reference_index=0, *, made=None):
     """Run one all-to-one merge and collect its report skeleton.
 
     Returns (merged model, report, aligned non-reference models in their
@@ -181,6 +176,15 @@ def merge_and_report(
     has already made it, as the gamma search does; nothing is aligned again
     and no aligned models come back.
     """
+    return _merge_and_report(
+        models, method, probes, gamma, repair, reference_index, made
+    )
+
+
+def _merge_and_report(models, method, probes, gamma, repair, reference_index,
+                      made=None, pairs=None):
+    """merge_and_report; pairs, when given, are the reference's _PairStats
+    against the other models in order, formed once by the caller."""
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
     if not 0 <= reference_index < len(models):
@@ -190,10 +194,16 @@ def merge_and_report(
     reference = models[reference_index]
     if made is None:
         others = [m for i, m in enumerate(models) if i != reference_index]
-        merged, aligned, sols = merge._merge_all(
-            reference, others, method, probes, gamma, solve=probes is not None
-        )
-        summaries = () if sols is None else summaries_from_solutions(sols)
+        if pairs is None and probes is not None:
+            pairs = _pair_stats(models, reference_index, probes)
+        summaries = ()
+        if pairs is not None:  # the first pair is solved before any merging
+            pairs = iter(pairs)
+            first = next(pairs)
+            summaries = summaries_from_solutions(cca.solve_pair(first, gamma))
+            pairs = chain([first], pairs)
+        merged, aligned = merge._merge_all(reference, others, method, pairs, gamma)
+        pairs = first = None  # a stream holds the reference's capture
     else:
         (merged, summaries), aligned = made, None
     skipped = ()
@@ -214,30 +224,24 @@ def merge_and_report(
     return merged, report, aligned
 
 
-def evaluate_merge(
-    method,
-    models,
-    train_ds,
-    test_ds,
-    gamma=None,
-    repair=False,
-    probe_limit=None,
-    grid_size=DEFAULT_GRID_SIZE,
-    reference_index=0,
-):
+def evaluate_merge(method, models, train_ds, test_ds, gamma=None, repair=False,
+                   probe_limit=None, grid_size=DEFAULT_GRID_SIZE,
+                   reference_index=0):
     """Merge `models` with `method` and score the merge on the test set.
 
     Endpoint and ensemble accuracies are left to the caller, which scores
     them once however many methods it merges with.
     """
     probes = limit_probes(train_ds.features, probe_limit)
-    merged, report, aligned = merge_and_report(
-        models,
-        method,
-        probes=probes,
-        gamma=gamma,
-        repair=repair,
-        reference_index=reference_index,
+    return _evaluate_merge(method, models, test_ds, probes, gamma, repair,
+                           grid_size, reference_index)
+
+
+def _evaluate_merge(method, models, test_ds, probes, gamma, repair, grid_size,
+                    reference_index, pairs=None):
+    """evaluate_merge on given probes; pairs as for _merge_and_report."""
+    merged, report, aligned = _merge_and_report(
+        models, method, probes, gamma, repair, reference_index, pairs=pairs
     )
     loss, acc = trainer.cross_entropy_accuracy(merged, test_ds)
     barrier = None
@@ -246,8 +250,5 @@ def evaluate_merge(
             models[reference_index], aligned[0], test_ds, grid_size
         ).barrier
     return merged, dataclasses.replace(
-        report,
-        merged_accuracy=acc,
-        merged_loss=loss,
-        barrier=barrier,
+        report, merged_accuracy=acc, merged_loss=loss, barrier=barrier
     )

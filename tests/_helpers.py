@@ -18,6 +18,7 @@ from fuselab import (
     apply_plan,
     init_model,
 )
+from fuselab.activations import DEGENERATE_VARIANCE, CorrelationMatrix
 
 
 def assert_models_allclose(a, b, atol=0.0, rtol=0.0):
@@ -100,21 +101,41 @@ def tiny_relu_model(weight_rows, bias_rows, head_w, head_b):
     return MlpModel(layers, np.asarray(weight_rows).shape[1])
 
 
+def correlations_oracle(a, b):
+    """Pearson correlations of two centered activation blocks, formed from
+    the blocks themselves rather than from pair statistics."""
+    dead_a = a.variances() < DEGENERATE_VARIANCE
+    dead_b = b.variances() < DEGENERATE_VARIANCE
+    norm_a = np.linalg.norm(a.values, axis=0)
+    norm_b = np.linalg.norm(b.values, axis=0)
+    denom = np.outer(norm_a, norm_b)
+    mask = np.logical_or.outer(dead_a, dead_b)
+    denom[mask] = 1.0
+    values = (a.values.T @ b.values) / denom
+    values[mask] = 0.0
+    return CorrelationMatrix(values, mask)
+
+
 def count_calls(monkeypatch, names):
-    """Wrap every binding of the named functions in every fuselab module."""
+    """Wrap every binding of the named functions in every fuselab module.
+
+    A name fuselab does not export is taken from numpy.linalg (svd, eigh,
+    ...), which fuselab looks up at call time.
+    """
     counts = Counter()
     modules = [fuselab] + [
         importlib.import_module(f"fuselab.{info.name}")
         for info in pkgutil.iter_modules(fuselab.__path__)
     ]
     for name in names:
-        original = getattr(fuselab, name)
+        owners = modules if hasattr(fuselab, name) else [np.linalg]
+        original = getattr(owners[0], name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in modules:
+        for mod in owners:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return counts

@@ -2,11 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuselab import ShapeError, ValidationError, capture, correlations, scatter
-from fuselab.activations import DEGENERATE_VARIANCE, ActivationMatrix, probe_matrix
+from fuselab import (
+    DenseLayer,
+    MlpModel,
+    ShapeError,
+    ValidationError,
+    capture,
+    correlations,
+    scatter,
+)
+from fuselab.activations import (
+    DEGENERATE_VARIANCE,
+    ActivationMatrix,
+    _pair,
+    _pair_stats,
+    _pairs_among,
+    _side,
+    probe_matrix,
+)
 
-from _helpers import tiny_relu_model
+from _helpers import correlations_oracle, random_model, tiny_relu_model
 
 
 def _mat(values, layer_index=0):
@@ -129,3 +147,104 @@ class TestCorrelations:
         assert np.all(corr.degenerate_mask[1, :])
         assert not corr.degenerate_mask[0, 0]
         assert np.var(dead) < DEGENERATE_VARIANCE
+
+
+def _same_correlations(fast, slow):
+    return (
+        fast.values.tobytes() == slow.values.tobytes()
+        and fast.degenerate_mask.tobytes() == slow.degenerate_mask.tobytes()
+    )
+
+
+@st.composite
+def _blocks(draw):
+    """Two activation blocks on the same rows; some columns constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.integers(2, 30)), draw(st.integers(1, 8))
+    blocks = []
+    for _ in range(2):
+        x = rng.standard_normal(shape)
+        x *= 10.0 ** rng.integers(-3, 4, size=x.shape[1])
+        dead = rng.random(x.shape[1]) < 0.3
+        x[:, dead] = rng.standard_normal(int(dead.sum()))
+        blocks.append(_mat(np.maximum(x, 0.0) if draw(st.booleans()) else x))
+    return blocks
+
+
+class TestPairStatistics:
+    @settings(max_examples=150, deadline=None)
+    @given(_blocks())
+    def test_correlations_match_the_oracle_bytes(self, blocks):
+        a, b = blocks
+        pair = _pair(_side(None, [a]), [a], _side(None, [b]), [b])
+        expect = correlations_oracle(a, b)
+        assert _same_correlations(pair.correlations()[0], expect)
+        assert _same_correlations(correlations(a, b), expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_captured_pairs_match_the_oracle_bytes(self, seed, dead_bias):
+        # negative biases kill ReLU neurons on every probe: dead columns
+        rng = np.random.default_rng(seed)
+        models = [random_model(5, (7, 6), 3, seed=int(s))
+                  for s in rng.integers(2**31, size=3)]
+        if dead_bias:
+            first = models[1].layers[0]
+            bias = first.bias - 50.0 * (rng.random(first.bias.size) < 0.5)
+            layers = (DenseLayer(first.weights, bias, first.activation),
+                      *models[1].layers[1:])
+            models[1] = MlpModel(layers, models[1].input_dim)
+        probes = rng.standard_normal((int(rng.integers(2, 40)), 5))
+        acts = [capture(m, probes) for m in models]
+        streamed = list(_pair_stats(models, 0, probes))
+        among = _pairs_among(models, probes, ((0, 1), (0, 2), (1, 2)))
+        for pair, (i, j) in zip(streamed + among[2:], ((0, 1), (0, 2), (1, 2))):
+            for k, corr in enumerate(pair.correlations()):
+                expect = correlations_oracle(acts[i][k], acts[j][k])
+                assert _same_correlations(corr, expect)
+        for fast, slow in zip(among, streamed):
+            assert all(
+                x.values.tobytes() == y.values.tobytes()
+                for x, y in zip(fast.correlations(), slow.correlations())
+            )
+
+    def test_reference_side_is_shared(self):
+        models = [random_model(4, (5,), 2, seed=s) for s in range(3)]
+        probes = np.random.default_rng(0).standard_normal((20, 4))
+        first, second = _pair_stats(models, 0, probes)
+        assert first.a is second.a
+        assert (first.b.model, second.b.model) == (models[1], models[2])
+
+
+class TestPairChecks:
+    @pytest.mark.parametrize("pair_fn", [scatter, correlations])
+    @pytest.mark.parametrize(
+        "rows, width, layer, message",
+        [
+            (11, 3, 0, "probe counts differ: 10 != 11"),
+            (10, 4, 0, "widths differ: 3 != 4"),
+            (10, 3, 1, "layer indices differ: 0 != 1"),
+        ],
+    )
+    def test_public_pair_functions(self, rng, pair_fn, rows, width, layer,
+                                   message):
+        a = _mat(rng.normal(size=(10, 3)))
+        b = _mat(rng.normal(size=(rows, width)), layer_index=layer)
+        with pytest.raises(ShapeError, match=message):
+            pair_fn(a, b)
+
+    def test_builder_rejects_a_width_mismatch(self, rng):
+        a = random_model(4, (5, 6), 2, seed=0)
+        b = random_model(4, (5, 7), 2, seed=1)
+        probes = rng.normal(size=(20, 4))
+        with pytest.raises(ShapeError, match="widths differ: 6 != 7"):
+            next(_pair_stats([a, b], 0, probes))
+        with pytest.raises(ShapeError, match="widths differ: 6 != 7"):
+            _pairs_among([a, b], probes, ((0, 1),))
+
+    def test_builder_rejects_a_layer_index_mismatch(self, rng):
+        model = random_model(4, (5, 5), 2, seed=0)
+        acts = capture(model, rng.normal(size=(20, 4)))
+        side = _side(model, acts)
+        with pytest.raises(ShapeError, match="layer indices differ: 0 != 1"):
+            _pair(side, acts[:1], side, acts[1:])

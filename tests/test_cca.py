@@ -39,13 +39,11 @@ from fuselab import (
     solve_layers,
     strip_timestamp,
 )
-from fuselab.activations import ActivationMatrix, scatter
+from fuselab.activations import ActivationMatrix, _pair_stats, scatter
 from fuselab.cca import (
     GAMMA_GRID_COEFFS,
-    ReferenceStats,
     _grid,
     build_transform,
-    pair_scatter,
     plan_from_solutions,
 )
 from fuselab.cli import METHOD_NAMES, main, parse_args
@@ -242,9 +240,7 @@ class TestGammaHandling:
     def test_gamma_grid_scales(self, small_pair, small_task):
         train_ds, _ = small_task
         a, b = small_pair
-        stats = ReferenceStats(a, train_ds.features[:100])
-        pair = pair_scatter(stats, *stats.capture_pair(b))
-        grid = _grid((s.s_aa, s.s_bb) for s in pair)
+        grid = _grid(next(_pair_stats([a, b], 0, train_ds.features[:100])))
         assert grid == _gamma_grid_oracle(a, b, train_ds.features[:100])
         assert len(grid) == len(GAMMA_GRID_COEFFS)
         ratios = np.diff(np.log10(grid))
@@ -619,14 +615,7 @@ def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_
             random_model(train_ds.dim, (8, 8), train_ds.num_classes, seed=seed),
             paths[-1],
         )
-    counts = count_calls(monkeypatch, ["capture", "inv_sqrt"])
-    svd = np.linalg.svd
-
-    def counted_svd(*args, **kwargs):
-        counts["svd"] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    counts = count_calls(monkeypatch, ["capture", "inv_sqrt", "svd"])
     code = main(["merge", *map(str, paths), "--method", "cca",
                  "--gamma-search", "auto", "--probes", str(tmp_path / "probes.ds"),
                  "--out", str(tmp_path / "out")])

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from fuselab import (
+    DenseLayer,
+    MlpModel,
     cca,
+    evaluate_merge,
     generate,
     load_dataset,
     load_model,
@@ -18,7 +21,8 @@ from fuselab import (
     strip_timestamp,
     trainer,
 )
-from fuselab.cli import build_parser, main, parse_args
+from fuselab.cli import METHOD_NAMES, build_parser, main, parse_args
+from fuselab.reports import format_value
 
 from _helpers import count_calls
 
@@ -215,11 +219,12 @@ def _weights(model):
 
 
 def _record_search(monkeypatch):
-    """Replace the gamma search by one that records its pairs."""
+    """Replace the gamma search by one that records the models of its
+    pair statistics."""
     seen = []
 
-    def search(candidates, pairs, probes, eval_ds, keep_merge=False):
-        seen.append([(_weights(a), _weights(b)) for a, b in pairs])
+    def search(candidates, pairs, eval_ds, keep_merge=False):
+        seen.append([(_weights(p.a.model), _weights(p.b.model)) for p in pairs])
         return 0.01, None
 
     monkeypatch.setattr(cca, "_search", search)
@@ -427,6 +432,11 @@ class TestAnalyze:
 EXPERIMENT_ARGS = TINY_TRAIN + [
     "--seeds", "0,1", "--test-per-class", "10", "--grid", "5",
 ]
+# small data and short training, default widths: 2 hidden layers
+SIZE_ARGS = [
+    "--classes", "4", "--per-class", "25", "--dim", "6", "--epochs", "2",
+    "--test-per-class", "10", "--grid", "3",
+]
 
 
 class TestExperiment:
@@ -507,6 +517,110 @@ class TestExperiment:
         # 2 models, 3 methods: one score per model and one ensemble
         assert counts == {"accuracy": 2, "ensemble_accuracy": 1}
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra, captures",
+        [([], 2), (["--gamma-search", "auto"], 2), (["--seeds", "0,1,2"], 3)],
+    )
+    def test_each_model_captured_once(
+        self, tmp_path, monkeypatch, capsys, extra, captures
+    ):
+        # the search and every method's merge read one set of pair
+        # statistics, formed from one capture per model
+        counts = count_calls(monkeypatch, ["capture", "inv_sqrt"])
+        assert main(["experiment", *SIZE_ARGS, *extra,
+                     "--out", str(tmp_path / "exp")]) == 0
+        assert counts["capture"] == captures
+        if not extra:
+            # 2 layers x (reference + partner), for the one summary solve
+            # all three methods share; the cca merge reuses its solutions
+            assert counts["inv_sqrt"] == 4
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--seeds", "0,1,2", "--repair", "--reference", "1"],
+            ["--gamma-search", "auto", "--repair"],
+            ["--split", "dirichlet", "--gamma", "0.5"],
+        ],
+    )
+    def test_method_lines_match_separate_evaluate_merge(
+        self, tmp_path, monkeypatch, capsys, extra
+    ):
+        # each method's lines from the shared pair statistics are what the
+        # public per-method evaluate_merge gives on the same models
+        trained = []
+        train_many = trainer.train_many
+
+        def recording(*args, **kwargs):
+            models = train_many(*args, **kwargs)
+            trained.extend(models)
+            return models
+
+        monkeypatch.setattr(trainer, "train_many", recording)
+        out = tmp_path / "exp"
+        assert main(["experiment", *SIZE_ARGS, *extra, "--out", str(out)]) == 0
+        report = parse_report((out / "experiment_report.txt").read_text())
+        n = {k: int(report[k]) for k in ("classes", "per_class", "dim",
+                                         "data_seed", "test_per_class")}
+        train_ds = generate(n["classes"], n["per_class"], n["dim"],
+                            n["data_seed"])
+        test_ds = generate(n["classes"], n["test_per_class"], n["dim"],
+                           n["data_seed"], sample_salt=1)
+        gamma = None if report["gamma"] == "-" else float(report["gamma"])
+        for name, method in METHOD_NAMES.items():
+            _, rep = evaluate_merge(
+                method, trained, train_ds, test_ds, gamma,
+                report["repair"] == "true", None, int(report["grid"]),
+                int(report["reference"]),
+            )
+            p = f"method.{name}"
+            expect = {
+                f"{p}.merged_accuracy": rep.merged_accuracy,
+                f"{p}.merged_loss": rep.merged_loss,
+                f"{p}.barrier": rep.barrier,
+            }
+            for s in rep.layer_summaries:
+                expect[f"{p}.layer.{s.layer_index}.gamma"] = s.gamma
+                expect[f"{p}.layer.{s.layer_index}.corr_mean"] = s.corr_mean
+            got = {k: v for k, v in report.items() if k.startswith(p + ".")}
+            assert got == {k: format_value(v) for k, v in expect.items()}
+        capsys.readouterr()
+
+    def test_repair_skips_are_reported_per_method(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # hidden neuron 0 of every model is constant, so the direct merge's
+        # neuron 0 has no spread and the reset leaves it alone
+        train_many = trainer.train_many
+
+        def with_dead_neuron(*args, **kwargs):
+            models = []
+            for m in train_many(*args, **kwargs):
+                first = m.layers[0]
+                w, b = first.weights.copy(), first.bias.copy()
+                w[0], b[0] = 0.0, 0.0
+                layers = (DenseLayer(w, b, first.activation), *m.layers[1:])
+                models.append(MlpModel(layers, m.input_dim, m.seed_tag))
+            return models
+
+        monkeypatch.setattr(trainer, "train_many", with_dead_neuron)
+        out = tmp_path / "exp"
+        assert main(["experiment", *EXPERIMENT_ARGS, "--methods", "direct",
+                     "--repair", "--out", str(out)]) == 0
+        report = parse_report((out / "experiment_report.txt").read_text())
+        assert report["method.direct.repair_skipped"] == "0:0"
+        capsys.readouterr()
+
+    def test_one_seed_is_rejected(self, tmp_path, capsys):
+        code = main(["experiment", *TINY_TRAIN, "--seeds", "0",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: experiments need at least 2 models\n"
+        )
 
     def test_diverging_pool_names_its_model(self, tmp_path, capsys):
         code = main(["experiment", "--classes", "4", "--per-class", "10",
@@ -618,6 +732,18 @@ class TestUsageErrors:
 
 
 class TestGammaChecks:
+    def test_search_needs_probes(self, workdir, tmp_path, capsys):
+        _, _, _, models = workdir
+        out = tmp_path / "x"
+        code = main(["merge", str(models[0]), str(models[1]),
+                     "--method", "cca", "--gamma-search", "auto",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: merge: --gamma-search needs probes\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("gamma", ["-1", "nan"])
     def test_gamma_checked_without_a_cca_solve(
         self, workdir, tmp_path, capsys, gamma

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from fuselab import (
     Activation,
+    AlignmentPlan,
     AnalysisReport,
     ConfigurationError,
     DenseLayer,
+    LayerTransform,
     MethodTag,
     MlpModel,
     ValidationError,
@@ -21,7 +23,6 @@ from fuselab import (
     average_models,
     build_transform,
     capture,
-    cca_plan,
     coefficient_distribution_ratio,
     correlations,
     default_gamma,
@@ -34,7 +35,6 @@ from fuselab import (
     merge_many,
     merge_pair,
     non_optimal_matches,
-    permute_plan,
     repair_reset,
     scatter,
     solve_cca,
@@ -50,12 +50,12 @@ from fuselab.analysis import (
 )
 from fuselab.cca import plan_from_solutions
 from fuselab.evaluation import summaries_from_solutions
-from fuselab.matching import plan_from_activations
 from fuselab.merge import SIGMA_FLOOR, SkippedNeuron, _ModelSum
 
 from _helpers import (
     assert_models_allclose,
     blown_up,
+    correlations_oracle,
     count_calls,
     model_bytes,
     outcome,
@@ -175,6 +175,19 @@ class TestAlign:
         probes = rng.normal(size=(100, 3))
         assert align(a, b, MethodTag.PERMUTE, probes).method_tag is MethodTag.PERMUTE
         assert align(a, b, MethodTag.CCA, probes).method_tag is MethodTag.CCA
+
+    @pytest.mark.parametrize("method", ["cca", None, 2])
+    @pytest.mark.parametrize("with_probes", [False, True])
+    def test_method_must_be_a_method_tag(self, monkeypatch, rng, method,
+                                         with_probes):
+        a = random_model(3, (4,), 2, seed=0)
+        b = random_model(3, (4,), 2, seed=1)
+        probes = rng.normal(size=(20, 3)) if with_probes else None
+        counts = count_calls(monkeypatch, ["capture"])
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown method {method!r}"):
+            align(a, b, method, probes)
+        assert counts["capture"] == 0
 
 
 class TestMergePair:
@@ -328,9 +341,10 @@ def _align_oracle(reference, model, method, probes=None, gamma=None):
         return identity_plan(model)
     if probes is None:
         raise ConfigurationError(f"method {method.value} needs probes")
+    acts = capture(reference, probes), capture(model, probes)
     if method is MethodTag.PERMUTE:
-        return permute_plan(reference, model, probes)
-    return cca_plan(reference, model, probes, gamma)
+        return _permute_oracle(*acts)
+    return plan_from_solutions(_solve_oracle(*acts, gamma))
 
 
 def _merge_many_oracle(reference, others, method, probes=None, gamma=None):
@@ -339,6 +353,17 @@ def _merge_many_oracle(reference, others, method, probes=None, gamma=None):
         for m in others
     ]
     return average_models([reference, *aligned])
+
+
+def _permute_oracle(acts_a, acts_b):
+    """The permute plan from per-layer correlations of the captures."""
+    transforms = tuple(
+        LayerTransform.from_mapping(
+            linear_sum_assignment(correlations_oracle(a, b)).mapping, i
+        )
+        for i, (a, b) in enumerate(zip(acts_a, acts_b))
+    )
+    return AlignmentPlan(transforms, MethodTag.PERMUTE)
 
 
 def _align_pair_oracle(reference, other, probes, method, gamma, summarize):
@@ -352,7 +377,7 @@ def _align_pair_oracle(reference, other, probes, method, gamma, summarize):
     if method is MethodTag.CCA:
         plan = plan_from_solutions(sols)
     elif method is MethodTag.PERMUTE:
-        plan = plan_from_activations(*acts)
+        plan = _permute_oracle(*acts)
     else:
         plan = _align_oracle(reference, other, method, probes, gamma)
     return plan, sols
@@ -385,7 +410,7 @@ def _pair_diagnostics_oracle(model_a, model_b, probes, gamma):
     sols = _solve_oracle(acts_a, acts_b, gamma)
     out = []
     for i, (a, b) in enumerate(zip(acts_a, acts_b)):
-        corr = correlations(a, b)
+        corr = correlations_oracle(a, b)
         assign = linear_sum_assignment(corr)
         transform = build_transform(sols[i], i)
         n = corr.values.shape[0]

@@ -124,6 +124,7 @@ class TestLayerTransform:
             [0, 2],  # out of range
             [[0, 1]],  # not 1-d
             [0, 0],  # repeated
+            np.array([], dtype=int),  # a permutation, but of nothing
         ]:
             with pytest.raises(ValidationError, match="mapping at layer 3 "):
                 LayerTransform.from_mapping(mapping, 3)
@@ -144,8 +145,12 @@ class TestLayerTransform:
             LayerTransform.general(m, 0)
 
     def test_mismatched_inverse_rejected(self):
-        with pytest.raises(ValidationError):
-            LayerTransform(np.eye(2), 2 * np.eye(2), 0)
+        for forward, inverse, error, message in [
+            (np.eye(2), 2 * np.eye(2), ValidationError, "is not inverted"),
+            (np.zeros((0, 0)), np.zeros((0, 0)), ShapeError, "has width 0"),
+        ]:
+            with pytest.raises(error, match=f"transform at layer 4 {message}"):
+                LayerTransform(forward, inverse, 4)
 
 
 class TestApplyPlan:
