@@ -49,15 +49,6 @@ def _non_optimal_pct(values, mapping):
     return float(100.0 * np.mean(picked < values.max(axis=1)))
 
 
-def _kth_largest_index(row, k):
-    # stable descending order; ties resolve toward the lower index
-    return int(np.argsort(-row, kind="stable")[k - 1])
-
-
-def _top_indices(row, k):
-    return np.argsort(-row, kind="stable")[:k]
-
-
 def topk_coefficient_coverage(c, t, k_corr, k_coeff):
     """Percent of rows whose k_corr-th best correlate is covered.
 
@@ -71,11 +62,10 @@ def topk_coefficient_coverage(c, t, k_corr, k_coeff):
     n = values.shape[0]
     if not (1 <= k_corr <= n and 1 <= k_coeff <= n):
         raise ValidationError("k out of range for the layer width")
-    hits = 0
-    for i in range(n):
-        want = _kth_largest_index(values[i], k_corr)
-        if want in _top_indices(coeffs[i], k_coeff):
-            hits += 1
+    # stable descending orders; ties resolve toward the lower index
+    want = np.argsort(-values, axis=1, kind="stable")[:, k_corr - 1]
+    top = np.argsort(-coeffs, axis=1, kind="stable")[:, :k_coeff]
+    hits = int(np.count_nonzero(top == want[:, None]))
     return float(100.0 * hits / n)
 
 

@@ -5,9 +5,9 @@ build_parser declares every option once, with its type and default; options
 used by several subcommands come from shared parent parsers. An optional
 --config file of key=value lines (keys are the long option names) may set
 any option the subcommand does not require: each value is cast by that
-option's own type and becomes a parser default, so flags win over the file
-and the file wins over built-in defaults. All reports are deterministic text
-except for their timestamp line.
+option's own type, held to its choices and becomes a parser default, so
+flags win over the file and the file wins over built-in defaults. All
+reports are deterministic text except for their timestamp line.
 """
 
 from __future__ import annotations
@@ -116,9 +116,7 @@ def _train_config(args, seed, shuffle_seed=None):
 def cmd_train(args):
     ds = load_dataset(args.data)
     cfg = _train_config(args, args.seed, args.shuffle_seed)
-    model, scores = trainer.train_scored(ds, [cfg])[0]
-    # no scores only for an empty dataset, which this call then rejects
-    loss, acc = scores or trainer.cross_entropy_accuracy(model, ds)
+    model, (loss, acc) = trainer.train_scored(ds, [cfg])[0]
     save_model(model, args.out)
     print(f"wrote {args.out}")
     print(f"train_loss: {reports.format_value(loss)}")
@@ -164,10 +162,7 @@ def cmd_merge(args):
     models = [load_model(p) for p in args.models]
     if len(models) < 2:
         raise ConfigurationError("merge needs at least 2 model files")
-    method = _method_list(args.method)
-    if len(method) != 1:
-        raise ConfigurationError("merge takes exactly one --method")
-    method = method[0]
+    method = METHOD_NAMES[args.method]
     probes_ds = None
     probes = None
     if args.probes is not None:
@@ -181,8 +176,7 @@ def cmd_merge(args):
     merged, report, _ = merge_and_report(
         models, method, probes, gamma, args.repair, reference, made=made
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     save_model(merged, out_dir / "merged.model")
     items = report.to_items()
     if args.gamma_search is not None:
@@ -190,6 +184,17 @@ def cmd_merge(args):
     text = reports.write_report(out_dir / "merge_report.txt", items)
     sys.stdout.write(text)
     return 0
+
+
+def _out_dir(path):
+    """The output directory at path, made with its parents if need be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create directory {path}: {exc.strerror or exc}"
+        ) from exc
+    return Path(path)
 
 
 def _emit(args, items):
@@ -252,10 +257,7 @@ def cmd_experiment(args):
         sample_salt=1,
     )
 
-    try:
-        kind = SplitKind(args.split)
-    except ValueError:
-        raise ConfigurationError(f"unknown split {args.split!r}") from None
+    kind = SplitKind(args.split)
     alpha = tuple(_parse_list(args.alpha, "--alpha", float))
     split_seed = args.data_seed if args.split_seed is None else args.split_seed
     parts = split(train_ds, SplitSpec(kind, split_seed, alpha))
@@ -328,8 +330,7 @@ def cmd_experiment(args):
         if rep.repair_skipped:
             skipped = evaluation._skipped_text(rep.repair_skipped)
             items.append((f"{p}.repair_skipped", skipped))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     text = reports.write_report(out_dir / "experiment_report.txt", items)
     sys.stdout.write(text)
     return 0
@@ -480,7 +481,7 @@ def parse_args(argv=None):
 
     Raises FuselabError with the stage leading its message: 'config:' for an
     unreadable file, a bad line or an unknown key, and the command for a
-    value that the option's own type rejects.
+    value that the option's own type rejects or its choices exclude.
     """
     parser = build_parser()
     commands = parser._subparsers._group_actions[0].choices
@@ -511,6 +512,8 @@ def parse_args(argv=None):
         cast = _parse_bool if action.nargs == 0 else action.type or str
         try:
             defaults[key] = cast(raw)
+            if action.choices and defaults[key] not in action.choices:
+                raise ValueError(raw)
         except ValueError:
             raise ParseError(
                 f"{args.command}: config value for {key} is invalid: {raw!r}"

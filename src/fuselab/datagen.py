@@ -14,7 +14,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
-from .model import _check_seed, _read_manifest, _reading, _write_atomic
+from .model import (
+    _check_seed, _read_manifest, _read_payload, _reading, _write_atomic
+)
 
 CLASS_MARGIN = 3.0
 
@@ -40,6 +42,7 @@ class Dataset:
             raise ValidationError("features contain non-finite entries")
         if self.num_classes < 2:
             raise ValidationError("need at least 2 classes")
+        _check_seed("seed", self.seed)
         if y.size and (y.min() < 0 or y.max() >= self.num_classes):
             raise ValidationError("labels out of range")
         x.setflags(write=False)
@@ -79,6 +82,8 @@ class SplitSpec:
     alpha: tuple = (0.5, 0.5)
 
     def __post_init__(self):
+        if not isinstance(self.kind, SplitKind):
+            raise ConfigurationError(f"unknown split kind {self.kind!r}")
         _check_seed("split seed", self.seed)
         if self.kind is SplitKind.DIRICHLET:
             a = tuple(float(v) for v in self.alpha)
@@ -146,12 +151,10 @@ def split(ds, spec):
             idx = np.flatnonzero(ds.labels == k)
             p = rng.dirichlet(spec.alpha)
             mask[idx[rng.random(idx.size) < p[0]]] = True
-    elif spec.kind is SplitKind.DISJOINT_CLASSES:
+    else:  # SplitKind.DISJOINT_CLASSES
         _require_even_classes(ds, spec.kind)
         chosen = rng.permutation(ds.num_classes)[: ds.num_classes // 2]
         mask = np.isin(ds.labels, chosen)
-    else:
-        raise ConfigurationError(f"unknown split kind {spec.kind!r}")
     return ds.subset(np.flatnonzero(mask)), ds.subset(np.flatnonzero(~mask))
 
 
@@ -174,29 +177,12 @@ def save_dataset(ds, path):
 
 def load_dataset(path):
     with _reading(path, "dataset") as fh:
-        fields = _read_manifest(fh, DATASET_MAGIC, DATASET_FORMAT_VERSION)
-        values = {}
-        for key, rest in fields:
-            if key not in ("m", "d", "k", "seed"):
-                raise ParseError(f"unknown manifest field {key!r}")
-            try:
-                values[key] = int(rest)
-            except ValueError:
-                raise ParseError(
-                    f"field {key} is not an integer: {rest!r}"
-                ) from None
-        for key in ("m", "d", "k", "seed"):
-            if key not in values:
-                raise ParseError(f"missing field {key}")
-        payload = fh.read()
-        m, d, k, seed = values["m"], values["d"], values["k"], values["seed"]
-        if min(m, d) < 0:
-            raise ParseError(f"negative shape in manifest: m {m}, d {d}")
-        expect = m * d * 8 + m * 4
-        if len(payload) != expect:
-            raise ParseError(
-                f"payload is {len(payload)} bytes, manifest implies {expect}"
-            )
+        counts = ("m", "d", "k", "seed")
+        fields = _read_manifest(
+            fh, DATASET_MAGIC, counts, version=DATASET_FORMAT_VERSION
+        )
+        m, d, k, seed = (fields[key] for key in counts)
+        payload = _read_payload(fh, m * d * 8 + m * 4)
     feats = np.frombuffer(payload[: m * d * 8], dtype="<f8").reshape(m, d)
     labels = np.frombuffer(payload[m * d * 8 :], dtype="<u4").astype(np.int64)
     try:

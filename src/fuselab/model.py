@@ -345,9 +345,9 @@ def apply_plan(model, plan):
 
 # --- file format ---------------------------------------------------------
 #
-# Text manifest (ASCII, one "key value..." line each, closed by "end"),
-# then a raw payload: for every layer the weights row-major then the bias,
-# all little-endian float64.
+# Text manifest (ASCII, one "key value" line each, closed by "end"), then a
+# raw payload: for every layer the weights row-major then the bias, all
+# little-endian float64. Every count in a manifest is plain ASCII digits.
 
 
 def save_model(model, path):
@@ -383,7 +383,8 @@ def _write_atomic(path, data):
             fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
+        # a missing temp file, or a path through a regular file
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise ConfigurationError(
@@ -406,28 +407,52 @@ def _reading(path, kind):
             raise ParseError(f"{kind} {path}: {exc}") from exc
 
 
-def _read_manifest(fh, magic, version=MODEL_FORMAT_VERSION):
+def _read_manifest(fh, magic, counts, texts=(), layers=False,
+                   version=MODEL_FORMAT_VERSION):
+    """The manifest's fields, by key, from the magic line to "end".
+
+    counts are required and parsed with _parse_int; texts are optional. With
+    layers, each "layer <rows> <cols> <activation>" line appends its parsed
+    (rows, cols, Activation) to fields["layer"]. Any other key, a key given
+    twice and a missing count name the field in a ParseError.
+    """
     first = fh.readline().decode("ascii", errors="replace").strip()
     parts = first.split()
     if len(parts) != 2 or parts[0] != magic:
         raise ParseError(f"bad magic line {first!r}, expected {magic!r}")
     if parts[1] != str(version):
         raise ParseError(f"unsupported format_version {parts[1]!r}")
-    fields = []
+    fields = {"layer": []} if layers else {}
     while True:
         raw = fh.readline()
         if not raw:
             raise ParseError("manifest ended before 'end'")
         line = raw.decode("ascii", errors="replace").strip()
         if line == "end":
-            return fields
+            break
         if not line:
             continue
         key, _, rest = line.partition(" ")
-        # every field is given once, bar a model's one "layer" line per layer
-        if key != "layer" and any(k == key for k, _ in fields):
+        if layers and key == "layer":
+            parts = rest.split()
+            if len(parts) != 3:
+                raise ParseError(f"layer line needs 3 fields: {rest!r}")
+            rows = _parse_int(parts[0], "layer rows")
+            cols = _parse_int(parts[1], "layer cols")
+            try:
+                fields[key].append((rows, cols, Activation(parts[2])))
+            except ValueError:
+                raise ParseError(f"unknown activation {parts[2]!r}") from None
+        elif key not in counts and key not in texts:
+            raise ParseError(f"unknown manifest field {key!r}")
+        elif key in fields:
             raise ParseError(f"duplicate manifest field {key!r}")
-        fields.append((key, rest))
+        else:
+            fields[key] = _parse_int(rest, key) if key in counts else rest
+    for key in counts:
+        if key not in fields:
+            raise ParseError(f"missing field {key}")
+    return fields
 
 
 def _parse_int(value, name):
@@ -436,49 +461,29 @@ def _parse_int(value, name):
     return int(value)
 
 
+def _read_payload(fh, expect):
+    payload = fh.read()
+    if len(payload) != expect:
+        raise ParseError(
+            f"payload is {len(payload)} bytes, manifest implies {expect}"
+        )
+    return payload
+
+
 def load_model(path):
     with _reading(path, "model") as fh:
-        fields = _read_manifest(fh, MODEL_MAGIC)
-        input_dim = None
-        declared = None
-        seed_tag = None
-        shapes = []
-        for key, rest in fields:
-            if key == "input_dim":
-                input_dim = _parse_int(rest, "input_dim")
-            elif key == "layers":
-                declared = _parse_int(rest, "layers")
-            elif key == "layer":
-                parts = rest.split()
-                if len(parts) != 3:
-                    raise ParseError(f"layer line needs 3 fields: {rest!r}")
-                rows = _parse_int(parts[0], "layer rows")
-                cols = _parse_int(parts[1], "layer cols")
-                try:
-                    act = Activation(parts[2])
-                except ValueError:
-                    raise ParseError(
-                        f"unknown activation {parts[2]!r}"
-                    ) from None
-                shapes.append((rows, cols, act))
-            elif key == "seed_tag":
-                seed_tag = rest
-            else:
-                raise ParseError(f"unknown manifest field {key!r}")
-        if input_dim is None:
-            raise ParseError("missing field input_dim")
-        if declared is None:
-            raise ParseError("missing field layers")
-        if declared != len(shapes):
+        fields = _read_manifest(
+            fh, MODEL_MAGIC, ("input_dim", "layers"), ("seed_tag",),
+            layers=True,
+        )
+        shapes = fields["layer"]
+        if fields["layers"] != len(shapes):
             raise ParseError(
-                f"layers says {declared}, manifest lists {len(shapes)}"
+                f"layers says {fields['layers']}, manifest lists {len(shapes)}"
             )
-        payload = fh.read()
-        expect = sum(rows * cols + rows for rows, cols, _ in shapes) * 8
-        if len(payload) != expect:
-            raise ParseError(
-                f"payload is {len(payload)} bytes, manifest implies {expect}"
-            )
+        payload = _read_payload(
+            fh, sum(rows * cols + rows for rows, cols, _ in shapes) * 8
+        )
     buf = io.BytesIO(payload)
     try:
         layers = []
@@ -487,6 +492,8 @@ def load_model(path):
             w = w.reshape(rows, cols)
             b = np.frombuffer(buf.read(rows * 8), dtype="<f8")
             layers.append(DenseLayer(w, b, act))
-        return MlpModel(tuple(layers), input_dim, seed_tag)
+        return MlpModel(
+            tuple(layers), fields["input_dim"], fields.get("seed_tag")
+        )
     except (ShapeError, ValidationError) as exc:
         raise ParseError(f"model {path} is corrupt: {exc}") from exc

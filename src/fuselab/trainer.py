@@ -114,10 +114,11 @@ def cross_entropy_accuracy(model, ds):
 # a diverging run is caught by its non-finite loss, not by numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
 def train_scored(ds, cfgs):
-    """train_many's models as (model, cross_entropy_accuracy on ds) pairs;
-    the scores are None when ds has no rows."""
+    """train_many's models as (model, cross_entropy_accuracy on ds) pairs."""
     if not cfgs:
         raise ConfigurationError("train_many needs at least one config")
+    if ds.m == 0:
+        raise ValidationError("training set has no rows")
     cfg = cfgs[0]
     for field in ("hidden_widths", "epochs", "batch_size", "learning_rate",
                   "momentum"):
@@ -194,9 +195,9 @@ def train_scored(ds, cfgs):
             DenseLayer(w[k], b[k, 0], layer.activation)
             for w, b, layer in zip(weights, biases, init.layers)
         ), ds.dim, tags[k])
-        scores = cross_entropy_accuracy(model, ds) if ds.m else None
+        scores = cross_entropy_accuracy(model, ds)
         # the last step's loss is never checked inside the loop
-        if scores and not np.isfinite(scores[0]):
+        if not np.isfinite(scores[0]):
             raise TrainingDivergedError(cfg.epochs, 0, "non-finite training "
                                         f"loss after epoch {cfg.epochs - 1}",
                                         **who[k])

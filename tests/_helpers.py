@@ -116,6 +116,19 @@ def correlations_oracle(a, b):
     return CorrelationMatrix(values, mask)
 
 
+def topk_coverage_oracle(values, coeffs, k_corr, k_coeff):
+    """topk_coefficient_coverage's percent, one row at a time: the column of
+    row i's k_corr-th largest value against the k_coeff largest |coeffs|."""
+    n = values.shape[0]
+    hits = 0
+    for i in range(n):
+        # stable descending order; ties resolve toward the lower index
+        want = int(np.argsort(-values[i], kind="stable")[k_corr - 1])
+        if want in np.argsort(-np.abs(coeffs[i]), kind="stable")[:k_coeff]:
+            hits += 1
+    return float(100.0 * hits / n)
+
+
 def count_calls(monkeypatch, names):
     """Wrap every binding of the named functions in every fuselab module.
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fuselab import (
@@ -20,7 +22,7 @@ from fuselab import (
     wasserstein_1d,
 )
 
-from _helpers import permuted_twin, random_model
+from _helpers import permuted_twin, random_model, topk_coverage_oracle
 
 
 class TestNonOptimalMatches:
@@ -79,6 +81,20 @@ class TestCoverage:
 
     def test_sign_of_coefficients_ignored(self):
         assert topk_coefficient_coverage(self.C, -np.eye(3), 1, 1) == 100.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_the_row_loop_on_ties(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        # one decimal and whole zero columns make ties in most rows
+        values = np.round(rng.uniform(-1, 1, (n, n)), 1)
+        coeffs = np.round(rng.standard_normal((n, n)), 1)
+        values[:, rng.random(n) < 0.3] = 0.0
+        coeffs[:, rng.random(n) < 0.3] = 0.0
+        k_corr = data.draw(st.integers(1, n))
+        k_coeff = data.draw(st.integers(1, n))
+        got = topk_coefficient_coverage(values, coeffs, k_corr, k_coeff)
+        assert got == topk_coverage_oracle(values, coeffs, k_corr, k_coeff)
 
 
 class TestWasserstein:

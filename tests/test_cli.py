@@ -614,6 +614,18 @@ class TestExperiment:
         assert report["method.direct.repair_skipped"] == "0:0"
         capsys.readouterr()
 
+    def test_empty_training_part_is_rejected(self, tmp_path, capsys):
+        # with these concentrations part 0 draws neither of the two rows
+        out = tmp_path / "x"
+        code = main(["experiment", "--classes", "2", "--per-class", "1",
+                     "--dim", "4", "--split", "dirichlet", "--alpha",
+                     "0.01,0.01", "--split-seed", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: training set has no rows\n"
+        )
+        assert not out.exists()
+
     def test_one_seed_is_rejected(self, tmp_path, capsys):
         code = main(["experiment", *TINY_TRAIN, "--seeds", "0",
                      "--out", str(tmp_path / "x")])
@@ -697,6 +709,36 @@ class TestConfigPrecedence:
         assert code == 1
         assert "unknown key 'epoch'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["false", "0", "no", "No"])
+    def test_false_config_value_leaves_repair_off(self, tmp_path, value):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(f"repair = {value}\n")
+        args = parse_args(["merge", "m0.model", "m1.model", "--config",
+                           str(cfg), "--out", "x"])
+        assert args.repair is False
+
+    def test_invalid_boolean_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text("repair = maybe\n")
+        code = main(["merge", "m0.model", "m1.model", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: merge: config value for repair is invalid: 'maybe'\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_named(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "opt.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        code = main(["gen-data", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.ds")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read config {cfg}: ")
+        assert err.count("\n") == 1
 
     def test_key_of_another_subcommand_rejected(self, tmp_path, capsys):
         # gamma is a merge option; gen-data has no use for it
@@ -788,6 +830,38 @@ class TestFileErrors:
         assert err.startswith(f"error: merge: model {bad}: bad magic line")
 
 
+@pytest.mark.parametrize("command, out, message", [
+    ("gen-data", "afile/t.ds", "cannot write"),
+    ("train", "afile/m.model", "cannot write"),
+    ("eval", "afile/r.txt", "cannot write"),
+    ("merge", "afile", "cannot create directory"),
+    ("experiment", "afile/sub", "cannot create directory"),
+])
+def test_out_through_a_regular_file_is_a_named_error(
+    workdir, tmp_path, capsys, command, out, message
+):
+    _, data, _, models = workdir
+    needs = {
+        "gen-data": ["--classes", "2", "--per-class", "3", "--dim", "2"],
+        "train": ["--data", str(data), "--widths", "8", "--epochs", "1"],
+        "eval": [str(models[0]), "--data", str(data)],
+        "merge": [str(models[0]), str(models[1])],
+        "experiment": EXPERIMENT_ARGS,
+    }
+    afile = tmp_path / "afile"
+    afile.write_text("a file, not a directory\n")
+    code = main([command, *needs[command], "--out", str(tmp_path / out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {command}: {message} {tmp_path / out}: "
+    )
+    assert captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert afile.read_text() == "a file, not a directory\n"
+
+
 class TestMethodList:
     def test_empty_methods_rejected_before_training(
         self, tmp_path, capsys, monkeypatch
@@ -802,6 +876,19 @@ class TestMethodList:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: experiment: no methods given")
+
+    def test_unknown_method_is_named(self, tmp_path, capsys, monkeypatch):
+        def train_many(*args):
+            raise AssertionError("trained before checking --methods")
+
+        monkeypatch.setattr(trainer, "train_many", train_many)
+        code = main(["experiment", *EXPERIMENT_ARGS, "--methods",
+                     "direct,bogus", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: unknown method 'bogus'; "
+            "choose from direct, permute, cca\n"
+        )
 
     def test_trailing_comma_ignored(self, tmp_path, capsys):
         out = tmp_path / "exp"
@@ -854,6 +941,10 @@ SETTABLE = [
     for command in SUBCOMMANDS
     for action in _settable(command)
 ]
+WITH_CHOICES = [
+    (command, option) for command, option, _, _ in SETTABLE
+    if SUBCOMMANDS[command]._option_string_actions[option].choices
+]
 
 
 class TestOneDeclaration:
@@ -875,6 +966,22 @@ class TestOneDeclaration:
         default = vars(parse_args(base))
         default.pop("config")
         assert by_flag != default
+
+    @pytest.mark.parametrize(
+        "command, option", WITH_CHOICES,
+        ids=[f"{c}{o}" for c, o in WITH_CHOICES],
+    )
+    def test_config_value_outside_the_choices_is_rejected(
+        self, tmp_path, capsys, command, option
+    ):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(f"{option.lstrip('-')} = bogus\n")
+        code = main([command, *_required_args(command), "--config", str(cfg)])
+        assert code == 1
+        key = option.lstrip("-").replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {command}: config value for {key} is invalid: 'bogus'\n"
+        )
 
     @pytest.mark.parametrize("command", list(SUBCOMMANDS))
     def test_help_exits_zero(self, command, capsys):

@@ -82,6 +82,11 @@ class TestSplits:
         with pytest.raises(ConfigurationError, match="^split seed must be >= 0"):
             SplitSpec(SplitKind.EIGHTY_TWENTY, seed=-5)
 
+    def test_kind_must_be_a_split_kind(self):
+        with pytest.raises(ConfigurationError,
+                           match="unknown split kind 'full'"):
+            SplitSpec("full")
+
     def test_full_gives_everything_to_both(self):
         ds = generate(4, 20, 3, seed=1)
         p1, p2 = split(ds, SplitSpec(SplitKind.FULL))
@@ -185,6 +190,11 @@ class TestDatasetFile:
         path = tmp_path / "absent" / "d.ds"
         with pytest.raises(ConfigurationError, match="cannot write .*d.ds"):
             save_dataset(generate(2, 3, 2, seed=0), path)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ConfigurationError,
+                           match="^seed must be >= 0, got -1$"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, seed=-1)
 
     def test_labels_validated_against_classes(self):
         with pytest.raises(Exception):

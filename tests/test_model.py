@@ -346,6 +346,13 @@ _SINGLE_FIELDS = {
 }
 
 
+# every count a manifest holds under its own key
+_COUNT_FIELDS = {
+    "model": (b"input_dim", b"layers"),
+    "dataset": (b"m", b"d", b"k", b"seed"),
+}
+
+
 def _load(kind, data):
     """Decode data from a file; a ParseError must name that file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -457,6 +464,28 @@ class TestCorruptFiles:
             ParseError, match=re.escape(f"{kind} {path}: {expect}")
         ):
             load(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["model", "dataset"]), st.integers(0, 30), st.data()
+    )
+    def test_counts_are_plain_digits(self, kind, seed, data):
+        _, raw = _file_cases(kind, seed)
+        key = data.draw(st.sampled_from(_COUNT_FIELDS[kind]))
+        edit = data.draw(st.sampled_from(["+", "0_", " ", "-", "delete"]))
+        head, end, payload = raw.partition(b"\nend\n")
+        lines = head.split(b"\n")
+        at = next(i for i, x in enumerate(lines) if x.split(b" ")[0] == key)
+        value = lines[at].split(b" ")[1]
+        if edit == "delete":
+            del lines[at]
+            expect = f"missing field {key.decode()}"
+        else:
+            lines[at] = key + b" " + edit.encode() + value
+            text = edit + value.decode()
+            expect = f"field {key.decode()} is not a count: {text!r}"
+        with pytest.raises(ParseError, match=re.escape(expect)):
+            _load(kind, b"\n".join(lines) + end + payload)
 
     def test_labels_out_of_range_name_the_file(self, tmp_path):
         path = tmp_path / "bad.ds"

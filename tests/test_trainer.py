@@ -216,6 +216,11 @@ class TestEvaluation:
 
 
 class TestTrain:
+    def test_empty_training_set_rejected(self):
+        ds = generate(2, 3, 2, seed=1).subset([])
+        with pytest.raises(ValidationError, match="^training set has no rows$"):
+            train(ds, TrainConfig(hidden_widths=(4,), epochs=1))
+
     def test_training_reduces_loss(self, small_task):
         train_ds, _ = small_task
         cfg = TrainConfig(hidden_widths=(16,), epochs=5, init_seed=0, shuffle_seed=1)
