@@ -26,11 +26,11 @@ from .analysis import (
 )
 from .cca import (
     CcaSolution,
+    LayerAlignmentSummary,
     build_transform,
     cca_plan,
     default_gamma,
     inv_sqrt,
-    select_gamma,
     solve_cca,
     solve_layers,
 )
@@ -55,7 +55,6 @@ from .errors import (
 )
 from .evaluation import (
     BarrierCurve,
-    LayerAlignmentSummary,
     MergeReport,
     accuracy,
     ensemble_accuracy,
@@ -71,6 +70,7 @@ from .merge import (
     merge_many,
     merge_pair,
     repair_reset,
+    select_gamma,
 )
 from .reports import format_report, parse_report, strip_timestamp, write_report
 from .model import (

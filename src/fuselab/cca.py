@@ -9,26 +9,23 @@ between the two feature spaces this recovers the mixing's inverse exactly.
 
 Only the ridge depends on gamma. solve_pair solves one
 activations._PairStats at any ridge, keeping the reference's inverse
-square roots once per (layer, gamma). The gamma search walks pairs in the
-outer loop, as they are formed, and candidates in the inner loop; for
-`merge --gamma-search` it also keeps each candidate's merge as a running
-parameter sum, so the winner is written without solving any pair again.
-Every product is the same BLAS call on the same operands as a from-scratch
-solve, so results are bit-identical.
+square roots once per (layer, gamma); every product is the same BLAS call
+on the same operands as a from-scratch solve, so results are bit-identical.
+This module is the algebra only: the gamma search, which scores the merges
+each ridge makes, lives with the merges in merge.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
 
 import numpy as np
 
 # capture stays bound here: bench/test_tracer.py checks that the tracer
 # wraps every module's binding of it
 from .activations import _check_gamma, _pair_stats, capture  # noqa: F401
-from .errors import GammaSelectionError, NumericalError, ShapeError, ValidationError
-from .model import AlignmentPlan, LayerTransform, MethodTag, _check_rcond, apply_plan
+from .errors import NumericalError, ShapeError, ValidationError
+from .model import AlignmentPlan, LayerTransform, MethodTag, _inverse
 
 EIGENVALUE_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-8
@@ -46,6 +43,24 @@ class CcaSolution:
     p_b: np.ndarray
     correlations: np.ndarray
     gamma: float
+
+
+@dataclass(frozen=True)
+class LayerAlignmentSummary:
+    layer_index: int
+    gamma: float
+    corr_min: float
+    corr_mean: float
+    corr_max: float
+
+
+def summaries_from_solutions(solutions):
+    return tuple(
+        LayerAlignmentSummary(i, sol.gamma, *(
+            float(f(sol.correlations)) for f in (np.min, np.mean, np.max)
+        ))
+        for i, sol in enumerate(solutions)
+    )
 
 
 def inv_sqrt(s, gamma=0.0):
@@ -104,17 +119,8 @@ def solve_cca(stats):
 
 def build_transform(sol, layer_index):
     """Layer transform carrying model B's features into model A's basis."""
-    n = sol.p_a.shape[0]
-    try:
-        pa_inv = np.linalg.solve(sol.p_a, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"projection basis at layer {layer_index} is singular; "
-            f"a larger gamma may help: {exc}"
-        ) from exc
-    _check_rcond(
-        sol.p_a, pa_inv, f"projection basis at layer {layer_index}",
-        "; increase gamma",
+    pa_inv = _inverse(
+        sol.p_a, f"projection basis at layer {layer_index}", "; increase gamma"
     )
     t = (sol.p_b @ pa_inv).T
     try:
@@ -187,88 +193,3 @@ def _grid(pair):
         np.mean([_layer_scale(*g) for g in zip(pair.a.grams, pair.b.grams)])
     )
     return [c * scale for c in GAMMA_GRID_COEFFS]
-
-
-def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
-    """Pick the ridge whose CCA merges score best on held-out pairs.
-
-    Each candidate is scored by the mean accuracy of the merged models over
-    all pairs; a candidate whose merge fails numerically on any pair is
-    dropped. Ties go to the larger gamma. candidate_gammas=None walks
-    the scale-aware grid of the first pair, read from its statistics.
-
-    Each model is captured once per run of pairs sharing a reference, and
-    such pairs share its Grams and inverse square roots.
-    """
-    runs = (list(run) for _, run in groupby(model_pairs, lambda p: id(p[0])))
-    pairs = chain.from_iterable(
-        _pair_stats([run[0][0], *(b for _, b in run)], 0, probes, columns=False)
-        for run in runs
-    )
-    return _search(candidate_gammas, pairs, eval_ds)[0]
-
-
-def _search(candidate_gammas, pairs, eval_ds, keep_merge=False):
-    """(select_gamma's choice, its merge or None) over an iterable of
-    activations._PairStats, formed as they are consumed.
-
-    keep_merge asks for the merge as (model, layer summaries), what
-    merge_and_report makes of [reference, *partners] at the chosen gamma,
-    for pairs sharing one reference. Each live candidate keeps its first
-    pair's summaries and a merge._ModelSum, the sum average_models folds.
-    """
-    from .evaluation import accuracy, summaries_from_solutions
-    from .merge import _ModelSum, average_models
-
-    candidates = None
-    if candidate_gammas is not None:
-        candidates = sorted(float(g) for g in candidate_gammas)
-        if not candidates:
-            raise GammaSelectionError("no candidate gammas given")
-    kept = {}  # candidate index -> (first pair's summaries, _ModelSum)
-    scores = None  # candidate index -> accuracy per pair, failures removed
-    try:
-        for pair in pairs:
-            if candidates is None:
-                candidates = sorted(_grid(pair))
-            if scores is None:
-                scores = {c: [] for c in range(len(candidates))}
-            for c in list(scores):
-                try:
-                    sols = solve_pair(pair, candidates[c])
-                    aligned = apply_plan(pair.b.model, plan_from_solutions(sols))
-                    merged = average_models([pair.a.model, aligned])
-                    scores[c].append(accuracy(merged, eval_ds))
-                except (NumericalError, ValidationError):
-                    del scores[c]
-                    kept.pop(c, None)
-                    continue
-                if keep_merge:
-                    if c not in kept:
-                        kept[c] = (summaries_from_solutions(sols),
-                                   _ModelSum(pair.a.model))
-                    kept[c][1].add(aligned)
-            if not scores:
-                break
-    except (NumericalError, ValidationError):
-        # only forming a pair raises out of the loop body
-        if candidates is None:
-            raise
-        scores = {}  # every candidate would fail on this pair
-    if scores is None:
-        raise GammaSelectionError("no model pairs given")
-    best = None
-    best_score = -np.inf
-    for c, pair_scores in scores.items():
-        score = float(np.mean(pair_scores))
-        # candidates ascend, so >= sends exact ties to the larger gamma
-        if score >= best_score:
-            best, best_score = c, score
-    if best is None:
-        raise GammaSelectionError(
-            "every candidate gamma failed during merging"
-        )
-    if not keep_merge:
-        return candidates[best], None
-    summaries, total = kept[best]
-    return candidates[best], (total.mean(), summaries)

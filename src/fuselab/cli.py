@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cca, evaluation, reports, trainer
+from . import analysis, evaluation, merge, reports, trainer
 from .datagen import SplitKind, SplitSpec, generate, load_dataset, save_dataset, split
-from .activations import _pair_stats
+from .activations import _check_gamma, _pair_stats
 from .errors import ConfigurationError, FuselabError, ParseError
-from .evaluation import merge_and_report
 from .model import MethodTag, load_model, save_model
 from .trainer import TrainConfig, seeds_for
 
@@ -133,29 +132,27 @@ def _reference(args, count):
     return args.reference
 
 
-def _resolve_gamma(args, pairs, probes_ds, keep=False):
-    """Returns (gamma or None, the search's merge at that gamma or None).
-
-    pairs (None without probes) are the reference's _PairStats against the
-    others; keep asks the search for its cca merge, which it always returns.
-    """
+def _search_candidates(args, probes):
+    """--gamma-search's candidates (None for auto or for no search), checked
+    with --gamma before any capture or training."""
     search = args.gamma_search
     if search is None:
-        return args.gamma, None
+        if args.gamma is not None:
+            _check_gamma(args.gamma)
+        return None
     if args.gamma is not None:
         raise ConfigurationError("--gamma and --gamma-search are exclusive")
-    if pairs is None:
+    if probes is None:
         raise ConfigurationError("--gamma-search needs probes")
-    # auto: select_gamma walks the grid of the first pair
-    candidates = None
-    if search != "auto":
-        candidates = _parse_list(search, "--gamma-search", float)
-        for g in candidates:
-            if not (np.isfinite(g) and g >= 0):
-                raise ConfigurationError(
-                    f"--gamma-search candidate {g} must be finite and >= 0"
-                )
-    return cca._search(candidates, pairs, probes_ds, keep)
+    if search == "auto":
+        return None
+    candidates = _parse_list(search, "--gamma-search", float)
+    for g in candidates:
+        if not (np.isfinite(g) and g >= 0):
+            raise ConfigurationError(
+                f"--gamma-search candidate {g} must be finite and >= 0"
+            )
+    return candidates
 
 
 def cmd_merge(args):
@@ -169,14 +166,20 @@ def cmd_merge(args):
         probes_ds = load_dataset(args.probes)
         probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
     reference = _reference(args, len(models))
-    pairs = None  # the search forms them as it goes; it reads no correlations
-    if probes is not None:
-        pairs = _pair_stats(models, reference, probes, columns=False)
-    gamma, made = _resolve_gamma(args, pairs, probes_ds, method is MethodTag.CCA)
-    merged, report, _ = merge_and_report(
-        models, method, probes, gamma, args.repair, reference, made=made
-    )
+    candidates = _search_candidates(args, probes)
+    if probes is None and method is not MethodTag.IDENTITY:
+        raise ConfigurationError(f"--method {args.method} needs --probes")
+    if probes is None and args.repair:
+        raise ConfigurationError("--repair needs --probes")
     out_dir = _out_dir(args.out)
+    gamma, made = args.gamma, None
+    if args.gamma_search is not None:
+        # one capture per model: the search makes the merge it picks
+        pairs = _pair_stats(models, reference, probes, method is MethodTag.PERMUTE)
+        gamma, made = merge._search(candidates, pairs, probes_ds, method)
+    merged, report, _ = evaluation._merge_and_report(
+        models, method, probes, gamma, args.repair, reference, made
+    )
     save_model(merged, out_dir / "merged.model")
     items = report.to_items()
     if args.gamma_search is not None:
@@ -271,17 +274,23 @@ def cmd_experiment(args):
     reference = _reference(args, num_models)
     methods = _method_list(args.methods)
     evaluation._check_grid(args.grid)
-
     cfgs = [_train_config(args, s) for s in seeds]
+    probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
+    candidates = _search_candidates(args, probes)
+    for part in parts:
+        trainer._check_rows(part)
+    out_dir = _out_dir(args.out)
+
     if kind is SplitKind.FULL:
         models = trainer.train_many(train_ds, cfgs)
     else:
         models = [trainer.train(d, c) for d, c in zip(parts, cfgs)]
 
-    probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
     # one capture per model: the search and every method read these pairs
     pairs = list(_pair_stats(models, reference, probes))
-    gamma, _ = _resolve_gamma(args, pairs, train_ds)
+    gamma = args.gamma
+    if args.gamma_search is not None:
+        gamma = merge._search(candidates, pairs, train_ds)[0]
 
     items = [
         ("report", "experiment"),
@@ -330,7 +339,6 @@ def cmd_experiment(args):
         if rep.repair_skipped:
             skipped = evaluation._skipped_text(rep.repair_skipped)
             items.append((f"{p}.repair_skipped", skipped))
-    out_dir = _out_dir(args.out)
     text = reports.write_report(out_dir / "experiment_report.txt", items)
     sys.stdout.write(text)
     return 0

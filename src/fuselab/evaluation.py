@@ -5,9 +5,9 @@ straight parameter path and the straight line between the endpoint losses;
 the path is taken between a reference model and an already-aligned partner.
 merge_and_report reads the reference's activations._PairStats against each
 partner: the first pair's CCA solutions give the layer summaries, and
-merge's all-to-one loop aligns and averages from the same pairs (or it
-takes the merge the gamma search made). It then repairs and reports. An
-experiment forms its pairs once for every method.
+merge's all-to-one loop aligns and averages from the same pairs. It then
+repairs and reports. An experiment forms its pairs once for every method;
+`merge --gamma-search` hands over the merge the search made instead.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import chain
 
 from . import cca, merge, trainer
 from .activations import _check_gamma, _pair_stats
+from .cca import summaries_from_solutions
 from .errors import ConfigurationError, ValidationError
 from .model import DenseLayer, MethodTag, MlpModel, forward
 
@@ -97,15 +98,6 @@ def interpolation_curve(model_a, model_b, ds, grid_size=DEFAULT_GRID_SIZE):
     return BarrierCurve(lambdas, losses, accs, barrier)
 
 
-@dataclass(frozen=True)
-class LayerAlignmentSummary:
-    layer_index: int
-    gamma: float
-    corr_min: float
-    corr_mean: float
-    corr_max: float
-
-
 def _skipped_text(skipped):
     """The reset's skipped neurons as 'layer:neuron;...', or None."""
     text = ";".join(f"{s.layer_index}:{s.neuron_index}" for s in skipped)
@@ -151,39 +143,24 @@ class MergeReport:
         return items
 
 
-def summaries_from_solutions(solutions):
-    return tuple(
-        LayerAlignmentSummary(
-            i,
-            sol.gamma,
-            float(sol.correlations.min()),
-            float(sol.correlations.mean()),
-            float(sol.correlations.max()),
-        )
-        for i, sol in enumerate(solutions)
-    )
-
-
 def merge_and_report(models, method, probes=None, gamma=None, repair=False,
-                     reference_index=0, *, made=None):
+                     reference_index=0):
     """Run one all-to-one merge and collect its report skeleton.
 
     Returns (merged model, report, aligned non-reference models in their
     input order). The alignment is merge_many's loop; canonical-correlation
     summaries of the first pair are attached whenever probes are available,
     whatever the merge method. A given gamma is checked whatever the method.
-    `made` is (merged model, layer summaries) of this merge when the caller
-    has already made it, as the gamma search does; nothing is aligned again
-    and no aligned models come back.
     """
-    return _merge_and_report(
-        models, method, probes, gamma, repair, reference_index, made
-    )
+    return _merge_and_report(models, method, probes, gamma, repair,
+                             reference_index)
 
 
 def _merge_and_report(models, method, probes, gamma, repair, reference_index,
                       made=None, pairs=None):
-    """merge_and_report; pairs, when given, are the reference's _PairStats
+    """merge_and_report. made is (merged model, layer summaries) when
+    merge._search has made this merge: nothing is aligned again and no aligned
+    models come back. pairs, when given, are the reference's _PairStats
     against the other models in order, formed once by the caller."""
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")

@@ -9,7 +9,8 @@ Every alignment goes through _align, the one place that dispatches on the
 method; it reads one pair's activations._PairStats. The all-to-one loop,
 _merge_all, is shared by merge_many and evaluation.merge_and_report and
 consumes the pairs in order, so a stream of them holds one partner's
-statistics at a time.
+statistics at a time. The gamma search reads its pairs the same way and
+can keep a method's merge as it scores the ridges, so none is made twice.
 
 The reset pass rescales each hidden neuron of a merged model so its
 pre-activation mean and standard deviation on probes match the reference
@@ -20,12 +21,13 @@ match holds at every depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 
-from . import cca, matching
+from . import cca, matching, trainer
 from .activations import _pair_stats, probe_matrix
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, GammaSelectionError, NumericalError, ValidationError
 from .model import Activation, DenseLayer, MethodTag, MlpModel, apply_plan
 
 SIGMA_FLOOR = 1e-12
@@ -137,6 +139,91 @@ def merge_many(reference, others, method, probes=None, gamma=None):
     """All-to-one merge: align each of `others` to `reference`, average all."""
     pairs = None if probes is None else _pair_stats([reference, *others], 0, probes)
     return _merge_all(reference, others, method, pairs, gamma)[0]
+
+
+def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
+    """Pick the ridge whose CCA merges score best on held-out pairs.
+
+    Each candidate is scored by the mean accuracy of the merged models over
+    all pairs; a candidate whose merge fails numerically on any pair is
+    dropped. Ties go to the larger gamma. candidate_gammas=None walks
+    the scale-aware grid of the first pair, read from its statistics.
+
+    Each model is captured once per run of pairs sharing a reference, and
+    such pairs share its Grams and inverse square roots.
+    """
+    runs = (list(run) for _, run in groupby(model_pairs, lambda p: id(p[0])))
+    pairs = chain.from_iterable(
+        _pair_stats([run[0][0], *(b for _, b in run)], 0, probes, columns=False)
+        for run in runs
+    )
+    return _search(candidate_gammas, pairs, eval_ds)[0]
+
+
+def _search(candidate_gammas, pairs, eval_ds, method=None):
+    """(select_gamma's choice, method's merge at it or None) over an iterable
+    of activations._PairStats, formed as they are consumed. With a method,
+    the pairs share one reference and the merge is (model, layer summaries),
+    what merge_and_report makes at the chosen gamma: each live candidate
+    keeps its first pair's summaries and, for cca, a _ModelSum; one _ModelSum
+    serves every candidate of permute (which reads column statistics) and
+    direct, as neither reads gamma."""
+    candidates = None
+    if candidate_gammas is not None:
+        candidates = sorted(float(g) for g in candidate_gammas)
+        if not candidates:
+            raise GammaSelectionError("no candidate gammas given")
+    kept = {}  # candidate index -> (first pair's summaries, _ModelSum)
+    scores = None  # candidate index -> accuracy per pair, failures removed
+    shared = None  # the _ModelSum of permute or direct
+    try:
+        for pair in pairs:
+            if candidates is None:
+                candidates = sorted(cca._grid(pair))
+            if scores is None:
+                scores = {c: [] for c in range(len(candidates))}
+            if method not in (None, MethodTag.CCA):
+                shared = shared or _ModelSum(pair.a.model)
+                plan = _align(pair.b.model, method, iter([pair]))
+                shared.add(apply_plan(pair.b.model, plan))
+            for c in list(scores):
+                try:
+                    sols = cca.solve_pair(pair, candidates[c])
+                    aligned = apply_plan(pair.b.model, cca.plan_from_solutions(sols))
+                    merged = average_models([pair.a.model, aligned])
+                    _, acc = trainer.cross_entropy_accuracy(merged, eval_ds)
+                except (NumericalError, ValidationError):
+                    del scores[c]
+                    kept.pop(c, None)
+                    continue
+                scores[c].append(acc)
+                if method is not None and c not in kept:
+                    kept[c] = (cca.summaries_from_solutions(sols),
+                               shared or _ModelSum(pair.a.model))
+                if method is MethodTag.CCA:
+                    kept[c][1].add(aligned)
+            if not scores:
+                break
+    except (NumericalError, ValidationError):
+        # forming a pair, or permute's assignment, raises out of the loop
+        if candidates is None:
+            raise
+        scores = {}  # every candidate would fail on this pair
+    if scores is None:
+        raise GammaSelectionError("no model pairs given")
+    best = None
+    best_score = -np.inf
+    for c, pair_scores in scores.items():
+        score = float(np.mean(pair_scores))
+        # candidates ascend, so >= sends exact ties to the larger gamma
+        if score >= best_score:
+            best, best_score = c, score
+    if best is None:
+        raise GammaSelectionError("every candidate gamma failed during merging")
+    if method is None:
+        return candidates[best], None
+    summaries, total = kept[best]
+    return candidates[best], (total.mean(), summaries)
 
 
 def _layer_stats(weights, bias, x):

@@ -195,8 +195,13 @@ def hidden_outputs(model, inputs):
     return outs
 
 
-def _check_rcond(matrix, inverse, what, hint=""):
-    """Raise NumericalError if matrix's 1-norm reciprocal condition is low."""
+def _inverse(matrix, what, hint=""):
+    """matrix's inverse by a pivoted solve; NumericalError naming `what`, then
+    hint, if it is singular or its 1-norm reciprocal condition is low."""
+    try:
+        inverse = np.linalg.solve(matrix, np.eye(matrix.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} is singular{hint}: {exc}") from exc
     norm = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
     rcond = 1.0 / norm if norm > 0 else 0.0
     if rcond < RCOND_FLOOR:
@@ -204,6 +209,7 @@ def _check_rcond(matrix, inverse, what, hint=""):
             f"{what} has reciprocal condition {rcond:.3e} below "
             f"{RCOND_FLOOR:g}{hint}"
         )
+    return inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,14 +275,8 @@ class LayerTransform:
         m = _as_matrix(matrix, "transform")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"transform must be square, got {m.shape}")
-        try:
-            inv = np.linalg.solve(m, np.eye(m.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"transform at layer {layer_index} is singular: {exc}"
-            ) from exc
-        _check_rcond(m, inv, f"transform at layer {layer_index}")
-        return cls(m, inv, layer_index)
+        return cls(m, _inverse(m, f"transform at layer {layer_index}"),
+                   layer_index)
 
     def inverted(self):
         return LayerTransform(self.inverse, self.forward, self.layer_index)

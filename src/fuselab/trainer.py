@@ -111,14 +111,18 @@ def cross_entropy_accuracy(model, ds):
     return loss, acc
 
 
+def _check_rows(ds):
+    if ds.m == 0:
+        raise ValidationError("training set has no rows")
+
+
 # a diverging run is caught by its non-finite loss, not by numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
 def train_scored(ds, cfgs):
     """train_many's models as (model, cross_entropy_accuracy on ds) pairs."""
     if not cfgs:
         raise ConfigurationError("train_many needs at least one config")
-    if ds.m == 0:
-        raise ValidationError("training set has no rows")
+    _check_rows(ds)
     cfg = cfgs[0]
     for field in ("hidden_widths", "epochs", "batch_size", "learning_rate",
                   "momentum"):

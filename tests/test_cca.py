@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuselab import (
+    CcaSolution,
     DenseLayer,
     GammaSelectionError,
     MethodTag,
@@ -124,6 +125,18 @@ class TestSolveCca:
         np.testing.assert_allclose(sol.p_a, sol.p_b, atol=1e-8)
         t = build_transform(sol, 0)
         np.testing.assert_allclose(t.forward, np.eye(6), atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "p_a, layer", [(np.zeros((3, 3)), 0), (np.diag([1.0, 1.0, 1e-15]), 2)]
+    )
+    def test_singular_projection_basis_is_named(self, p_a, layer):
+        # singular for the solve, then below the reciprocal-condition floor
+        sol = CcaSolution(p_a, np.eye(3), np.ones(3), 0.0)
+        with pytest.raises(NumericalError) as info:
+            build_transform(sol, layer)
+        message = str(info.value)
+        assert message.startswith(f"projection basis at layer {layer} ")
+        assert "; increase gamma" in message
 
     def test_projections_whiten_the_scatter(self, rng):
         for _ in range(10):
@@ -543,7 +556,7 @@ def search_merge_cases(draw):
     # blown-up partners
     probe_limit = draw(st.sampled_from([5, 5, None]))
     repair = draw(st.booleans())
-    # the search keeps its merge for cca only
+    # the search makes the merge it writes, whatever the method
     method = draw(st.sampled_from(["cca", "cca", "permute", "direct"]))
     return models, candidates, probe_limit, reference, repair, method
 
@@ -605,7 +618,10 @@ class TestSearchMergeMatchesTwoPass:
         assert _cli_search_merge(*case) == _two_pass_search_merge(*case)
 
 
-def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_task):
+@pytest.mark.parametrize("method", ["cca", "permute", "direct"])
+def test_gamma_search_merge_captures_once_per_pair(
+    tmp_path, monkeypatch, small_task, method
+):
     train_ds, _ = small_task
     save_dataset(train_ds, tmp_path / "probes.ds")
     paths = []
@@ -616,13 +632,13 @@ def test_gamma_search_merge_captures_once_per_pair(tmp_path, monkeypatch, small_
             paths[-1],
         )
     counts = count_calls(monkeypatch, ["capture", "inv_sqrt", "svd"])
-    code = main(["merge", *map(str, paths), "--method", "cca",
+    code = main(["merge", *map(str, paths), "--method", method,
                  "--gamma-search", "auto", "--probes", str(tmp_path / "probes.ds"),
                  "--out", str(tmp_path / "out")])
     assert code == 0
     pairs, layers, candidates = 4, 2, len(GAMMA_GRID_COEFFS)
     # the search captures the reference once and every partner once, and
-    # the merge it writes is the winning candidate's, so nothing is redone
+    # the merge it writes is its own, so nothing is redone
     assert counts["capture"] == 1 + pairs
     # the reference is whitened once per (layer, gamma); each partner once
     # per (layer, gamma) it is solved at

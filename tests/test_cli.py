@@ -11,11 +11,11 @@ import pytest
 from fuselab import (
     DenseLayer,
     MlpModel,
-    cca,
     evaluate_merge,
     generate,
     load_dataset,
     load_model,
+    merge,
     parse_report,
     save_dataset,
     strip_timestamp,
@@ -223,11 +223,11 @@ def _record_search(monkeypatch):
     pair statistics."""
     seen = []
 
-    def search(candidates, pairs, eval_ds, keep_merge=False):
+    def search(candidates, pairs, eval_ds, method=None):
         seen.append([(_weights(p.a.model), _weights(p.b.model)) for p in pairs])
         return 0.01, None
 
-    monkeypatch.setattr(cca, "_search", search)
+    monkeypatch.setattr(merge, "_search", search)
     return seen
 
 
@@ -262,6 +262,37 @@ class TestMerge:
         assert seen == []
         err = capsys.readouterr().err
         assert err.startswith("error: merge: --reference must be in 0..2")
+
+    @pytest.mark.parametrize("method", ["permute", "cca"])
+    @pytest.mark.parametrize("search", [[], ["--gamma-search", "auto"]],
+                             ids=["merge", "search"])
+    def test_out_through_a_file_is_rejected_before_any_capture(
+        self, workdir, tmp_path, capsys, monkeypatch, method, search
+    ):
+        _, data, _, models = workdir
+        afile = tmp_path / "afile"
+        afile.write_text("a file, not a directory\n")
+        counts = count_calls(monkeypatch, ["capture"])
+        code = main(["merge", *map(str, models), "--method", method,
+                     "--probes", str(data), *search, "--out", str(afile)])
+        assert code == 1
+        assert "cannot create directory" in capsys.readouterr().err
+        assert counts["capture"] == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "permute"], "--method permute needs --probes"),
+        (["--method", "cca"], "--method cca needs --probes"),
+        (["--repair"], "--repair needs --probes"),
+    ])
+    def test_probes_required_before_the_out_directory(
+        self, workdir, tmp_path, capsys, flags, message
+    ):
+        _, _, _, models = workdir
+        out = tmp_path / "x"
+        code = main(["merge", *map(str, models), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: merge: {message}\n"
+        assert not out.exists()
 
     def test_writes_model_and_report(self, workdir, tmp_path, capsys):
         _, data, _, models = workdir
@@ -487,6 +518,26 @@ class TestExperiment:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: experiment: --reference must be in 0..1")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out", "afile/sub"], "cannot create directory"),
+        (["--gamma", "-1", "--out", "x"], "gamma must be finite and >= 0"),
+    ])
+    def test_out_and_gamma_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def train_many(*args):
+            raise AssertionError("trained before checking --out and --gamma")
+
+        # every training call, pooled or single, goes through train_many
+        monkeypatch.setattr(trainer, "train_many", train_many)
+        (tmp_path / "afile").write_text("a file, not a directory\n")
+        flags = flags[:-1] + [str(tmp_path / flags[-1])]
+        code = main(["experiment", *EXPERIMENT_ARGS, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment: " + message)
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_grid_below_two_rejected_before_training(
         self, tmp_path, capsys, monkeypatch
@@ -889,6 +940,16 @@ class TestMethodList:
             "error: experiment: unknown method 'bogus'; "
             "choose from direct, permute, cca\n"
         )
+
+    def test_rejected_methods_leave_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["experiment", *EXPERIMENT_ARGS, "--methods", "bogus",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: experiment: unknown method 'bogus'"
+        )
+        assert not out.exists()
 
     def test_trailing_comma_ignored(self, tmp_path, capsys):
         out = tmp_path / "exp"

@@ -1,0 +1,56 @@
+"""Module layering: imports sit at module level and form no cycle."""
+
+import ast
+from pathlib import Path
+
+import fuselab
+
+SOURCES = sorted(Path(fuselab.__file__).parent.glob("*.py"))
+# importing scipy.optimize dominates import time, so only the solver does it
+DEFERRED = {("matching", "_best_score")}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in SOURCES:
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((path.stem, fn.name))
+    assert sorted(set(found)) == sorted(DEFERRED)
+
+
+def _imports(path):
+    """The fuselab modules that path imports, wherever the import sits."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                names.update(a.name for a in node.names)
+            else:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_module_imports_form_no_cycle():
+    graph = {path.stem: _imports(path) for path in SOURCES}
+    done, walking = set(), []
+
+    def visit(name):
+        assert name not in walking, f"import cycle: {walking + [name]}"
+        if name in done:
+            return
+        walking.append(name)
+        for other in sorted(graph.get(name, ())):
+            visit(other)
+        walking.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
