@@ -173,15 +173,20 @@ def _pair(a, acts_a, b, acts_b):
 def _pair_stats(models, reference_index, probes, columns=True):
     """Yield models[reference_index]'s _PairStats against each other model
     in order, capturing each model once. A partner's capture is dropped once
-    its statistics are formed, so a consumer holds one at most. columns=False
-    skips the column statistics, which only correlations read."""
+    its statistics are formed, so a consumer holds one at most, and the
+    reference's before the last pair is yielded, so a stream that is never
+    run to its end holds none. columns=False skips the column statistics,
+    which only correlations read."""
     reference = models[reference_index]
+    others = models[:reference_index] + models[reference_index + 1:]
     acts = capture(reference, probes)
     a = _side(reference, acts, columns)
-    for partner in models[:reference_index] + models[reference_index + 1:]:
+    for n, partner in enumerate(others, 1):
         acts_b = capture(partner, probes)
         pair = _pair(a, acts, _side(partner, acts_b, columns), acts_b)
         del acts_b
+        if n == len(others):
+            del acts
         yield pair
 
 

@@ -147,6 +147,8 @@ def _search_candidates(args, probes):
     if search == "auto":
         return None
     candidates = _parse_list(search, "--gamma-search", float)
+    if not candidates:
+        raise ConfigurationError("--gamma-search lists no candidates")
     for g in candidates:
         if not (np.isfinite(g) and g >= 0):
             raise ConfigurationError(

@@ -180,7 +180,6 @@ def _merge_and_report(models, method, probes, gamma, repair, reference_index,
             summaries = summaries_from_solutions(cca.solve_pair(first, gamma))
             pairs = chain([first], pairs)
         merged, aligned = merge._merge_all(reference, others, method, pairs, gamma)
-        pairs = first = None  # a stream holds the reference's capture
     else:
         (merged, summaries), aligned = made, None
     skipped = ()

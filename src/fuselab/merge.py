@@ -145,9 +145,10 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     """Pick the ridge whose CCA merges score best on held-out pairs.
 
     Each candidate is scored by the mean accuracy of the merged models over
-    all pairs; a candidate whose merge fails numerically on any pair is
-    dropped. Ties go to the larger gamma. candidate_gammas=None walks
+    all pairs; a candidate whose solve, merge or scoring fails on any pair
+    is dropped. Ties go to the larger gamma. candidate_gammas=None walks
     the scale-aware grid of the first pair, read from its statistics.
+    Probes that cannot be captured raise their own ValidationError.
 
     Each model is captured once per run of pairs sharing a reference, and
     such pairs share its Grams and inverse square roots.
@@ -160,70 +161,61 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     return _search(candidate_gammas, pairs, eval_ds)[0]
 
 
+class _Candidate:
+    """A live ridge of the search: its accuracy on each pair so far and,
+    when a merge is kept, the first pair's summaries and its _ModelSum."""
+
+    def __init__(self, gamma):
+        self.gamma, self.scores, self.summaries, self.total = gamma, [], None, None
+
+
 def _search(candidate_gammas, pairs, eval_ds, method=None):
     """(select_gamma's choice, method's merge at it or None) over an iterable
     of activations._PairStats, formed as they are consumed. With a method,
     the pairs share one reference and the merge is (model, layer summaries),
-    what merge_and_report makes at the chosen gamma: each live candidate
-    keeps its first pair's summaries and, for cca, a _ModelSum; one _ModelSum
-    serves every candidate of permute (which reads column statistics) and
-    direct, as neither reads gamma."""
-    candidates = None
+    what merge_and_report makes at the chosen gamma. A candidate whose solve,
+    plan, merge or score fails on a pair is dropped; any other error, such
+    as forming a pair, propagates."""
     if candidate_gammas is not None:
-        candidates = sorted(float(g) for g in candidate_gammas)
-        if not candidates:
+        candidate_gammas = sorted(float(g) for g in candidate_gammas)
+        if not candidate_gammas:
             raise GammaSelectionError("no candidate gammas given")
-    kept = {}  # candidate index -> (first pair's summaries, _ModelSum)
-    scores = None  # candidate index -> accuracy per pair, failures removed
-    shared = None  # the _ModelSum of permute or direct
-    try:
-        for pair in pairs:
-            if candidates is None:
-                candidates = sorted(cca._grid(pair))
-            if scores is None:
-                scores = {c: [] for c in range(len(candidates))}
-            if method not in (None, MethodTag.CCA):
-                shared = shared or _ModelSum(pair.a.model)
-                plan = _align(pair.b.model, method, iter([pair]))
-                shared.add(apply_plan(pair.b.model, plan))
-            for c in list(scores):
-                try:
-                    sols = cca.solve_pair(pair, candidates[c])
-                    aligned = apply_plan(pair.b.model, cca.plan_from_solutions(sols))
-                    merged = average_models([pair.a.model, aligned])
-                    _, acc = trainer.cross_entropy_accuracy(merged, eval_ds)
-                except (NumericalError, ValidationError):
-                    del scores[c]
-                    kept.pop(c, None)
-                    continue
-                scores[c].append(acc)
-                if method is not None and c not in kept:
-                    kept[c] = (cca.summaries_from_solutions(sols),
-                               shared or _ModelSum(pair.a.model))
-                if method is MethodTag.CCA:
-                    kept[c][1].add(aligned)
-            if not scores:
-                break
-    except (NumericalError, ValidationError):
-        # forming a pair, or permute's assignment, raises out of the loop
-        if candidates is None:
-            raise
-        scores = {}  # every candidate would fail on this pair
-    if scores is None:
+    pairs = iter(pairs)
+    pair = next(pairs, None)
+    if pair is None:
         raise GammaSelectionError("no model pairs given")
-    best = None
-    best_score = -np.inf
-    for c, pair_scores in scores.items():
-        score = float(np.mean(pair_scores))
-        # candidates ascend, so >= sends exact ties to the larger gamma
+    live = [_Candidate(g) for g in candidate_gammas or sorted(cca._grid(pair))]
+    # permute and direct do not read gamma: one _ModelSum serves every candidate
+    shared = None if method in (None, MethodTag.CCA) else _ModelSum(pair.a.model)
+    while pair is not None:
+        for cand in list(live):
+            try:
+                sols = cca.solve_pair(pair, cand.gamma)
+                aligned = apply_plan(pair.b.model, cca.plan_from_solutions(sols))
+                merged = average_models([pair.a.model, aligned])
+                _, acc = trainer.cross_entropy_accuracy(merged, eval_ds)
+            except (NumericalError, ValidationError):
+                live.remove(cand)
+                continue
+            cand.scores.append(acc)
+            if method is not None and cand.total is None:
+                cand.summaries = cca.summaries_from_solutions(sols)
+                cand.total = shared or _ModelSum(pair.a.model)
+            if method is MethodTag.CCA:
+                cand.total.add(aligned)
+        if not live:
+            raise GammaSelectionError("every candidate gamma failed during merging")
+        if shared is not None:
+            plan = _align(pair.b.model, method, iter([pair]))
+            shared.add(apply_plan(pair.b.model, plan))
+        pair = next(pairs, None)
+    best, best_score = None, -np.inf
+    for cand in live:  # ascending, so >= sends exact ties to the larger gamma
+        score = float(np.mean(cand.scores))
         if score >= best_score:
-            best, best_score = c, score
-    if best is None:
-        raise GammaSelectionError("every candidate gamma failed during merging")
-    if method is None:
-        return candidates[best], None
-    summaries, total = kept[best]
-    return candidates[best], (total.mean(), summaries)
+            best, best_score = cand, score
+    made = None if method is None else (best.total.mean(), best.summaries)
+    return best.gamma, made
 
 
 def _layer_stats(weights, bias, x):
@@ -240,11 +232,9 @@ def repair_reset(merged, reference, probes):
     """
     if not merged.same_architecture(reference):
         raise ValidationError("merged and reference architectures differ")
-    x = probe_matrix(probes)
-    ref_x = x
+    ref_x = cur_x = probe_matrix(probes)
     new_layers = []
     skipped = []
-    cur_x = x
     for i, (layer, ref_layer) in enumerate(zip(merged.layers, reference.layers)):
         if i == merged.num_layers - 1:
             new_layers.append(layer)

@@ -1,5 +1,8 @@
 """Activation capture, scatter statistics, correlation matrices."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from fuselab import (
     correlations,
     scatter,
 )
+from fuselab import activations
 from fuselab.activations import (
     DEGENERATE_VARIANCE,
     ActivationMatrix,
@@ -214,6 +218,30 @@ class TestPairStatistics:
         first, second = _pair_stats(models, 0, probes)
         assert first.a is second.a
         assert (first.b.model, second.b.model) == (models[1], models[2])
+
+    def test_stream_drops_every_capture_by_its_last_pair(self, monkeypatch):
+        # a merge takes as many pairs as it has partners and never runs the
+        # stream to its end, so the stream must not hold the reference's
+        # capture once the last pair is out
+        models = [random_model(4, (5, 3), 2, seed=s) for s in range(3)]
+        probes = np.random.default_rng(0).standard_normal((20, 4))
+        refs = []
+
+        def recording(model, probes):
+            acts = capture(model, probes)
+            refs.append([weakref.ref(x.values) for x in acts])
+            return acts
+
+        monkeypatch.setattr(activations, "capture", recording)
+        stream = _pair_stats(models, 0, probes)
+        pairs = [next(stream) for _ in models[1:]]
+        gc.collect()
+        assert len(refs) == len(models)
+        assert [[r() is None for r in layer] for layer in refs] == [
+            [True, True]
+        ] * len(models)
+        assert [p.b.model for p in pairs] == models[1:]
+        assert next(stream, None) is None
 
 
 class TestPairChecks:

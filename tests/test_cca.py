@@ -282,6 +282,26 @@ class TestGammaHandling:
         with pytest.raises(GammaSelectionError):
             select_gamma([-1.0], [small_pair], train_ds.features[:50], train_ds)
 
+    @pytest.mark.parametrize("candidates", [None, [1e-3, 1.0]],
+                             ids=["auto", "explicit"])
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "probes contain non-finite entries"),
+        ("one row", "need at least 2 probe rows"),
+    ])
+    def test_select_gamma_names_probes_it_cannot_capture(
+        self, small_pair, small_task, candidates, bad, message
+    ):
+        # forming a pair is not a candidate's failure: its error comes out
+        # as it is, whether the candidates are given or walked from the grid
+        train_ds, _ = small_task
+        probes = train_ds.features[:50].copy()
+        if bad == "nan":
+            probes[3, 1] = np.nan
+        else:
+            probes = probes[:1]
+        with pytest.raises(ValidationError, match=message):
+            select_gamma(candidates, [small_pair], probes, train_ds)
+
 
 # --- the per-candidate search, kept as the oracle for the one-pass version --
 

@@ -868,6 +868,49 @@ class TestGammaChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: merge: --gamma-search candidate " + bad)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_search_list_rejected_before_any_capture(
+        self, workdir, tmp_path, capsys, monkeypatch, via
+    ):
+        _, data, _, models = workdir
+        out = tmp_path / "x"
+        counts = count_calls(monkeypatch, ["capture"])
+        code = main(["merge", *map(str, models), "--method", "cca",
+                     "--probes", str(data), *_empty_search(tmp_path, via),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: merge: --gamma-search lists no candidates\n"
+        )
+        assert counts["capture"] == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_search_list_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, via
+    ):
+        def train_many(*args):
+            raise AssertionError("trained before checking --gamma-search")
+
+        monkeypatch.setattr(trainer, "train_many", train_many)
+        out = tmp_path / "x"
+        code = main(["experiment", *EXPERIMENT_ARGS,
+                     *_empty_search(tmp_path, via), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: --gamma-search lists no candidates\n"
+        )
+        assert not out.exists()
+
+
+def _empty_search(tmp_path, via):
+    """Arguments asking for a search over an empty candidate list."""
+    if via == "flag":
+        return ["--gamma-search", ","]
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("gamma_search = ,\n")
+    return ["--config", str(cfg)]
+
 
 class TestFileErrors:
     def test_bad_model_file_is_named(self, workdir, tmp_path, capsys):
