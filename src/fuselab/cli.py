@@ -13,6 +13,7 @@ reports are deterministic text except for their timestamp line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -538,9 +539,14 @@ def main(argv=None):
     except FuselabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = Path(getattr(args, "out", None) or ".").absolute()
+    fresh = [p for p in (out, *out.parents) if not p.exists()]  # run may make
     try:
         return args.func(args)
     except FuselabError as exc:
+        for path in fresh:  # rmdir spares directories with files, and files
+            with contextlib.suppress(OSError):
+                path.rmdir()
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -5,14 +5,15 @@ assignments tie at the optimum the result is canonicalized to the
 lexicographically smallest mapping, i.e. the outcome of breaking ties with
 an infinitesimal -eps * column-index perturbation.
 
-One solver call gives an optimum sigma. Every other optimum differs from
-sigma only along zero-cost cycles of the exchange graph, whose edge i -> k
-costs C[i, sigma(i)] - C[i, sigma(k)] (row i giving up its column for row
-k's). All-pairs shortest paths over that graph give each row's cheapest
-cycle; rows with no near-zero cycle keep sigma(i), and only the remaining
-rows are canonicalized exactly, by fixing them greedily and re-checking
-optimality of the remainder. The solve and the cycle search are O(n^3); the
-greedy costs O(k^2) solves for k rows that can tie.
+One solver call (numpy's up to NUMPY_SOLVER_WIDTH, scipy's above) gives an
+optimum sigma. Every other optimum differs from sigma only along zero-cost
+cycles of the exchange graph, whose edge i -> k costs C[i, sigma(i)] -
+C[i, sigma(k)] (row i giving up its column for row k's). All-pairs shortest
+paths over that graph give each row's cheapest cycle; rows with no
+near-zero cycle keep sigma(i), and only the remaining rows are canonicalized
+exactly, by fixing them greedily and re-checking optimality of the
+remainder. The solve and the cycle search are O(n^3); the greedy costs
+O(k^2) solves for k rows that can tie.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .model import AlignmentPlan, LayerTransform, MethodTag
 # slack for comparing float assignment scores computed in different orders;
 # exact ties (duplicate entries) differ by at most a few ulps of the total
 SCORE_RTOL = 1e-12
+
+# widest matrix solved in numpy (the default width): on trained correlations
+# it takes 3-9 ms at n = 64 and 15-21 ms at 128, scipy 0.2 and 0.7-0.9 ms, but
+# a fresh process pays about 0.7 s and 50 MB to import scipy.optimize. Default
+# runs (2-6 solves) skip that; a 128-wide merge (4 solves, +60-80 ms) pays it.
+NUMPY_SOLVER_WIDTH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +63,48 @@ def _score_matrix(c):
     return m
 
 
-def _best_score(matrix):
-    from scipy import optimize  # deferred: importing it dominates import time
+def _shortest_augmenting_paths(cost):
+    """col4row of a minimum-cost assignment of the square matrix cost: scipy's
+    shortest augmenting paths (Crouse, IEEE TAES 2016), duals u, v; O(n^3)."""
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col = np.full((2, n), -1, dtype=np.intp)
+    for start in range(n):
+        dist, path = np.full(n, np.inf), np.empty(n, dtype=np.intp)
+        shift = -v  # and +inf on scanned columns, so no path reaches them
+        cols, lows, i, low = [], [], start, 0.0
+        while i >= 0:  # until the path reaches a free column
+            reduced = cost[i] + shift + (low - u[i])
+            closer = reduced < dist
+            np.copyto(dist, reduced, where=closer)
+            np.copyto(path, i, where=closer)
+            j = int(dist.argmin())
+            low = dist[j]
+            if row4col[j] >= 0:  # on a tie, end the path at a free column
+                ties = np.flatnonzero((dist == low) & (row4col < 0))
+                j = int(ties[0]) if ties.size else j
+            cols.append(j)
+            lows.append(low)
+            dist[j] = shift[j] = np.inf
+            i = row4col[j]
+        lows = np.array(lows)
+        u[start] += low
+        u[row4col[cols[:-1]]] += low - lows[:-1]
+        v[cols] -= low - lows
+        while j >= 0:  # flip the path's edges; start's col4row of -1 ends it
+            i = path[j]
+            row4col[j], col4row[i], j = i, j, col4row[i]
+    return col4row
 
-    rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
-    return float(matrix[rows, cols].sum()), cols
+
+def _best_score(matrix):
+    """(score, col4row) of an optimum; NUMPY_SOLVER_WIDTH picks the solver."""
+    if matrix.shape[0] <= NUMPY_SOLVER_WIDTH:
+        cols = _shortest_augmenting_paths(-matrix)
+    else:
+        from scipy import optimize  # deferred: its import costs about 0.7 s
+        cols = optimize.linear_sum_assignment(matrix, maximize=True)[1]
+    return float(matrix[np.arange(matrix.shape[0]), cols].sum()), cols
 
 
 def _cheapest_cycles(m, sigma):

@@ -956,6 +956,54 @@ def test_out_through_a_regular_file_is_a_named_error(
     assert afile.read_text() == "a file, not a directory\n"
 
 
+@pytest.fixture(scope="module")
+def ill_posed_pair(tmp_path_factory):
+    """Default-width models on the default data whose 3-probe CCA merge
+    cannot be inverted at gamma 0."""
+    root = tmp_path_factory.mktemp("ill_posed")
+    data = root / "train.ds"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    models = []
+    for seed in ("1", "2"):
+        path = root / f"m{seed}.model"
+        assert main(["train", "--data", str(data), "--seed", seed,
+                     "--epochs", "10", "--out", str(path)]) == 0
+        models.append(str(path))
+    return data, models
+
+
+@pytest.mark.parametrize("case, message", [
+    ("gamma", "too ill-conditioned to invert"),
+    ("search", "every candidate gamma failed during merging"),
+    ("diverging", "non-finite loss at epoch 2, batch 1"),
+])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_run_leaves_no_directory_it_made(
+    ill_posed_pair, tmp_path, capsys, case, message, existing
+):
+    data, models = ill_posed_pair
+    cca = ["merge", *models, "--method", "cca", "--probes", str(data),
+           "--probe-limit", "3"]
+    argv = {
+        "gamma": cca + ["--gamma", "0"],
+        "search": cca + ["--gamma-search", "0"],
+        "diverging": ["experiment", "--classes", "4", "--per-class", "10",
+                      "--dim", "4", "--seeds", "1,2", "--lr", "1e6",
+                      "--epochs", "3"],
+    }[case]
+    out = tmp_path / "made" / "out"
+    if existing:
+        out.mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: ") and message in err
+    assert err.count("\n") == 1
+    # a directory that was there before the run stays, even when empty
+    assert out.is_dir() == existing
+    assert [p.name for p in tmp_path.iterdir()] == (["made"] if existing else [])
+
+
 class TestMethodList:
     def test_empty_methods_rejected_before_training(
         self, tmp_path, capsys, monkeypatch

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fuselab import (
     linear_sum_assignment,
     permute_plan,
 )
+from fuselab import matching
 from fuselab.activations import ActivationMatrix, correlations
 from fuselab.matching import SCORE_RTOL
 
@@ -132,13 +134,90 @@ class TestAgainstGreedyOracle:
         np.testing.assert_array_equal(out.mapping, cols)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, fuselab; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+class TestSolverChoice:
+    """Up to NUMPY_SOLVER_WIDTH the numpy solver runs, wider ones scipy's."""
+
+    @pytest.mark.parametrize("n, scipy_calls", [(64, []), (65, [(65, 65)])])
+    def test_width_picks_the_solver(self, monkeypatch, n, scipy_calls):
+        assert matching.NUMPY_SOLVER_WIDTH == 64
+        calls = []
+        solver = optimize.linear_sum_assignment
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linear_sum_assignment", counted)
+        m = np.random.default_rng(81).normal(size=(n, n))
+        out = linear_sum_assignment(m)
+        assert calls == scipy_calls
+        _, cols = solver(m, maximize=True)
+        np.testing.assert_array_equal(out.mapping, cols)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(13, 64),
+        st.sampled_from([None, 1, 0]),
+        st.integers(0, 2**32 - 1),
     )
-    assert out.stdout.strip() == "False"
+    def test_numpy_solver_equals_scipy(self, n, decimals, seed):
+        rng = np.random.default_rng(seed)
+        m = np.tanh(rng.normal(size=(n, n)))
+        if decimals is not None:  # rounding plants ties
+            m = np.round(m, decimals)
+        score, cols = matching._best_score(m)
+        assert np.array_equal(np.sort(cols), np.arange(n))
+        rows, best = optimize.linear_sum_assignment(m, maximize=True)
+        optimum = float(m[rows, best].sum())
+        assert abs(score - optimum) <= SCORE_RTOL * max(1.0, abs(optimum))
+        out = linear_sum_assignment(m)
+        with patch.object(matching, "NUMPY_SOLVER_WIDTH", 0):
+            via_scipy = linear_sum_assignment(m)
+        np.testing.assert_array_equal(out.mapping, via_scipy.mapping)
+        assert out.total_score == via_scipy.total_score
+
+
+# importing fuselab, then commands at the default widths (64, 64); after each
+# step, whether scipy.optimize is loaded
+DEFAULT_WIDTH_RUNS = """
+import contextlib, io, sys
+import fuselab
+from fuselab.cli import main
+
+root = sys.argv[1]
+data, loaded = root + "/train.ds", ["scipy.optimize" in sys.modules]
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0
+    loaded.append("scipy.optimize" in sys.modules)
+
+
+size = ["--classes", "4", "--per-class", "25", "--dim", "6"]
+run("gen-data", *size, "--out", data)
+models = [f"{root}/m{seed}.model" for seed in range(3)]
+for seed, path in enumerate(models):
+    run("train", "--data", data, "--seed", str(seed), "--epochs", "1",
+        "--out", path)
+run("merge", *models, "--method", "permute", "--probes", data,
+    "--out", root + "/merged")
+run("analyze", *models, "--probes", data)
+run("experiment", *size, "--epochs", "1", "--test-per-class", "10",
+    "--grid", "3", "--out", root + "/experiment")
+print(loaded)
+"""
+
+
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # default-width assignments run in numpy: a 3-model permute merge,
+    # analyze and a default experiment never import scipy.optimize either
+    out = subprocess.run(
+        [sys.executable, "-c", DEFAULT_WIDTH_RUNS, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == str([False] * 8)
 
 
 class TestLinearSumAssignment:
