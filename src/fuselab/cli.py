@@ -218,17 +218,16 @@ def cmd_eval(args):
     models = [load_model(p) for p in args.models]
     ds = load_dataset(args.data)
     items = [("report", "eval"), ("models", len(models))]
+    logits = evaluation._logits(models, ds)
     accs = []
-    for i, model in enumerate(models):
-        loss, acc = trainer.cross_entropy_accuracy(model, ds)
-        items.append((f"model.{i}.loss", loss))
-        items.append((f"model.{i}.accuracy", acc))
+    for i, z in enumerate(logits):
+        loss, acc = trainer._scores(z, ds.labels)
+        items += [(f"model.{i}.loss", loss), (f"model.{i}.accuracy", acc)]
         accs.append(acc)
     if len(models) > 1:
         items.append(("base_models_avg", float(np.mean(accs))))
-        items.append(
-            ("ensemble_accuracy", evaluation.ensemble_accuracy(models, ds))
-        )
+        ensemble = evaluation._ensemble_accuracy(logits, ds.labels)
+        items.append(("ensemble_accuracy", ensemble))
     return _emit(args, items)
 
 
@@ -319,12 +318,12 @@ def cmd_experiment(args):
         ("gamma_selected", None if args.gamma_search is None else gamma),
         ("repair", args.repair),
     ]
-    accs = [evaluation.accuracy(m, test_ds) for m in models]
+    logits = evaluation._logits(models, test_ds)
+    accs = [trainer._scores(z, test_ds.labels)[1] for z in logits]
     items += [(f"model.{i}.accuracy", a) for i, a in enumerate(accs)]
     items.append(("base_models_avg", float(np.mean(accs))))
-    items.append(
-        ("ensemble_accuracy", evaluation.ensemble_accuracy(models, test_ds))
-    )
+    ensemble = evaluation._ensemble_accuracy(logits, test_ds.labels)
+    items.append(("ensemble_accuracy", ensemble))
     for method in methods:
         _, rep = evaluation._evaluate_merge(
             method, models, test_ds, probes, gamma, args.repair, args.grid,

@@ -45,12 +45,20 @@ def accuracy(model, ds):
 
 def ensemble_accuracy(models, ds):
     """Accuracy of the uniform logit average of the models."""
+    return _ensemble_accuracy(_logits(models, ds), ds.labels)
+
+
+def _logits(models, ds):
+    """Each model's logits on ds, which score it and the ensemble alike."""
     if not models:
         raise ConfigurationError("ensemble needs at least one model")
     for m in models:
         trainer._check_scorable(m, ds)
-    logits = np.mean([forward(m, ds.features) for m in models], axis=0)
-    return float((logits.argmax(axis=1) == ds.labels).mean())
+    return [forward(m, ds.features) for m in models]
+
+
+def _ensemble_accuracy(logits, labels):
+    return trainer._scores(np.mean(logits, axis=0), labels)[1]
 
 
 def _blend(model_a, model_b, lam):

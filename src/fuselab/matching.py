@@ -8,12 +8,12 @@ an infinitesimal -eps * column-index perturbation.
 One solver call (numpy's up to NUMPY_SOLVER_WIDTH, scipy's above) gives an
 optimum sigma. Every other optimum differs from sigma only along zero-cost
 cycles of the exchange graph, whose edge i -> k costs C[i, sigma(i)] -
-C[i, sigma(k)] (row i giving up its column for row k's). All-pairs shortest
-paths over that graph give each row's cheapest cycle; rows with no
-near-zero cycle keep sigma(i), and only the remaining rows are canonicalized
-exactly, by fixing them greedily and re-checking optimality of the
-remainder. The solve and the cycle search are O(n^3); the greedy costs
-O(k^2) solves for k rows that can tie.
+C[i, sigma(k)] (row i giving up its column for row k's). Under potentials
+from the solver's prices no edge costs less than zero, so rows without a
+near-zero edge in and out lie on no near-zero cycle and keep sigma(i); only
+the remaining rows are canonicalized exactly, by fixing them greedily and
+re-checking optimality of the remainder. The solve is O(n^3), the filter
+O(n^2) a round; the greedy costs O(k^2) solves for k rows that can tie.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from .model import AlignmentPlan, LayerTransform, MethodTag
 # exact ties (duplicate entries) differ by at most a few ulps of the total
 SCORE_RTOL = 1e-12
 
-# widest matrix solved in numpy (the default width): on trained correlations
-# it takes 3-9 ms at n = 64 and 15-21 ms at 128, scipy 0.2 and 0.7-0.9 ms, but
-# a fresh process pays about 0.7 s and 50 MB to import scipy.optimize. Default
-# runs (2-6 solves) skip that; a 128-wide merge (4 solves, +60-80 ms) pays it.
-NUMPY_SOLVER_WIDTH = 64
+# widest matrix solved in numpy. Its worst extra time per solve over scipy's
+# is 1/40 of scipy's 0.7 s import (41 MB) at 128, 1/3 at 512 (2-core VM, ms,
+# numpy/scipy: correlations 4.0/1.0, 31/19 at 512; low-rank 18/1.5, 297/54)
+NUMPY_SOLVER_WIDTH = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,59 +63,96 @@ def _score_matrix(c):
 
 
 def _shortest_augmenting_paths(cost):
-    """col4row of a minimum-cost assignment of the square matrix cost: scipy's
-    shortest augmenting paths (Crouse, IEEE TAES 2016), duals u, v; O(n^3)."""
+    """(col4row, v): a minimum-cost assignment of the square matrix cost and
+    column duals v, cost[i, j] - v[j] being least at j = col4row[i]. A
+    Jonker-Volgenant start (Computing 1987) leaves few rows for scipy's
+    shortest augmenting paths (Crouse, IEEE TAES 2016). O(n^3)."""
     n = cost.shape[0]
-    u, v = np.zeros(n), np.zeros(n)
     col4row, row4col = np.full((2, n), -1, dtype=np.intp)
-    for start in range(n):
-        dist, path = np.full(n, np.inf), np.empty(n, dtype=np.intp)
+    if n == 0:
+        return col4row, np.zeros(0)
+    v = cost.min(axis=0)  # column reduction, then rounds of bids
+    rows, cols = np.unique(cost.argmin(axis=0), return_index=True)
+    col4row[rows], row4col[cols] = cols, rows
+    free = np.flatnonzero(col4row < 0)
+    while free.size:  # each free row bids for its cheapest column
+        reduced, at = cost[free] - v, np.arange(free.size)
+        best = reduced.argmin(axis=1)
+        low = reduced[at, best]
+        open_ = (reduced == low[:, None]) & (row4col < 0)  # tied and free
+        best = np.where(open_.any(axis=1), open_.argmax(axis=1), best)
+        reduced[at, best] = np.inf
+        high = reduced.min(axis=1)  # the bid lowers v[best] by high - low
+        bids = np.lexsort((low - high, best))  # per column, largest bid first
+        won = bids[np.r_[True, np.diff(best[bids]) != 0]]
+        cols = best[won]
+        v[cols] -= high[won] - low[won]
+        col4row[row4col[cols][row4col[cols] >= 0]] = -1
+        col4row[free[won]], row4col[cols] = cols, free[won]
+        free, before = np.flatnonzero(col4row < 0), free.size
+        if free.size >= before:  # the round freed as many rows as it placed
+            break
+    u = cost[np.arange(n), col4row] - v[col4row]
+    u[free] = 0.0
+    offers = np.empty((n, n))  # offers[k]: distances through the k-th row
+    for start in free:
+        dist = np.full(n, np.inf)
         shift = -v  # and +inf on scanned columns, so no path reaches them
-        cols, lows, i, low = [], [], start, 0.0
+        path, i, low = [], start, 0.0
         while i >= 0:  # until the path reaches a free column
-            reduced = cost[i] + shift + (low - u[i])
-            closer = reduced < dist
-            np.copyto(dist, reduced, where=closer)
-            np.copyto(path, i, where=closer)
+            offer = np.add(cost[i], low - u[i], out=offers[len(path)])
+            offer += shift
+            np.minimum(dist, offer, out=dist)
             j = int(dist.argmin())
             low = dist[j]
-            if row4col[j] >= 0:  # on a tie, end the path at a free column
-                ties = np.flatnonzero((dist == low) & (row4col < 0))
-                j = int(ties[0]) if ties.size else j
-            cols.append(j)
-            lows.append(low)
+            path.append((i, j, low))
             dist[j] = shift[j] = np.inf
             i = row4col[j]
-        lows = np.array(lows)
+        rows, cols, lows = (np.array(x) for x in zip(*path))
         u[start] += low
-        u[row4col[cols[:-1]]] += low - lows[:-1]
+        u[rows[1:]] += low - lows[:-1]
         v[cols] -= low - lows
-        while j >= 0:  # flip the path's edges; start's col4row of -1 ends it
-            i = path[j]
+        while j >= 0:  # flip the path; a column's first best offer leads back
+            i = rows[int(offers[: len(path), j].argmin())]
             row4col[j], col4row[i], j = i, j, col4row[i]
-    return col4row
+    return col4row, v
 
 
 def _best_score(matrix):
-    """(score, col4row) of an optimum; NUMPY_SOLVER_WIDTH picks the solver."""
+    """(score, col4row, column prices, zeros from scipy) of an optimum."""
     if matrix.shape[0] <= NUMPY_SOLVER_WIDTH:
-        cols = _shortest_augmenting_paths(-matrix)
+        cols, v = _shortest_augmenting_paths(-matrix)
     else:
         from scipy import optimize  # deferred: its import costs about 0.7 s
         cols = optimize.linear_sum_assignment(matrix, maximize=True)[1]
-    return float(matrix[np.arange(matrix.shape[0]), cols].sum()), cols
+        v = np.zeros(matrix.shape[0])
+    return float(matrix[np.arange(matrix.shape[0]), cols].sum()), cols, v
 
 
-def _cheapest_cycles(m, sigma):
-    """Cost of the cheapest exchange-graph cycle through each row."""
-    own = m[np.arange(m.shape[0]), sigma]
-    d = own[:, None] - m[:, sigma]
+def _tie_rows(m, sigma, prices, tol):
+    """A superset of the rows on exchange-graph cycles scoring within tol.
+
+    Capped Bellman-Ford sweeps from the solver's prices make the potentials
+    feasible (Johnson 1977). A near-zero cycle sums up to n reduced costs,
+    none below the lowest; slack and noise cover their rounding. O(n^3)."""
+    n = m.shape[0]
+    d = m[np.arange(n), sigma][:, None] - m[:, sigma]
     np.fill_diagonal(d, np.inf)
-    step = np.empty_like(d)
-    for k in range(d.shape[0]):  # Floyd-Warshall, one pivot row per round
-        np.add(d[:, k, None], d[None, k, :], out=step)
-        np.minimum(d, step, out=d)
-    return np.diagonal(d)
+    eps, scale = np.finfo(np.float64).eps, float(np.abs(m).max(initial=0.0))
+    slack, pi = 2.0 * tol + 4.0 * n * eps * scale, prices[sigma]
+    for _ in range(n):  # capped: a zero cycle rounded below zero never settles
+        lower = np.minimum(pi, (pi[:, None] + d).min(axis=0))
+        fell, pi = float((pi - lower).max()), lower
+        if fell <= slack:
+            break
+    reduced = d + pi[:, None] - pi[None, :]
+    noise = 4.0 * eps * (scale + float(np.abs(pi).max(initial=0.0)))
+    near = reduced <= slack + n * (noise - min(0.0, reduced.min(initial=0.0)))
+    keep, drop = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    while drop.any():  # drop rows with no near-zero edge in or out
+        drop = keep & ~(near[keep].any(axis=0) & near[:, keep].any(axis=1))
+        keep &= ~drop
+    return np.flatnonzero(keep)
 
 
 def _greedy(m, optimum, tol):
@@ -128,7 +164,7 @@ def _greedy(m, optimum, tol):
     for i in range(n):
         for j in available:
             rest_cols = [c_ for c_ in available if c_ != j]
-            rest = _best_score(m[i + 1 :, rest_cols])[0] if rest_cols else 0.0
+            rest = _best_score(m[i + 1 :, rest_cols])[0]
             if prefix + m[i, j] + rest >= optimum - tol:
                 mapping[i] = j
                 prefix += m[i, j]
@@ -143,14 +179,10 @@ def linear_sum_assignment(c):
     """Exact maximum assignment, lexicographically smallest among optima."""
     m = _score_matrix(c)
     n = m.shape[0]
-    optimum, sigma = _best_score(m)
+    optimum, sigma, prices = _best_score(m)
     tol = SCORE_RTOL * max(1.0, abs(optimum))
-    # a cycle cost sums up to n rounded differences; the slack covers that
-    # rounding so that no row the greedy could move is wrongly kept fixed
-    eps = np.finfo(np.float64).eps
-    slack = 2.0 * tol + 4.0 * n * eps * float(np.abs(m).max(initial=0.0))
     mapping = sigma.astype(np.intp)
-    rows = np.flatnonzero(_cheapest_cycles(m, mapping) <= slack)
+    rows = _tie_rows(m, mapping, prices, tol)
     if rows.size:
         cols = np.sort(mapping[rows])
         sub = m[np.ix_(rows, cols)]

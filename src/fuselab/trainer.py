@@ -99,16 +99,17 @@ def _check_scorable(model, ds):
 
 
 def cross_entropy_accuracy(model, ds):
-    """(mean cross-entropy, accuracy) on a dataset.
-
-    Prediction ties resolve toward the lowest class index (argmax).
-    """
+    """(mean cross-entropy, accuracy) on a dataset; prediction ties resolve
+    toward the lowest class index (argmax)."""
     _check_scorable(model, ds)
-    logits = forward(model, ds.features)
+    return _scores(forward(model, ds.features), ds.labels)
+
+
+def _scores(logits, labels):
+    """cross_entropy_accuracy of logits already computed."""
     logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(ds.m), ds.labels].mean())
-    acc = float((logits.argmax(axis=1) == ds.labels).mean())
-    return loss, acc
+    loss = float(-logp[np.arange(labels.size), labels].mean())
+    return loss, float((logits.argmax(axis=1) == labels).mean())
 
 
 def _check_rows(ds):

@@ -129,11 +129,12 @@ def topk_coverage_oracle(values, coeffs, k_corr, k_coeff):
     return float(100.0 * hits / n)
 
 
-def count_calls(monkeypatch, names):
+def count_calls(monkeypatch, names, calls=None):
     """Wrap every binding of the named functions in every fuselab module.
 
     A name fuselab does not export is taken from numpy.linalg (svd, eigh,
-    ...), which fuselab looks up at call time.
+    ...), which fuselab looks up at call time. When calls is a list, each
+    call's (name, args) is appended to it.
     """
     counts = Counter()
     modules = [fuselab] + [
@@ -146,6 +147,8 @@ def count_calls(monkeypatch, names):
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
+            if calls is not None:
+                calls.append((_name, args))
             return _fn(*args, **kwargs)
 
         for mod in owners:

@@ -1,8 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fuselab import TrainConfig, generate, train
 from fuselab.trainer import seeds_for
+
+# hypothesis imports this module only once a property fails, to print the
+# failing example. It pulls in libcst, whose import warns DeprecationWarning,
+# and pyproject's filterwarnings would end the whole session in INTERNALERROR.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is optional
+        pass
 
 
 @pytest.fixture(scope="session")

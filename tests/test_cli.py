@@ -393,6 +393,15 @@ class TestEval:
         assert float(report["base_models_avg"]) == pytest.approx(avg)
         assert "ensemble_accuracy" in report
 
+    def test_each_model_forwarded_once(self, workdir, monkeypatch, capsys):
+        # one set of logits per model gives its loss, its accuracy and the
+        # ensemble's; scoring each model and then the ensemble made 6
+        _, _, test, models = workdir
+        counts = count_calls(monkeypatch, ["forward"])
+        assert main(["eval", *map(str, models), "--data", str(test)]) == 0
+        assert counts == {"forward": 3}
+        capsys.readouterr()
+
     def test_out_file_written(self, workdir, tmp_path, capsys):
         _, _, test, models = workdir
         out = tmp_path / "eval.txt"
@@ -562,11 +571,24 @@ class TestExperiment:
     def test_endpoints_and_ensemble_scored_once(
         self, tmp_path, monkeypatch, capsys
     ):
-        counts = count_calls(monkeypatch, ["accuracy", "ensemble_accuracy"])
+        trained, calls = [], []
+        train_many = trainer.train_many
+
+        def keep(*args):
+            trained.extend(train_many(*args))
+            return list(trained)
+
+        monkeypatch.setattr(trainer, "train_many", keep)
+        count_calls(monkeypatch, ["forward"], calls)
         out = tmp_path / "exp"
         assert main(["experiment", *EXPERIMENT_ARGS, "--out", str(out)]) == 0
-        # 2 models, 3 methods: one score per model and one ensemble
-        assert counts == {"accuracy": 2, "ensemble_accuracy": 1}
+        # 2 models, 3 methods: each model's test logits give its accuracy
+        # and the ensemble's; 4 classes, 10 test rows each
+        test_rows = 4 * 10
+        scored = [args for _, args in calls
+                  if any(args[0] is m for m in trained)
+                  and len(args[1]) == test_rows]
+        assert len(trained) == 2 and len(scored) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize(

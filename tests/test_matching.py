@@ -77,6 +77,29 @@ def _greedy_oracle(c):
     return Assignment(mapping, total)
 
 
+def _cheapest_cycles(m, sigma):
+    """Cost of the cheapest exchange-graph cycle through each row.
+
+    The Floyd-Warshall search the potential filter replaced. A cycle that
+    rounds below zero compounds here, so its costs are valid only while
+    every cycle reads >= -slack.
+    """
+    own = m[np.arange(m.shape[0]), sigma]
+    d = own[:, None] - m[:, sigma]
+    np.fill_diagonal(d, np.inf)
+    step = np.empty_like(d)
+    for k in range(d.shape[0]):  # one pivot row per round
+        np.add(d[:, k, None], d[None, k, :], out=step)
+        np.minimum(d, step, out=d)
+    return np.diagonal(d)
+
+
+def _slack(m, tol):
+    """The slack for cycle costs that the search it replaced used."""
+    eps = np.finfo(np.float64).eps
+    return 2.0 * tol + 4.0 * m.shape[0] * eps * float(np.abs(m).max(initial=0.0))
+
+
 @st.composite
 def tie_heavy_matrices(draw):
     """Square score matrices built to contain many exactly tied optima."""
@@ -127,19 +150,120 @@ class TestAgainstGreedyOracle:
             return solver(*args, **kwargs)
 
         monkeypatch.setattr(optimize, "linear_sum_assignment", counted)
-        m = np.random.default_rng(80).normal(size=(128, 128))
+        m = np.random.default_rng(80).normal(size=(129, 129))
         out = linear_sum_assignment(m)
-        assert calls == [(128, 128)]
+        assert calls == [(129, 129)]
         _, cols = solver(m, maximize=True)
         np.testing.assert_array_equal(out.mapping, cols)
+
+
+@st.composite
+def wide_tie_matrices(draw):
+    """1-128 wide correlation-like matrices with planted ties: rounded
+    rows, dead (zeroed) rows and columns, duplicated columns and a
+    constant block; few enough tied rows for the greedy to stay quick."""
+    n = draw(st.integers(1, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.tanh(rng.normal(size=(n, n)))
+    index = st.integers(0, n - 1)
+    rounded = draw(st.lists(index, max_size=12))
+    m[rounded] = np.round(m[rounded], draw(st.sampled_from([0, 1])))
+    m[draw(st.lists(index, max_size=6)), :] = 0.0
+    m[:, draw(st.lists(index, max_size=6))] = 0.0
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=6)):
+        m[:, dst] = m[:, src]
+    first = draw(index)
+    size = draw(st.integers(0, min(6, n - first)))
+    m[first : first + size, first : first + size] = 0.5
+    return m
+
+
+class TestTieRows:
+    """The potential filter against the Floyd-Warshall cycle search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_tie_matrices())
+    def test_filter_keeps_every_tied_row(self, m):
+        outs = []
+        for width in (matching.NUMPY_SOLVER_WIDTH, 0):  # numpy's, scipy's
+            with patch.object(matching, "NUMPY_SOLVER_WIDTH", width):
+                optimum, sigma, prices = matching._best_score(m)
+                out = linear_sum_assignment(m)
+            tol = SCORE_RTOL * max(1.0, abs(optimum))
+            slack = _slack(m, tol)
+            rows = matching._tie_rows(m, sigma, prices, tol)
+            cycles = _cheapest_cycles(m, sigma)
+            oracle = np.flatnonzero(cycles <= slack)
+            if cycles.min(initial=0.0) >= -slack:
+                assert set(oracle) <= set(rows)
+            # the search it replaced: the greedy over the oracle's rows
+            mapping = sigma.copy()
+            if oracle.size:
+                cols = np.sort(sigma[oracle])
+                sub = m[np.ix_(oracle, cols)]
+                sub_optimum = float(m[oracle, sigma[oracle]].sum())
+                mapping[oracle] = cols[matching._greedy(sub, sub_optimum, tol)]
+            assert out.mapping.tobytes() == mapping.astype(np.intp).tobytes()
+            assert out.total_score == float(m[np.arange(len(m)), mapping].sum())
+            outs.append(out)
+        assert outs[0].mapping.tobytes() == outs[1].mapping.tobytes()
+        assert outs[0].total_score == outs[1].total_score
+
+    @pytest.mark.parametrize(
+        "width, rows",
+        [
+            (128, [[0.3, 0.2, 0.1], [0.1, 0.7, 0.6], [0.1, 0.2, 0.1]]),
+            (0, [[0.1, 0.3, 0.7, 0.3], [0.2, 0.7, 0.6, 0.6],
+                 [0.2, 0.2, 0.3, 0.1], [0.3, 0.2, 0.3, 0.1]]),
+        ],
+    )
+    def test_zero_cycle_rounded_below_zero(self, width, rows):
+        # an exactly zero exchange cycle whose rounded cost is negative:
+        # potentials along it keep falling, so only the sweeps' stop rule
+        # and cap end the Bellman-Ford loop
+        m = np.array(rows)
+        with patch.object(matching, "NUMPY_SOLVER_WIDTH", width):
+            _, sigma, _ = matching._best_score(m)
+            out = linear_sum_assignment(m)
+        assert _cheapest_cycles(m, sigma).min() < 0
+        oracle = _greedy_oracle(m)
+        np.testing.assert_array_equal(out.mapping, oracle.mapping)
+        assert out.total_score == oracle.total_score
+
+
+    def test_margin_keeps_a_cycle_costing_under_the_slack(self):
+        # scipy's path starts from zero potentials, and the sweeps stop once
+        # none falls by more than the slack (2e-12): edge 0 -> 1 reads
+        # -1.5e-12. Rows 0 and 1 lie on a cycle costing 1e-12, so edge
+        # 1 -> 0 reads 2.5e-12, above the slack; only the margin for negative
+        # reduced costs keeps the two rows, and without them sigma stands
+        m = np.array([
+            [0.250000000002, 0.249999999998, 0.25, 0.250000000002],
+            [0.25, 0.0, 0.25, 0.249999999999],
+            [-1e-12, 0.0, 0.25, 0.0],
+            [0.0, 0.25, -5e-13, 0.2500000000015],
+        ])
+        with patch.object(matching, "NUMPY_SOLVER_WIDTH", 0):
+            optimum, sigma, prices = matching._best_score(m)
+            out = linear_sum_assignment(m)
+        tol = SCORE_RTOL * max(1.0, abs(optimum))
+        rows = matching._tie_rows(m, sigma, prices, tol)
+        cycles = _cheapest_cycles(m, sigma)
+        assert set(np.flatnonzero(cycles <= _slack(m, tol))) <= set(rows)
+        oracle = _greedy_oracle(m)
+        assert not np.array_equal(sigma, oracle.mapping)
+        np.testing.assert_array_equal(out.mapping, oracle.mapping)
+        assert out.total_score == oracle.total_score
 
 
 class TestSolverChoice:
     """Up to NUMPY_SOLVER_WIDTH the numpy solver runs, wider ones scipy's."""
 
-    @pytest.mark.parametrize("n, scipy_calls", [(64, []), (65, [(65, 65)])])
+    @pytest.mark.parametrize(
+        "n, scipy_calls", [(128, []), (129, [(129, 129)]), (0, [])]
+    )
     def test_width_picks_the_solver(self, monkeypatch, n, scipy_calls):
-        assert matching.NUMPY_SOLVER_WIDTH == 64
+        assert matching.NUMPY_SOLVER_WIDTH == 128
         calls = []
         solver = optimize.linear_sum_assignment
 
@@ -156,7 +280,7 @@ class TestSolverChoice:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.integers(13, 64),
+        st.integers(13, 128),
         st.sampled_from([None, 1, 0]),
         st.integers(0, 2**32 - 1),
     )
@@ -165,7 +289,7 @@ class TestSolverChoice:
         m = np.tanh(rng.normal(size=(n, n)))
         if decimals is not None:  # rounding plants ties
             m = np.round(m, decimals)
-        score, cols = matching._best_score(m)
+        score, cols, _ = matching._best_score(m)
         assert np.array_equal(np.sort(cols), np.arange(n))
         rows, best = optimize.linear_sum_assignment(m, maximize=True)
         optimum = float(m[rows, best].sum())
@@ -177,8 +301,8 @@ class TestSolverChoice:
         assert out.total_score == via_scipy.total_score
 
 
-# importing fuselab, then commands at the default widths (64, 64); after each
-# step, whether scipy.optimize is loaded
+# importing fuselab, then commands at the default widths (64, 64) and at
+# (128, 128); after each step, whether scipy.optimize is loaded
 DEFAULT_WIDTH_RUNS = """
 import contextlib, io, sys
 import fuselab
@@ -205,19 +329,26 @@ run("merge", *models, "--method", "permute", "--probes", data,
 run("analyze", *models, "--probes", data)
 run("experiment", *size, "--epochs", "1", "--test-per-class", "10",
     "--grid", "3", "--out", root + "/experiment")
+wide = [f"{root}/w{seed}.model" for seed in range(3)]
+for seed, path in enumerate(wide):
+    run("train", "--data", data, "--seed", str(seed), "--epochs", "1",
+        "--widths", "128,128", "--out", path)
+run("merge", *wide, "--method", "permute", "--probes", data,
+    "--out", root + "/merged-wide")
+run("analyze", *wide, "--probes", data)
 print(loaded)
 """
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # default-width assignments run in numpy: a 3-model permute merge,
+    # assignments up to 128 wide run in numpy: 3-model permute merges,
     # analyze and a default experiment never import scipy.optimize either
     out = subprocess.run(
         [sys.executable, "-c", DEFAULT_WIDTH_RUNS, str(tmp_path)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == str([False] * 8)
+    assert out.stdout.strip() == str([False] * 13)
 
 
 class TestLinearSumAssignment:
