@@ -165,6 +165,10 @@ class _PairStats:
 
 def _pair(a, acts_a, b, acts_b):
     """_PairStats of two captures on one probe set, given their sides."""
+    if len(acts_a) != len(acts_b):
+        raise ShapeError(
+            f"hidden layer counts differ: {len(acts_a)} != {len(acts_b)}"
+        )
     for x, y in zip(acts_a, acts_b):
         _check_pair(x, y)
     return _PairStats(a, b, [x.values.T @ y.values for x, y in zip(acts_a, acts_b)])
@@ -188,6 +192,7 @@ def _pair_stats(models, reference_index, probes, columns=True):
         if n == len(others):
             del acts
         yield pair
+        del pair  # before the next partner is captured
 
 
 def _pairs_among(models, probes, index_pairs):

@@ -175,13 +175,15 @@ def cmd_merge(args):
     if probes is None and args.repair:
         raise ConfigurationError("--repair needs --probes")
     out_dir = _out_dir(args.out)
-    gamma, made = args.gamma, None
-    if args.gamma_search is not None:
+    gamma = args.gamma
+    if args.gamma_search is None:
+        made = evaluation._merge(models, method, probes, gamma, reference)
+    else:
         # one capture per model: the search makes the merge it picks
         pairs = _pair_stats(models, reference, probes, method is MethodTag.PERMUTE)
         gamma, made = merge._search(candidates, pairs, probes_ds, method)
-    merged, report, _ = evaluation._merge_and_report(
-        models, method, probes, gamma, args.repair, reference, made
+    merged, report = evaluation._report(
+        models, method, made, probes, gamma, args.repair, reference
     )
     save_model(merged, out_dir / "merged.model")
     items = report.to_items()
@@ -325,10 +327,9 @@ def cmd_experiment(args):
     ensemble = evaluation._ensemble_accuracy(logits, test_ds.labels)
     items.append(("ensemble_accuracy", ensemble))
     for method in methods:
-        _, rep = evaluation._evaluate_merge(
-            method, models, test_ds, probes, gamma, args.repair, args.grid,
-            reference, pairs,
-        )
+        made = evaluation._merge(models, method, probes, gamma, reference, pairs)
+        _, rep = evaluation._evaluate(models, method, made, test_ds, probes, gamma,
+                                      args.repair, args.grid, reference)
         p = f"method.{CLI_NAME[method]}"
         items.append((f"{p}.merged_accuracy", rep.merged_accuracy))
         items.append((f"{p}.merged_loss", rep.merged_loss))

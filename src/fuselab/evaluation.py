@@ -3,11 +3,12 @@
 The barrier of a model pair is the worst gap between the loss along the
 straight parameter path and the straight line between the endpoint losses;
 the path is taken between a reference model and an already-aligned partner.
-merge_and_report reads the reference's activations._PairStats against each
-partner: the first pair's CCA solutions give the layer summaries, and
-merge's all-to-one loop aligns and averages from the same pairs. It then
-repairs and reports. An experiment forms its pairs once for every method;
-`merge --gamma-search` hands over the merge the search made instead.
+A merge is made, then reported: _merge reads the reference's _PairStats
+against each partner, solves the first pair for the layer summaries and
+runs merge's all-to-one loop on the same pairs, and merge._search makes
+the same (merged, aligned, summaries), with no aligned models, at the
+ridge it picks; _report repairs and reports either. An experiment forms
+its pairs once for every method.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-
-from itertools import chain
 
 from . import cca, merge, trainer
 from .activations import _check_gamma, _pair_stats
@@ -160,15 +159,15 @@ def merge_and_report(models, method, probes=None, gamma=None, repair=False,
     summaries of the first pair are attached whenever probes are available,
     whatever the merge method. A given gamma is checked whatever the method.
     """
-    return _merge_and_report(models, method, probes, gamma, repair,
+    made = _merge(models, method, probes, gamma, reference_index)
+    merged, report = _report(models, method, made, probes, gamma, repair,
                              reference_index)
+    return merged, report, made[1]
 
 
-def _merge_and_report(models, method, probes, gamma, repair, reference_index,
-                      made=None, pairs=None):
-    """merge_and_report. made is (merged model, layer summaries) when
-    merge._search has made this merge: nothing is aligned again and no aligned
-    models come back. pairs, when given, are the reference's _PairStats
+def _merge(models, method, probes, gamma, reference_index, pairs=None):
+    """(merged, aligned non-reference models in order, layer summaries) of
+    merge_and_report. pairs, when given, are the reference's _PairStats
     against the other models in order, formed once by the caller."""
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
@@ -177,24 +176,37 @@ def _merge_and_report(models, method, probes, gamma, repair, reference_index,
     if gamma is not None:
         _check_gamma(gamma)
     reference = models[reference_index]
-    if made is None:
-        others = [m for i, m in enumerate(models) if i != reference_index]
-        if pairs is None and probes is not None:
-            pairs = _pair_stats(models, reference_index, probes)
-        summaries = ()
-        if pairs is not None:  # the first pair is solved before any merging
-            pairs = iter(pairs)
-            first = next(pairs)
-            summaries = summaries_from_solutions(cca.solve_pair(first, gamma))
-            pairs = chain([first], pairs)
-        merged, aligned = merge._merge_all(reference, others, method, pairs, gamma)
-    else:
-        (merged, summaries), aligned = made, None
+    others = [m for i, m in enumerate(models) if i != reference_index]
+    if pairs is None and probes is not None:
+        pairs = _pair_stats(models, reference_index, probes)
+    summaries = ()
+    if pairs is not None:  # the first pair is solved before any merging
+        pairs = iter(pairs)
+        first = next(pairs)
+        summaries = summaries_from_solutions(cca.solve_pair(first, gamma))
+        pairs = _then(first, pairs)
+        del first
+    merged, aligned = merge._merge_all(reference, others, method, pairs, gamma)
+    return merged, aligned, summaries
+
+
+def _then(first, rest):
+    """first, then rest's items; first is let go before rest is read, where
+    chain([first], rest) keeps it in its argument tuple."""
+    yield first
+    del first
+    yield from rest
+
+
+def _report(models, method, made, probes, gamma, repair, reference_index):
+    """(merged model, report) of a merge made as _merge makes it, repaired
+    against the reference on probes when asked."""
+    merged, _, summaries = made
     skipped = ()
     if repair:
         if probes is None:
             raise ConfigurationError("the statistics reset needs probes")
-        merged, skipped = merge.repair_reset(merged, reference, probes)
+        merged, skipped = merge.repair_reset(merged, models[reference_index], probes)
     report = MergeReport(
         method=method,
         num_models=len(models),
@@ -205,7 +217,7 @@ def _merge_and_report(models, method, probes, gamma, repair, reference_index,
         repair_skipped=skipped,
         layer_summaries=summaries,
     )
-    return merged, report, aligned
+    return merged, report
 
 
 def evaluate_merge(method, models, train_ds, test_ds, gamma=None, repair=False,
@@ -217,21 +229,21 @@ def evaluate_merge(method, models, train_ds, test_ds, gamma=None, repair=False,
     them once however many methods it merges with.
     """
     probes = limit_probes(train_ds.features, probe_limit)
-    return _evaluate_merge(method, models, test_ds, probes, gamma, repair,
-                           grid_size, reference_index)
+    made = _merge(models, method, probes, gamma, reference_index)
+    return _evaluate(models, method, made, test_ds, probes, gamma, repair,
+                     grid_size, reference_index)
 
 
-def _evaluate_merge(method, models, test_ds, probes, gamma, repair, grid_size,
-                    reference_index, pairs=None):
-    """evaluate_merge on given probes; pairs as for _merge_and_report."""
-    merged, report, aligned = _merge_and_report(
-        models, method, probes, gamma, repair, reference_index, pairs=pairs
-    )
+def _evaluate(models, method, made, test_ds, probes, gamma, repair, grid_size,
+              reference_index):
+    """evaluate_merge of a merge already made, as _merge makes it."""
+    merged, report = _report(models, method, made, probes, gamma, repair,
+                             reference_index)
     loss, acc = trainer.cross_entropy_accuracy(merged, test_ds)
     barrier = None
     if len(models) == 2:
         barrier = interpolation_curve(
-            models[reference_index], aligned[0], test_ds, grid_size
+            models[reference_index], made[1][0], test_ds, grid_size
         ).barrier
     return merged, dataclasses.replace(
         report, merged_accuracy=acc, merged_loss=loss, barrier=barrier

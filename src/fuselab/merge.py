@@ -7,10 +7,11 @@ uniform average.
 
 Every alignment goes through _align, the one place that dispatches on the
 method; it reads one pair's activations._PairStats. The all-to-one loop,
-_merge_all, is shared by merge_many and evaluation.merge_and_report and
-consumes the pairs in order, so a stream of them holds one partner's
-statistics at a time. The gamma search reads its pairs the same way and
-can keep a method's merge as it scores the ridges, so none is made twice.
+_merge_all, serves merge_many and evaluation._merge and consumes the pairs
+in order, so a stream of them holds one partner's statistics at a time.
+The gamma search reads its pairs the same way and keeps a method's merge,
+in evaluation._merge's form, as it scores the ridges, so `merge
+--gamma-search` makes none twice.
 
 The reset pass rescales each hidden neuron of a merged model so its
 pre-activation mean and standard deviation on probes match the reference
@@ -172,10 +173,10 @@ class _Candidate:
 def _search(candidate_gammas, pairs, eval_ds, method=None):
     """(select_gamma's choice, method's merge at it or None) over an iterable
     of activations._PairStats, formed as they are consumed. With a method,
-    the pairs share one reference and the merge is (model, layer summaries),
-    what merge_and_report makes at the chosen gamma. A candidate whose solve,
-    plan, merge or score fails on a pair is dropped; any other error, such
-    as forming a pair, propagates."""
+    the pairs share one reference and the merge is evaluation._merge's
+    (merged, None, summaries) at the chosen gamma: no aligned partner is
+    kept. A candidate whose solve, plan, merge or score fails on a pair is
+    dropped; any other error, such as forming a pair, propagates."""
     if candidate_gammas is not None:
         candidate_gammas = sorted(float(g) for g in candidate_gammas)
         if not candidate_gammas:
@@ -206,15 +207,17 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
         if not live:
             raise GammaSelectionError("every candidate gamma failed during merging")
         if shared is not None:
-            plan = _align(pair.b.model, method, iter([pair]))
-            shared.add(apply_plan(pair.b.model, plan))
+            b = pair.b.model
+            shared.add(apply_plan(b, _align(b, method, iter([pair]))))
+        # this pair and the models made from it go before the next is formed
+        del pair, sols, aligned, merged
         pair = next(pairs, None)
     best, best_score = None, -np.inf
     for cand in live:  # ascending, so >= sends exact ties to the larger gamma
         score = float(np.mean(cand.scores))
         if score >= best_score:
             best, best_score = cand, score
-    made = None if method is None else (best.total.mean(), best.summaries)
+    made = None if method is None else (best.total.mean(), None, best.summaries)
     return best.gamma, made
 
 

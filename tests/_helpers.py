@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from fuselab import (
     apply_plan,
     init_model,
 )
+from fuselab import activations, merge
 from fuselab.activations import DEGENERATE_VARIANCE, CorrelationMatrix
 
 
@@ -155,6 +157,38 @@ def count_calls(monkeypatch, names, calls=None):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+def record_pair_lifetimes(monkeypatch, made=False):
+    """A list that gets, at each activation capture, how many of the pair
+    statistics formed so far are still alive. A consumer that lets each
+    pair go before asking for the next keeps every entry at 0. With made,
+    the models merge's apply_plan and average_models return count too."""
+    pairs, alive = [], []
+    capture = activations.capture
+    for name in ("apply_plan", "average_models") if made else ():
+        monkeypatch.setattr(merge, name, _kept(getattr(merge, name), pairs))
+
+    class Recorded(activations._PairStats):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pairs.append(weakref.ref(self))
+
+    def recording(model, probes):
+        alive.append(sum(r() is not None for r in pairs))
+        return capture(model, probes)
+
+    monkeypatch.setattr(activations, "_PairStats", Recorded)
+    monkeypatch.setattr(activations, "capture", recording)
+    return alive
+
+
+def _kept(fn, refs):
+    def wrapped(*args):
+        out = fn(*args)
+        refs.append(weakref.ref(out))
+        return out
+    return wrapped
 
 
 def model_bytes(model):

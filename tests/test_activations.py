@@ -28,7 +28,12 @@ from fuselab.activations import (
     probe_matrix,
 )
 
-from _helpers import correlations_oracle, random_model, tiny_relu_model
+from _helpers import (
+    correlations_oracle,
+    random_model,
+    record_pair_lifetimes,
+    tiny_relu_model,
+)
 
 
 def _mat(values, layer_index=0):
@@ -243,6 +248,19 @@ class TestPairStatistics:
         assert [p.b.model for p in pairs] == models[1:]
         assert next(stream, None) is None
 
+    def test_stream_lets_each_pair_go_before_the_next_capture(
+        self, monkeypatch
+    ):
+        # a consumer that drops a pair before asking for the next one never
+        # holds two partners' statistics at once
+        models = [random_model(4, (5, 3), 2, seed=s) for s in range(4)]
+        probes = np.random.default_rng(0).standard_normal((20, 4))
+        alive = record_pair_lifetimes(monkeypatch)
+        stream = _pair_stats(models, 0, probes)
+        for _ in models[1:]:
+            assert next(stream).b.model is not None
+        assert alive == [0] * len(models)
+
 
 class TestPairChecks:
     @pytest.mark.parametrize("pair_fn", [scatter, correlations])
@@ -269,6 +287,16 @@ class TestPairChecks:
             next(_pair_stats([a, b], 0, probes))
         with pytest.raises(ShapeError, match="widths differ: 6 != 7"):
             _pairs_among([a, b], probes, ((0, 1),))
+
+    def test_builder_rejects_a_hidden_layer_count_mismatch(self, rng):
+        # zipping the captures would drop the deeper model's extra layers
+        a = random_model(4, (5, 5), 2, seed=0)
+        b = random_model(4, (5, 5, 5), 2, seed=1)
+        probes = rng.normal(size=(20, 4))
+        with pytest.raises(ShapeError, match="hidden layer counts differ: 2 != 3"):
+            next(_pair_stats([a, b], 0, probes))
+        with pytest.raises(ShapeError, match="hidden layer counts differ: 3 != 2"):
+            _pairs_among([a, b], probes, ((1, 0),))
 
     def test_builder_rejects_a_layer_index_mismatch(self, rng):
         model = random_model(4, (5, 5), 2, seed=0)

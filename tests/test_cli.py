@@ -12,6 +12,7 @@ from fuselab import (
     DenseLayer,
     MlpModel,
     evaluate_merge,
+    evaluation,
     generate,
     load_dataset,
     load_model,
@@ -51,6 +52,38 @@ def workdir(tmp_path_factory):
         assert code == 0
         models.append(path)
     return root, data, test, models
+
+
+@pytest.fixture(scope="module")
+def deeper_model(workdir):
+    """A model with one hidden layer more than workdir's."""
+    root, data, _, _ = workdir
+    path = root / "deeper.model"
+    assert main(["train", "--data", str(data), "--widths", "8,8",
+                 "--epochs", "1", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "0", "deeper"],
+    ["analyze", "0", "1", "deeper"],
+    ["merge", "0", "deeper", "--method", "cca", "--gamma-search", "auto",
+     "--out", "merged"],
+])
+def test_models_of_different_depths_are_refused(
+    workdir, deeper_model, tmp_path, capsys, argv
+):
+    # pairing the captures layer by layer would drop the extra layer
+    _, data, _, models = workdir
+    paths = {"0": models[0], "1": models[1], "deeper": deeper_model,
+             "merged": tmp_path / "merged"}
+    capsys.readouterr()
+    code = main([str(paths.get(a, a)) for a in argv] + ["--probes", str(data)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[0]}: hidden layer counts differ: 1 != 2\n"
+    )
+    assert not (tmp_path / "merged").exists()
 
 
 class TestGenData:
@@ -220,12 +253,16 @@ def _weights(model):
 
 def _record_search(monkeypatch):
     """Replace the gamma search by one that records the models of its
-    pair statistics."""
+    pair statistics and, given a method, merges them at gamma 0.01."""
     seen = []
 
     def search(candidates, pairs, eval_ds, method=None):
+        pairs = list(pairs)
         seen.append([(_weights(p.a.model), _weights(p.b.model)) for p in pairs])
-        return 0.01, None
+        if method is None:
+            return 0.01, None
+        models = [pairs[0].a.model, *(p.b.model for p in pairs)]
+        return 0.01, evaluation._merge(models, method, None, 0.01, 0, pairs)
 
     monkeypatch.setattr(merge, "_search", search)
     return seen
@@ -617,6 +654,9 @@ class TestExperiment:
             ["--seeds", "0,1,2", "--repair", "--reference", "1"],
             ["--gamma-search", "auto", "--repair"],
             ["--split", "dirichlet", "--gamma", "0.5"],
+            ["--gamma-search", "auto", "--methods", "cca"],
+            ["--seeds", "0,1,2", "--gamma-search", "1e-3,0.1",
+             "--methods", "cca,direct"],
         ],
     )
     def test_method_lines_match_separate_evaluate_merge(
@@ -643,9 +683,12 @@ class TestExperiment:
         test_ds = generate(n["classes"], n["test_per_class"], n["dim"],
                            n["data_seed"], sample_salt=1)
         gamma = None if report["gamma"] == "-" else float(report["gamma"])
-        for name, method in METHOD_NAMES.items():
+        names = "direct,permute,cca"
+        if "--methods" in extra:
+            names = extra[extra.index("--methods") + 1]
+        for name in names.split(","):
             _, rep = evaluate_merge(
-                method, trained, train_ds, test_ds, gamma,
+                METHOD_NAMES[name], trained, train_ds, test_ds, gamma,
                 report["repair"] == "true", None, int(report["grid"]),
                 int(report["reference"]),
             )

@@ -1,6 +1,8 @@
-"""Module layering: imports sit at module level and form no cycle."""
+"""Module layering: imports sit at module level and form no cycle, and no
+private helper outlives its last caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fuselab
@@ -54,3 +56,23 @@ def test_module_imports_form_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_every_private_function_is_used():
+    # a module-level _helper that no name or attribute in the package reads
+    # is dead; an import alone does not count as a use
+    trees = [_tree(path) for path in SOURCES]
+    defined = [
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    used = Counter()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+    assert defined
+    assert [name for name in defined if not used[name]] == []

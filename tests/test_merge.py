@@ -40,7 +40,8 @@ from fuselab import (
     solve_cca,
     topk_coefficient_coverage,
 )
-from fuselab.activations import DEGENERATE_VARIANCE
+from fuselab import evaluation, merge
+from fuselab.activations import DEGENERATE_VARIANCE, _pair_stats
 from fuselab.analysis import (
     COVERAGE_PAIRS,
     RATIO_KS,
@@ -62,6 +63,7 @@ from _helpers import (
     permuted_twin,
     random_case,
     random_model,
+    record_pair_lifetimes,
 )
 
 
@@ -541,6 +543,27 @@ def _same(fast, slow):
 
 def _report_text(report):
     return format_report(report.to_items(), timestamp="-")
+
+
+class TestPairsAreLetGo:
+    """Each partner's statistics are dead by the next partner's capture."""
+
+    MODELS = [random_model(6, (8, 8), 4, seed=s) for s in range(4)]
+
+    @pytest.mark.parametrize("method", [None, MethodTag.PERMUTE, MethodTag.CCA])
+    def test_search(self, monkeypatch, method):
+        # with the aligned and merged models the search made from them
+        alive = record_pair_lifetimes(monkeypatch, made=True)
+        pairs = _pair_stats(self.MODELS, 0, PATH_TASK.features)
+        merge._search([1e-3, 1.0], pairs, PATH_TASK, method)
+        assert alive == [0] * len(self.MODELS)
+
+    @pytest.mark.parametrize("method", [MethodTag.PERMUTE, MethodTag.CCA])
+    def test_merge(self, monkeypatch, method):
+        # the first pair is solved for the summaries before the merge reads it
+        alive = record_pair_lifetimes(monkeypatch)
+        evaluation._merge(self.MODELS, method, PATH_TASK.features, None, 0)
+        assert alive == [0] * len(self.MODELS)
 
 
 class TestCapturesOncePerModel:
