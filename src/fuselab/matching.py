@@ -5,8 +5,8 @@ assignments tie at the optimum the result is canonicalized to the
 lexicographically smallest mapping, i.e. the outcome of breaking ties with
 an infinitesimal -eps * column-index perturbation.
 
-One solver call (numpy's up to NUMPY_SOLVER_WIDTH, scipy's above) gives an
-optimum sigma. Every other optimum differs from sigma only along zero-cost
+One shortest-augmenting-path solve gives an optimum sigma and column
+prices. Every other optimum differs from sigma only along zero-cost
 cycles of the exchange graph, whose edge i -> k costs C[i, sigma(i)] -
 C[i, sigma(k)] (row i giving up its column for row k's). Under potentials
 from the solver's prices no edge costs less than zero, so rows without a
@@ -31,11 +31,6 @@ from .model import AlignmentPlan, LayerTransform, MethodTag
 # slack for comparing float assignment scores computed in different orders;
 # exact ties (duplicate entries) differ by at most a few ulps of the total
 SCORE_RTOL = 1e-12
-
-# widest matrix solved in numpy. Its worst extra time per solve over scipy's
-# is 1/40 of scipy's 0.7 s import (41 MB) at 128, 1/3 at 512 (2-core VM, ms,
-# numpy/scipy: correlations 4.0/1.0, 31/19 at 512; low-rank 18/1.5, 297/54)
-NUMPY_SOLVER_WIDTH = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +60,8 @@ def _score_matrix(c):
 def _shortest_augmenting_paths(cost):
     """(col4row, v): a minimum-cost assignment of the square matrix cost and
     column duals v, cost[i, j] - v[j] being least at j = col4row[i]. A
-    Jonker-Volgenant start (Computing 1987) leaves few rows for scipy's
-    shortest augmenting paths (Crouse, IEEE TAES 2016). O(n^3)."""
+    Jonker-Volgenant start (Computing 1987) leaves few rows for shortest
+    augmenting paths (Crouse, IEEE TAES 2016). O(n^3)."""
     n = cost.shape[0]
     col4row, row4col = np.full((2, n), -1, dtype=np.intp)
     if n == 0:
@@ -119,13 +114,8 @@ def _shortest_augmenting_paths(cost):
 
 
 def _best_score(matrix):
-    """(score, col4row, column prices, zeros from scipy) of an optimum."""
-    if matrix.shape[0] <= NUMPY_SOLVER_WIDTH:
-        cols, v = _shortest_augmenting_paths(-matrix)
-    else:
-        from scipy import optimize  # deferred: its import costs about 0.7 s
-        cols = optimize.linear_sum_assignment(matrix, maximize=True)[1]
-        v = np.zeros(matrix.shape[0])
+    """(score, col4row, column prices) of an optimum."""
+    cols, v = _shortest_augmenting_paths(-matrix)
     return float(matrix[np.arange(matrix.shape[0]), cols].sum()), cols, v
 
 
@@ -179,9 +169,8 @@ def linear_sum_assignment(c):
     """Exact maximum assignment, lexicographically smallest among optima."""
     m = _score_matrix(c)
     n = m.shape[0]
-    optimum, sigma, prices = _best_score(m)
+    optimum, mapping, prices = _best_score(m)
     tol = SCORE_RTOL * max(1.0, abs(optimum))
-    mapping = sigma.astype(np.intp)
     rows = _tie_rows(m, mapping, prices, tol)
     if rows.size:
         cols = np.sort(mapping[rows])

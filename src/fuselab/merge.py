@@ -27,8 +27,10 @@ from itertools import chain, groupby
 import numpy as np
 
 from . import cca, matching, trainer
-from .activations import _pair_stats, probe_matrix
-from .errors import ConfigurationError, GammaSelectionError, NumericalError, ValidationError
+from .activations import _check_gamma, _pair_stats, probe_matrix
+from .errors import (
+    ConfigurationError, GammaSelectionError, NumericalError, ShapeError, ValidationError,
+)
 from .model import Activation, DenseLayer, MethodTag, MlpModel, apply_plan
 
 SIGMA_FLOOR = 1e-12
@@ -149,7 +151,8 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     all pairs; a candidate whose solve, merge or scoring fails on any pair
     is dropped. Ties go to the larger gamma. candidate_gammas=None walks
     the scale-aware grid of the first pair, read from its statistics.
-    Probes that cannot be captured raise their own ValidationError.
+    A negative or non-finite candidate, and probes that cannot be captured,
+    raise their own ValidationError.
 
     Each model is captured once per run of pairs sharing a reference, and
     such pairs share its Grams and inverse square roots.
@@ -178,7 +181,10 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
     kept. A candidate whose solve, plan, merge or score fails on a pair is
     dropped; any other error, such as forming a pair, propagates."""
     if candidate_gammas is not None:
-        candidate_gammas = sorted(float(g) for g in candidate_gammas)
+        candidate_gammas = [float(g) for g in candidate_gammas]
+        for g in candidate_gammas:  # before sorting: a NaN leaves no order
+            _check_gamma(g)
+        candidate_gammas.sort()
         if not candidate_gammas:
             raise GammaSelectionError("no candidate gammas given")
     pairs = iter(pairs)
@@ -236,6 +242,9 @@ def repair_reset(merged, reference, probes):
     if not merged.same_architecture(reference):
         raise ValidationError("merged and reference architectures differ")
     ref_x = cur_x = probe_matrix(probes)
+    if ref_x.shape[1] != merged.input_dim:
+        raise ShapeError(f"models expect {merged.input_dim} input columns, "
+                         f"probes have {ref_x.shape[1]}")
     new_layers = []
     skipped = []
     for i, (layer, ref_layer) in enumerate(zip(merged.layers, reference.layers)):

@@ -277,10 +277,13 @@ class TestGammaHandling:
         with pytest.raises(GammaSelectionError):
             select_gamma([1e-3], [], train_ds.features[:50], train_ds)
 
-    def test_select_gamma_all_failures_raise(self, small_pair, small_task):
-        train_ds, _ = small_task
+    def test_select_gamma_all_failures_raise(self):
+        # gamma 0 leans on the eigenvalue floor, which the blown-up partner's
+        # rank-deficient scatter cannot pass
+        reference = random_model(6, (8, 8), 4, seed=1)
+        blown = blown_up(random_model(6, (8, 8), 4, seed=3))
         with pytest.raises(GammaSelectionError):
-            select_gamma([-1.0], [small_pair], train_ds.features[:50], train_ds)
+            select_gamma([0.0], [(reference, blown)], RANK_DEFICIENT, SEARCH_TASK)
 
     @pytest.mark.parametrize("candidates", [None, [1e-3, 1.0]],
                              ids=["auto", "explicit"])
@@ -342,6 +345,8 @@ def _gamma_grid_oracle(model_a, model_b, probes):
 def _select_gamma_oracle(candidate_gammas, model_pairs, probes, eval_ds):
     """Candidates outer, pairs inner, every merge solved from scratch."""
     candidates = sorted(float(g) for g in candidate_gammas)
+    if not all(np.isfinite(g) and g >= 0 for g in candidates):
+        raise ValidationError("gamma must be finite and >= 0")
     best_gamma = None
     best_score = -np.inf
     for g in candidates:

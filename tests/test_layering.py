@@ -1,5 +1,5 @@
-"""Module layering: imports sit at module level and form no cycle, and no
-private helper outlives its last caller."""
+"""Module layering: imports sit at module level, form no cycle and leave
+out scipy, and no private helper outlives its last caller."""
 
 import ast
 from collections import Counter
@@ -8,8 +8,6 @@ from pathlib import Path
 import fuselab
 
 SOURCES = sorted(Path(fuselab.__file__).parent.glob("*.py"))
-# importing scipy.optimize dominates import time, so only the solver does it
-DEFERRED = {("matching", "_best_score")}
 
 
 def _tree(path):
@@ -25,7 +23,22 @@ def test_no_import_inside_a_function():
             for node in ast.walk(fn):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.append((path.stem, fn.name))
-    assert sorted(set(found)) == sorted(DEFERRED)
+    assert found == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: the tests solve with it as a reference
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.stem, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def _imports(path):

@@ -4,7 +4,6 @@ import itertools
 import os
 import subprocess
 import sys
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -44,9 +43,13 @@ def _brute_force(m):
     return best, sorted(winners)
 
 
+def _scipy_sigma(m):
+    """scipy's optimum: the reference solver, used only in tests."""
+    return optimize.linear_sum_assignment(m, maximize=True)[1]
+
+
 def _best_score(matrix):
-    rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
-    return float(matrix[rows, cols].sum())
+    return float(matrix[np.arange(len(matrix)), _scipy_sigma(matrix)].sum())
 
 
 def _greedy_oracle(c):
@@ -141,21 +144,6 @@ class TestAgainstGreedyOracle:
             np.testing.assert_array_equal(out.mapping, oracle.mapping)
             assert out.total_score == oracle.total_score
 
-    def test_tie_free_matrix_takes_one_solver_call(self, monkeypatch):
-        calls = []
-        solver = optimize.linear_sum_assignment
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "linear_sum_assignment", counted)
-        m = np.random.default_rng(80).normal(size=(129, 129))
-        out = linear_sum_assignment(m)
-        assert calls == [(129, 129)]
-        _, cols = solver(m, maximize=True)
-        np.testing.assert_array_equal(out.mapping, cols)
-
 
 @st.composite
 def wide_tie_matrices(draw):
@@ -178,105 +166,112 @@ def wide_tie_matrices(draw):
     return m
 
 
+def _greedy_over(m, sigma, rows, tol):
+    """sigma with the given rows canonicalized by matching._greedy."""
+    mapping = sigma.astype(np.intp)
+    if rows.size:
+        cols = np.sort(sigma[rows])
+        sub = m[np.ix_(rows, cols)]
+        sub_optimum = float(m[rows, sigma[rows]].sum())
+        mapping[rows] = cols[matching._greedy(sub, sub_optimum, tol)]
+    return mapping
+
+
 class TestTieRows:
     """The potential filter against the Floyd-Warshall cycle search."""
 
     @settings(max_examples=60, deadline=None)
     @given(wide_tie_matrices())
     def test_filter_keeps_every_tied_row(self, m):
-        outs = []
-        for width in (matching.NUMPY_SOLVER_WIDTH, 0):  # numpy's, scipy's
-            with patch.object(matching, "NUMPY_SOLVER_WIDTH", width):
-                optimum, sigma, prices = matching._best_score(m)
-                out = linear_sum_assignment(m)
-            tol = SCORE_RTOL * max(1.0, abs(optimum))
-            slack = _slack(m, tol)
-            rows = matching._tie_rows(m, sigma, prices, tol)
-            cycles = _cheapest_cycles(m, sigma)
-            oracle = np.flatnonzero(cycles <= slack)
-            if cycles.min(initial=0.0) >= -slack:
-                assert set(oracle) <= set(rows)
-            # the search it replaced: the greedy over the oracle's rows
-            mapping = sigma.copy()
-            if oracle.size:
-                cols = np.sort(sigma[oracle])
-                sub = m[np.ix_(oracle, cols)]
-                sub_optimum = float(m[oracle, sigma[oracle]].sum())
-                mapping[oracle] = cols[matching._greedy(sub, sub_optimum, tol)]
-            assert out.mapping.tobytes() == mapping.astype(np.intp).tobytes()
-            assert out.total_score == float(m[np.arange(len(m)), mapping].sum())
-            outs.append(out)
-        assert outs[0].mapping.tobytes() == outs[1].mapping.tobytes()
-        assert outs[0].total_score == outs[1].total_score
+        optimum, sigma, prices = matching._best_score(m)
+        out = linear_sum_assignment(m)
+        tol = SCORE_RTOL * max(1.0, abs(optimum))
+        slack = _slack(m, tol)
+        rows = matching._tie_rows(m, sigma, prices, tol)
+        cycles = _cheapest_cycles(m, sigma)
+        oracle = np.flatnonzero(cycles <= slack)
+        if cycles.min(initial=0.0) >= -slack:
+            assert set(oracle) <= set(rows)
+        # the search it replaced: the greedy over the oracle's rows
+        mapping = _greedy_over(m, sigma, oracle, tol)
+        assert out.mapping.tobytes() == mapping.tobytes()
+        assert out.total_score == float(m[np.arange(len(m)), mapping].sum())
+        assert abs(out.total_score - _best_score(m)) <= tol
 
     @pytest.mark.parametrize(
-        "width, rows",
+        "start, entries",
         [
-            (128, [[0.3, 0.2, 0.1], [0.1, 0.7, 0.6], [0.1, 0.2, 0.1]]),
-            (0, [[0.1, 0.3, 0.7, 0.3], [0.2, 0.7, 0.6, 0.6],
-                 [0.2, 0.2, 0.3, 0.1], [0.3, 0.2, 0.3, 0.1]]),
+            ("duals", [[0.3, 0.2, 0.1], [0.1, 0.7, 0.6], [0.1, 0.2, 0.1]]),
+            ("zeros", [[0.1, 0.3, 0.7, 0.3], [0.2, 0.7, 0.6, 0.6],
+                       [0.2, 0.2, 0.3, 0.1], [0.3, 0.2, 0.3, 0.1]]),
         ],
     )
-    def test_zero_cycle_rounded_below_zero(self, width, rows):
+    def test_zero_cycle_rounded_below_zero(self, start, entries):
         # an exactly zero exchange cycle whose rounded cost is negative:
         # potentials along it keep falling, so only the sweeps' stop rule
-        # and cap end the Bellman-Ford loop
-        m = np.array(rows)
-        with patch.object(matching, "NUMPY_SOLVER_WIDTH", width):
-            _, sigma, _ = matching._best_score(m)
-            out = linear_sum_assignment(m)
+        # and cap end the Bellman-Ford loop. The 3x3 has such a cycle under
+        # the solver's own optimum and duals; the 4x4 only under scipy's
+        # optimum, from zero potentials
+        m = np.array(entries)
+        if start == "duals":
+            _, sigma, prices = matching._best_score(m)
+        else:
+            sigma, prices = _scipy_sigma(m), np.zeros(len(m))
+        optimum = float(m[np.arange(len(m)), sigma].sum())
+        tol = SCORE_RTOL * max(1.0, abs(optimum))
         assert _cheapest_cycles(m, sigma).min() < 0
+        rows = matching._tie_rows(m, sigma, prices, tol)
         oracle = _greedy_oracle(m)
+        np.testing.assert_array_equal(_greedy_over(m, sigma, rows, tol),
+                                      oracle.mapping)
+        out = linear_sum_assignment(m)
         np.testing.assert_array_equal(out.mapping, oracle.mapping)
         assert out.total_score == oracle.total_score
 
-
     def test_margin_keeps_a_cycle_costing_under_the_slack(self):
-        # scipy's path starts from zero potentials, and the sweeps stop once
-        # none falls by more than the slack (2e-12): edge 0 -> 1 reads
-        # -1.5e-12. Rows 0 and 1 lie on a cycle costing 1e-12, so edge
-        # 1 -> 0 reads 2.5e-12, above the slack; only the margin for negative
-        # reduced costs keeps the two rows, and without them sigma stands
+        # from scipy's optimum and zero potentials the sweeps stop once none
+        # falls by more than the slack (2e-12): edge 0 -> 1 reads -1.5e-12.
+        # Rows 0 and 1 lie on a cycle costing 1e-12, so edge 1 -> 0 reads
+        # 2.5e-12, above the slack; only the margin for negative reduced
+        # costs keeps the two rows, and without them sigma stands
         m = np.array([
             [0.250000000002, 0.249999999998, 0.25, 0.250000000002],
             [0.25, 0.0, 0.25, 0.249999999999],
             [-1e-12, 0.0, 0.25, 0.0],
             [0.0, 0.25, -5e-13, 0.2500000000015],
         ])
-        with patch.object(matching, "NUMPY_SOLVER_WIDTH", 0):
-            optimum, sigma, prices = matching._best_score(m)
-            out = linear_sum_assignment(m)
+        sigma = _scipy_sigma(m)
+        optimum = float(m[np.arange(len(m)), sigma].sum())
         tol = SCORE_RTOL * max(1.0, abs(optimum))
-        rows = matching._tie_rows(m, sigma, prices, tol)
+        rows = matching._tie_rows(m, sigma, np.zeros(len(m)), tol)
         cycles = _cheapest_cycles(m, sigma)
         assert set(np.flatnonzero(cycles <= _slack(m, tol))) <= set(rows)
         oracle = _greedy_oracle(m)
         assert not np.array_equal(sigma, oracle.mapping)
+        np.testing.assert_array_equal(_greedy_over(m, sigma, rows, tol),
+                                      oracle.mapping)
+        out = linear_sum_assignment(m)
         np.testing.assert_array_equal(out.mapping, oracle.mapping)
         assert out.total_score == oracle.total_score
 
 
-class TestSolverChoice:
-    """Up to NUMPY_SOLVER_WIDTH the numpy solver runs, wider ones scipy's."""
+class TestAgainstScipy:
+    """scipy's solver, a test-only dependency, as the reference optimum."""
 
-    @pytest.mark.parametrize(
-        "n, scipy_calls", [(128, []), (129, [(129, 129)]), (0, [])]
-    )
-    def test_width_picks_the_solver(self, monkeypatch, n, scipy_calls):
-        assert matching.NUMPY_SOLVER_WIDTH == 128
+    @pytest.mark.parametrize("n", [0, 129, 256, 512])
+    def test_tie_free_matrix_takes_one_solver_call(self, monkeypatch, n):
         calls = []
-        solver = optimize.linear_sum_assignment
+        solver = matching._shortest_augmenting_paths
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solver(*args, **kwargs)
+        def counted(cost):
+            calls.append(cost.shape)
+            return solver(cost)
 
-        monkeypatch.setattr(optimize, "linear_sum_assignment", counted)
-        m = np.random.default_rng(81).normal(size=(n, n))
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths", counted)
+        m = np.tanh(np.random.default_rng(81).normal(size=(n, n)))
         out = linear_sum_assignment(m)
-        assert calls == scipy_calls
-        _, cols = solver(m, maximize=True)
-        np.testing.assert_array_equal(out.mapping, cols)
+        assert calls == [(n, n)]
+        np.testing.assert_array_equal(out.mapping, _scipy_sigma(m))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -291,18 +286,15 @@ class TestSolverChoice:
             m = np.round(m, decimals)
         score, cols, _ = matching._best_score(m)
         assert np.array_equal(np.sort(cols), np.arange(n))
-        rows, best = optimize.linear_sum_assignment(m, maximize=True)
-        optimum = float(m[rows, best].sum())
-        assert abs(score - optimum) <= SCORE_RTOL * max(1.0, abs(optimum))
-        out = linear_sum_assignment(m)
-        with patch.object(matching, "NUMPY_SOLVER_WIDTH", 0):
-            via_scipy = linear_sum_assignment(m)
-        np.testing.assert_array_equal(out.mapping, via_scipy.mapping)
-        assert out.total_score == via_scipy.total_score
+        optimum = _best_score(m)
+        tol = SCORE_RTOL * max(1.0, abs(optimum))
+        assert abs(score - optimum) <= tol
+        assert abs(linear_sum_assignment(m).total_score - optimum) <= tol
 
 
-# importing fuselab, then commands at the default widths (64, 64) and at
-# (128, 128); after each step, whether scipy.optimize is loaded
+# importing fuselab, then commands at the default widths (64, 64), at
+# (128, 128) and at (256, 256); after each step, whether scipy.optimize is
+# loaded
 DEFAULT_WIDTH_RUNS = """
 import contextlib, io, sys
 import fuselab
@@ -336,19 +328,26 @@ for seed, path in enumerate(wide):
 run("merge", *wide, "--method", "permute", "--probes", data,
     "--out", root + "/merged-wide")
 run("analyze", *wide, "--probes", data)
+wider = [f"{root}/x{seed}.model" for seed in range(3)]
+for seed, path in enumerate(wider):
+    run("train", "--data", data, "--seed", str(seed), "--epochs", "1",
+        "--widths", "256,256", "--out", path)
+run("merge", *wider, "--method", "permute", "--probes", data,
+    "--out", root + "/merged-wider")
+run("analyze", *wider, "--probes", data)
 print(loaded)
 """
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # assignments up to 128 wide run in numpy: 3-model permute merges,
-    # analyze and a default experiment never import scipy.optimize either
+    # every assignment runs in numpy: 3-model permute merges and analyze,
+    # at any width, and a default experiment never import scipy.optimize
     out = subprocess.run(
         [sys.executable, "-c", DEFAULT_WIDTH_RUNS, str(tmp_path)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == str([False] * 13)
+    assert out.stdout.strip() == str([False] * 18)
 
 
 class TestLinearSumAssignment:

@@ -16,6 +16,7 @@ from fuselab import (
     LayerTransform,
     MethodTag,
     MlpModel,
+    ShapeError,
     ValidationError,
     align,
     analyze,
@@ -37,6 +38,7 @@ from fuselab import (
     non_optimal_matches,
     repair_reset,
     scatter,
+    select_gamma,
     solve_cca,
     topk_coefficient_coverage,
 )
@@ -320,6 +322,13 @@ class TestRepairReset:
         with pytest.raises(ValidationError):
             repair_reset(a, b, rng.normal(size=(50, 2)))
 
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_probe_width_must_match_the_models(self, rng, width):
+        a = random_model(6, (4,), 2, seed=0)
+        b = random_model(6, (4,), 2, seed=1)
+        with pytest.raises(ShapeError, match="expect 6 input columns"):
+            repair_reset(a, b, rng.normal(size=(50, width)))
+
 
 # --- the separate merge paths before they were joined, kept as the oracle --
 #
@@ -598,3 +607,19 @@ class TestCapturesOncePerModel:
         counts = count_calls(monkeypatch, ["capture"])
         indirect_matching_diagnostics(*models, method, PATH_TASK.features)
         assert counts["capture"] == 3
+
+
+class TestSelectGammaCandidates:
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_malformed_candidate_is_named_before_any_capture(
+        self, monkeypatch, bad
+    ):
+        # a malformed ridge is the caller's mistake, not a candidate that
+        # fails on a pair: it is not dropped in favour of the others
+        a, b, c = (random_model(6, (8, 8), 4, seed=s) for s in range(3))
+        counts = count_calls(monkeypatch, ["capture"])
+        with pytest.raises(ValidationError, match=f"gamma .* got {bad}"):
+            select_gamma(
+                [bad, 0.01], [(a, b), (a, c)], PATH_TASK.features, PATH_TASK
+            )
+        assert counts["capture"] == 0
