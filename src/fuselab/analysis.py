@@ -25,20 +25,13 @@ RATIO_KS = (1, 2)
 INDIRECT_KEYS = ("mismatch_pct", "frobenius", "frobenius_normalized")
 
 
-def _square_values(c):
-    values = c.values if hasattr(c, "values") else np.asarray(c, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeError("expected a matrix")
-    return values
-
-
 def non_optimal_matches(c, assignment):
     """Percent of rows matched away from their row-maximum correlate.
 
     A row counts as optimal whenever its matched entry attains the row
     maximum, so ties never count against the assignment.
     """
-    values = _square_values(c)
+    values = matching._score_matrix(c)
     if assignment.mapping.shape[0] != values.shape[0]:
         raise ShapeError("assignment length does not match the matrix")
     return _non_optimal_pct(values, assignment.mapping)
@@ -49,16 +42,27 @@ def _non_optimal_pct(values, mapping):
     return float(100.0 * np.mean(picked < values.max(axis=1)))
 
 
+def _coefficients(t, shape):
+    """|T| of a LayerTransform or matrix, checked against the correlations'
+    shape."""
+    coeffs = np.abs(np.asarray(getattr(t, "forward", t), dtype=np.float64))
+    if coeffs.shape != shape:
+        raise ShapeError(
+            f"correlation and transform shapes differ: {shape} != {coeffs.shape}"
+        )
+    if not np.all(np.isfinite(coeffs)):
+        raise ValidationError("transform contains non-finite entries")
+    return coeffs
+
+
 def topk_coefficient_coverage(c, t, k_corr, k_coeff):
     """Percent of rows whose k_corr-th best correlate is covered.
 
     Covered means: the column holding the k_corr-th largest correlation of
     row i also carries one of the k_coeff largest |T| entries of row i.
     """
-    values = _square_values(c)
-    coeffs = np.abs(t.forward if hasattr(t, "forward") else np.asarray(t))
-    if values.shape != coeffs.shape:
-        raise ShapeError("correlation and transform shapes differ")
+    values = matching._score_matrix(c)
+    coeffs = _coefficients(t, values.shape)
     n = values.shape[0]
     if not (1 <= k_corr <= n and 1 <= k_coeff <= n):
         raise ValidationError("k out of range for the layer width")
@@ -75,8 +79,10 @@ def wasserstein_1d(p, q):
     Equal sizes pair off sorted samples; unequal sizes integrate the
     piecewise-constant quantile functions exactly.
     """
-    p = np.sort(np.asarray(p, dtype=np.float64))
-    q = np.sort(np.asarray(q, dtype=np.float64))
+    p, q = (np.asarray(x, dtype=np.float64) for x in (p, q))
+    if p.ndim != 1 or q.ndim != 1:
+        raise ShapeError(f"samples must be 1-d, got shapes {p.shape} and {q.shape}")
+    p, q = np.sort(p), np.sort(q)
     if p.size == 0 or q.size == 0:
         raise ValidationError("need at least one sample on each side")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
@@ -108,8 +114,8 @@ def coefficient_distribution_ratio(c, t, k):
     means it is no closer than a hard permutation; math.inf flags a zero
     reference distance.
     """
-    values = _square_values(c)
-    coeffs = np.abs(t.forward if hasattr(t, "forward") else np.asarray(t))
+    values = matching._score_matrix(c)
+    coeffs = _coefficients(t, values.shape)
     top_corr = _kth_largest_per_row(values, k)
     top_coeff = _kth_largest_per_row(coeffs, k)
     reference = np.ones_like(top_corr) if k == 1 else np.zeros_like(top_corr)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
 from .model import (
-    _check_seed, _read_manifest, _read_payload, _reading, _write_atomic
+    _check_count, _check_seed, _read_manifest, _read_payload, _reading,
+    _write_atomic,
 )
 
 CLASS_MARGIN = 3.0
@@ -87,7 +88,8 @@ class SplitSpec:
         _check_seed("split seed", self.seed)
         if self.kind is SplitKind.DIRICHLET:
             a = tuple(float(v) for v in self.alpha)
-            if len(a) != 2 or any(v <= 0 for v in a):
+            # written so that NaN fails too
+            if len(a) != 2 or not all(np.isfinite(v) and v > 0 for v in a):
                 raise ConfigurationError(
                     "dirichlet split needs two positive concentrations"
                 )
@@ -96,6 +98,9 @@ class SplitSpec:
 
 def generate(num_classes, per_class, dim, seed, sample_salt=0):
     """Deterministic mixture sample: per_class points around each center."""
+    for name, count in (("num_classes", num_classes), ("per_class", per_class),
+                        ("dim", dim)):
+        _check_count(name, count)
     if num_classes < 2 or per_class < 1 or dim < 1:
         raise ConfigurationError(
             "need num_classes >= 2, per_class >= 1, dim >= 1"

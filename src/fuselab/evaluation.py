@@ -22,7 +22,7 @@ from . import cca, merge, trainer
 from .activations import _check_gamma, _pair_stats
 from .cca import summaries_from_solutions
 from .errors import ConfigurationError, ValidationError
-from .model import DenseLayer, MethodTag, MlpModel, forward
+from .model import DenseLayer, MethodTag, MlpModel, _check_count, forward
 
 DEFAULT_GRID_SIZE = 21
 
@@ -81,6 +81,7 @@ class BarrierCurve:
 
 
 def _check_grid(grid_size):
+    _check_count("grid_size", grid_size)
     if grid_size < 2:
         raise ConfigurationError("grid needs at least the two endpoints")
 

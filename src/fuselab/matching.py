@@ -6,14 +6,13 @@ lexicographically smallest mapping, i.e. the outcome of breaking ties with
 an infinitesimal -eps * column-index perturbation.
 
 One shortest-augmenting-path solve gives an optimum sigma and column
-prices. Every other optimum differs from sigma only along zero-cost
-cycles of the exchange graph, whose edge i -> k costs C[i, sigma(i)] -
-C[i, sigma(k)] (row i giving up its column for row k's). Under potentials
-from the solver's prices no edge costs less than zero, so rows without a
-near-zero edge in and out lie on no near-zero cycle and keep sigma(i); only
-the remaining rows are canonicalized exactly, by fixing them greedily and
-re-checking optimality of the remainder. The solve is O(n^3), the filter
-O(n^2) a round; the greedy costs O(k^2) solves for k rows that can tie.
+duals. Under them no reduced cost is negative, so an assignment scores
+below sigma by the sum of its reduced costs, and only rows on cycles of
+cheap exchanges (row i taking sigma(k)) can differ from sigma. Those rows
+are fixed in order, each to the smallest column whose best completion
+still scores within tolerance; one reverse Dijkstra over the reduced
+costs prices every completion of a row. The solve is O(n^3), each row
+that moves O(n^2).
 """
 
 from __future__ import annotations
@@ -113,72 +112,71 @@ def _shortest_augmenting_paths(cost):
     return col4row, v
 
 
-def _best_score(matrix):
-    """(score, col4row, column prices) of an optimum."""
-    cols, v = _shortest_augmenting_paths(-matrix)
-    return float(matrix[np.arange(matrix.shape[0]), cols].sum()), cols, v
+def _smallest_optimum(cost, sigma, v, budget):
+    """The lexicographically smallest assignment costing at most budget
+    more than sigma, a minimum-cost assignment with column duals v.
 
-
-def _tie_rows(m, sigma, prices, tol):
-    """A superset of the rows on exchange-graph cycles scoring within tol.
-
-    Capped Bellman-Ford sweeps from the solver's prices make the potentials
-    feasible (Johnson 1977). A near-zero cycle sums up to n reduced costs,
-    none below the lowest; slack and noise cover their rounding. O(n^3)."""
-    n = m.shape[0]
-    d = m[np.arange(n), sigma][:, None] - m[:, sigma]
-    np.fill_diagonal(d, np.inf)
-    eps, scale = np.finfo(np.float64).eps, float(np.abs(m).max(initial=0.0))
-    slack, pi = 2.0 * tol + 4.0 * n * eps * scale, prices[sigma]
-    for _ in range(n):  # capped: a zero cycle rounded below zero never settles
-        lower = np.minimum(pi, (pi[:, None] + d).min(axis=0))
-        fell, pi = float((pi - lower).max()), lower
-        if fell <= slack:
-            break
-    reduced = d + pi[:, None] - pi[None, :]
-    noise = 4.0 * eps * (scale + float(np.abs(pi).max(initial=0.0)))
-    near = reduced <= slack + n * (noise - min(0.0, reduced.min(initial=0.0)))
+    Shifting the potentials by each move's Dijkstra distances, capped
+    where the search stopped, keeps the open rows' reduced costs >= 0 and
+    0 on the current assignment, so every completion is one shortest
+    path."""
+    n = cost.shape[0]
+    reduced = cost - (cost[np.arange(n), sigma] - v[sigma])[:, None] - v
+    # rounding leaves reduced costs a little below zero, so a path within
+    # budget can hold an edge, or a prefix, up to noise above it
+    scale = float(np.abs(cost).max(initial=0.0))
+    noise = 4.0 * n * np.finfo(np.float64).eps * scale
+    near = reduced[:, sigma] <= budget + noise  # row i takes sigma(k)
+    np.fill_diagonal(near, False)
     keep, drop = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-    while drop.any():  # drop rows with no near-zero edge in or out
+    while drop.any():  # rows on no cycle of such edges keep sigma
         drop = keep & ~(near[keep].any(axis=0) & near[:, keep].any(axis=1))
         keep &= ~drop
-    return np.flatnonzero(keep)
-
-
-def _greedy(m, optimum, tol):
-    """Lexicographically smallest mapping scoring within tol of optimum."""
-    n = m.shape[0]
-    available = list(range(n))
-    mapping = np.empty(n, dtype=np.intp)
-    prefix = 0.0
-    for i in range(n):
-        for j in available:
-            rest_cols = [c_ for c_ in available if c_ != j]
-            rest = _best_score(m[i + 1 :, rest_cols])[0]
-            if prefix + m[i, j] + rest >= optimum - tol:
-                mapping[i] = j
-                prefix += m[i, j]
-                available.remove(j)
-                break
-        else:  # pragma: no cover - the optimum always extends
-            raise ValidationError("assignment canonicalization failed")
+    rows = np.flatnonzero(keep)
+    cols = np.sort(sigma[rows])
+    r = reduced[np.ix_(rows, cols)]
+    own = np.searchsorted(cols, sigma[rows])  # own[a]: the column row a holds
+    for a in range(rows.size):
+        goal, rest, later = own[a], own[a + 1 :], r[a + 1 :]
+        limit = budget + noise
+        if not (r[a, rest[rest < goal]] <= limit).any():
+            continue  # no column left of its own fits
+        # dist[b]: least cost of row a + 1 + b handing its column on along a
+        # path on which the last row takes goal; via[b]: its next column
+        tentative, via = later[:, goal].copy(), np.full(rest.size, goal)
+        dist, settled = np.full(rest.size, limit), np.zeros(rest.size)
+        while tentative.min() <= limit:
+            b = int(tentative.argmin())
+            dist[b], tentative[b] = tentative[b], np.inf
+            settled[b] = np.inf  # so no step reaches it again
+            step = later[:, rest[b]] + settled + dist[b]
+            better = step < tentative
+            tentative[better], via[better] = step[better], rest[b]
+        fits = (settled > 0) & (rest < goal) & (r[a, rest] + dist <= budget)
+        if not fits.any():
+            continue
+        b = np.flatnonzero(fits)[rest[fits].argmin()]
+        budget -= r[a, rest[b]] + dist[b]
+        label = np.zeros(cols.size)
+        label[rest] = dist  # by the owners before the move
+        later += label - dist[:, None]
+        path = [b]
+        while via[path[-1]] != goal:
+            path.append(int(np.flatnonzero(rest == via[path[-1]])[0]))
+        own[a], own[a + 1 + np.array(path)] = rest[b], via[path]
+    mapping = sigma.copy()
+    mapping[rows] = cols[own]
     return mapping
 
 
 def linear_sum_assignment(c):
     """Exact maximum assignment, lexicographically smallest among optima."""
     m = _score_matrix(c)
-    n = m.shape[0]
-    optimum, mapping, prices = _best_score(m)
-    tol = SCORE_RTOL * max(1.0, abs(optimum))
-    rows = _tie_rows(m, mapping, prices, tol)
-    if rows.size:
-        cols = np.sort(mapping[rows])
-        sub = m[np.ix_(rows, cols)]
-        sub_optimum = float(m[rows, mapping[rows]].sum())
-        mapping[rows] = cols[_greedy(sub, sub_optimum, tol)]
-    total = float(m[np.arange(n), mapping].sum())
-    return Assignment(mapping, total)
+    sigma, v = _shortest_augmenting_paths(-m)
+    at = np.arange(m.shape[0])
+    tol = SCORE_RTOL * max(1.0, abs(float(m[at, sigma].sum())))
+    mapping = _smallest_optimum(-m, sigma, v, tol)
+    return Assignment(mapping, float(m[at, mapping].sum()))
 
 
 def identity_plan(model):

@@ -112,8 +112,15 @@ def _check_seed_tag(tag):
         )
 
 
+def _check_count(name, value):
+    # a float count would be truncated, or fail deep inside numpy
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed(name, value):
     # numpy's generators take only non-negative integer seeds
+    _check_count(name, value)
     if value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
 

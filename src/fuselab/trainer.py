@@ -18,7 +18,9 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .model import Activation, DenseLayer, MlpModel, _check_seed, forward
+from .model import (
+    Activation, DenseLayer, MlpModel, _check_count, _check_seed, forward
+)
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
 DEFAULT_EPOCHS = 30
@@ -44,6 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         _check_seed("init_seed", self.init_seed)
         _check_seed("shuffle_seed", self.shuffle_seed)
+        _check_count("epochs", self.epochs)
+        _check_count("batch_size", self.batch_size)
+        for w in self.hidden_widths:
+            _check_count("hidden width", w)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("epochs must be >= 0, batch_size >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):

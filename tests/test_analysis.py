@@ -137,6 +137,10 @@ class TestWasserstein:
             wasserstein_1d([], [1.0])
         with pytest.raises(ValidationError):
             wasserstein_1d([np.nan], [1.0])
+        with pytest.raises(ShapeError):
+            wasserstein_1d(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            wasserstein_1d(np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestDistributionRatio:
@@ -158,6 +162,39 @@ class TestDistributionRatio:
         t = rng.normal(size=(6, 6))
         for k in (1, 2, 3):
             assert coefficient_distribution_ratio(c, t, k) >= 0.0
+
+
+DIAGNOSTICS = {
+    "non-optimal": lambda c, t: non_optimal_matches(
+        c, Assignment(np.arange(len(c)), 0.0)
+    ),
+    "coverage": lambda c, t: topk_coefficient_coverage(c, t, 1, 1),
+    "ratio": lambda c, t: coefficient_distribution_ratio(c, t, 1),
+}
+
+
+class TestMalformedMatrices:
+    """A diagnostic names a bad matrix instead of answering."""
+
+    @pytest.mark.parametrize("diagnostic", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+    @pytest.mark.parametrize(
+        "c, error",
+        [(np.full((3, 3), np.nan), ValidationError), (np.ones((3, 4)), ShapeError)],
+        ids=["nan", "3x4"],
+    )
+    def test_bad_correlations(self, diagnostic, c, error):
+        with pytest.raises(error):
+            diagnostic(c, np.eye(*c.shape))
+
+    @pytest.mark.parametrize("name", ["coverage", "ratio"])
+    @pytest.mark.parametrize(
+        "t, error",
+        [(np.eye(3), ShapeError), (np.full((4, 4), np.inf), ValidationError)],
+        ids=["3x3", "inf"],
+    )
+    def test_bad_transforms(self, name, t, error):
+        with pytest.raises(error):
+            DIAGNOSTICS[name](np.eye(4), t)
 
 
 class TestIndirectDiagnostics:

@@ -742,6 +742,18 @@ class TestExperiment:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["nan,1", "inf,1"])
+    def test_non_finite_concentration_is_rejected(self, tmp_path, capsys, alpha):
+        out = tmp_path / "x"
+        code = main(["experiment", *EXPERIMENT_ARGS, "--split", "dirichlet",
+                     "--alpha", alpha, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: experiment: dirichlet split needs two positive "
+            "concentrations\n"
+        )
+        assert not out.exists()
+
     def test_one_seed_is_rejected(self, tmp_path, capsys):
         code = main(["experiment", *TINY_TRAIN, "--seeds", "0",
                      "--out", str(tmp_path / "x")])

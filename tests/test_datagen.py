@@ -60,6 +60,17 @@ class TestGenerate:
             generate(2, 0, 2, seed=0)
 
     @pytest.mark.parametrize(
+        "args, field",
+        [((2.0, 5, 2, 0), "num_classes"), ((3, 2.5, 4, 0), "per_class"),
+         ((3, 2, 4.0, 0), "dim"), ((3, 2, 4, 1.5), "seed"),
+         ((3, 2, 4, 0, 1.0), "sample_salt")],
+    )
+    def test_non_integer_count_is_named(self, args, field):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be an integer, got"):
+            generate(*args)
+
+    @pytest.mark.parametrize(
         "kwargs, field",
         [({"seed": -1}, "seed"), ({"seed": 0, "sample_salt": -1}, "sample_salt")],
     )
@@ -130,6 +141,9 @@ class TestSplits:
             SplitSpec(SplitKind.DIRICHLET, seed=0, alpha=(0.5,))
         with pytest.raises(ConfigurationError):
             SplitSpec(SplitKind.DIRICHLET, seed=0, alpha=(0.5, -1.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError):
+                SplitSpec(SplitKind.DIRICHLET, seed=0, alpha=(bad, 1.0))
 
     def test_disjoint_classes(self):
         ds = generate(4, 25, 3, seed=6)

@@ -102,6 +102,8 @@ class TestInterpolationCurve:
         a, b = small_pair
         with pytest.raises(ConfigurationError):
             interpolation_curve(a, b, test_ds, grid_size=1)
+        with pytest.raises(ConfigurationError, match="^grid_size must be an integer"):
+            interpolation_curve(a, b, test_ds, grid_size=3.0)
         narrow = random_model(test_ds.dim, (4,), test_ds.num_classes, seed=0)
         with pytest.raises(ValidationError):
             interpolation_curve(a, narrow, test_ds)

@@ -52,16 +52,13 @@ def _best_score(matrix):
     return float(matrix[np.arange(len(matrix)), _scipy_sigma(matrix)].sum())
 
 
-def _greedy_oracle(c):
-    """The full-matrix canonical assignment the fast path replaced.
+def _greedy(m, optimum, tol):
+    """Lexicographically smallest mapping scoring within tol of optimum.
 
     Fixes rows in order, each to the smallest column whose best completion
     still reaches the optimum: O(n^2) solver calls.
     """
-    m = np.asarray(c, dtype=np.float64)
     n = m.shape[0]
-    optimum = _best_score(m)
-    tol = SCORE_RTOL * max(1.0, abs(optimum))
     available = list(range(n))
     mapping = np.empty(n, dtype=np.intp)
     prefix = 0.0
@@ -76,16 +73,22 @@ def _greedy_oracle(c):
                 break
         else:  # pragma: no cover - the optimum always extends
             raise ValidationError("assignment canonicalization failed")
-    total = float(m[np.arange(n), mapping].sum())
-    return Assignment(mapping, total)
+    return mapping
+
+
+def _greedy_oracle(c):
+    """The canonical assignment by the greedy over the full matrix."""
+    m = np.asarray(c, dtype=np.float64)
+    optimum = _best_score(m)
+    mapping = _greedy(m, optimum, SCORE_RTOL * max(1.0, abs(optimum)))
+    return Assignment(mapping, float(m[np.arange(len(m)), mapping].sum()))
 
 
 def _cheapest_cycles(m, sigma):
-    """Cost of the cheapest exchange-graph cycle through each row.
-
-    The Floyd-Warshall search the potential filter replaced. A cycle that
-    rounds below zero compounds here, so its costs are valid only while
-    every cycle reads >= -slack.
+    """Cost of the cheapest exchange-graph cycle through each row, by
+    Floyd-Warshall: only rows on a cycle costing at most the slack can tie.
+    A cycle that rounds below zero compounds here, so its costs are valid
+    only while every cycle reads >= -slack.
     """
     own = m[np.arange(m.shape[0]), sigma]
     d = own[:, None] - m[:, sigma]
@@ -98,7 +101,7 @@ def _cheapest_cycles(m, sigma):
 
 
 def _slack(m, tol):
-    """The slack for cycle costs that the search it replaced used."""
+    """Twice the tolerance, plus rounding of a cycle's n terms."""
     eps = np.finfo(np.float64).eps
     return 2.0 * tol + 4.0 * m.shape[0] * eps * float(np.abs(m).max(initial=0.0))
 
@@ -126,10 +129,32 @@ def tie_heavy_matrices(draw):
     return m
 
 
+@st.composite
+def near_tie_matrices(draw):
+    """2-8 wide matrices of 1-decimal entries, a third of the rows zeroed,
+    under Gaussian jitter of about the tolerance, so that some assignments
+    score just within tol of the optimum and some just beyond it."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.round(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+    m[rng.integers(0, n, size=n // 3)] = 0.0
+    jitter = draw(st.sampled_from([0.0, 1e-13, 1e-12, 3e-12, 1e-11]))
+    return m + jitter * rng.normal(size=(n, n))
+
+
 class TestAgainstGreedyOracle:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_matrices())
     def test_fast_path_equals_oracle(self, m):
+        out, oracle = linear_sum_assignment(m), _greedy_oracle(m)
+        np.testing.assert_array_equal(out.mapping, oracle.mapping)
+        assert out.total_score == oracle.total_score
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_matrices())
+    def test_near_ties_equal_oracle(self, m):
+        # the tolerance bounds the whole mapping's shortfall, not each
+        # exchange's
         out, oracle = linear_sum_assignment(m), _greedy_oracle(m)
         np.testing.assert_array_equal(out.mapping, oracle.mapping)
         assert out.total_score == oracle.total_score
@@ -167,92 +192,84 @@ def wide_tie_matrices(draw):
 
 
 def _greedy_over(m, sigma, rows, tol):
-    """sigma with the given rows canonicalized by matching._greedy."""
+    """sigma with the given rows canonicalized by the greedy."""
     mapping = sigma.astype(np.intp)
     if rows.size:
         cols = np.sort(sigma[rows])
         sub = m[np.ix_(rows, cols)]
         sub_optimum = float(m[rows, sigma[rows]].sum())
-        mapping[rows] = cols[matching._greedy(sub, sub_optimum, tol)]
+        mapping[rows] = cols[_greedy(sub, sub_optimum, tol)]
     return mapping
 
 
+def _tenths(tenths, picos):
+    """A matrix of tenths, each entry shifted by a whole number of 1e-12."""
+    return np.array(tenths) / 10 + 1e-12 * np.array(picos)
+
+
 class TestTieRows:
-    """The potential filter against the Floyd-Warshall cycle search."""
+    """Against the greedy over the rows on Floyd-Warshall's cheap cycles."""
 
     @settings(max_examples=60, deadline=None)
     @given(wide_tie_matrices())
-    def test_filter_keeps_every_tied_row(self, m):
-        optimum, sigma, prices = matching._best_score(m)
-        out = linear_sum_assignment(m)
-        tol = SCORE_RTOL * max(1.0, abs(optimum))
-        slack = _slack(m, tol)
-        rows = matching._tie_rows(m, sigma, prices, tol)
-        cycles = _cheapest_cycles(m, sigma)
-        oracle = np.flatnonzero(cycles <= slack)
-        if cycles.min(initial=0.0) >= -slack:
-            assert set(oracle) <= set(rows)
-        # the search it replaced: the greedy over the oracle's rows
-        mapping = _greedy_over(m, sigma, oracle, tol)
-        assert out.mapping.tobytes() == mapping.tobytes()
-        assert out.total_score == float(m[np.arange(len(m)), mapping].sum())
-        assert abs(out.total_score - _best_score(m)) <= tol
-
-    @pytest.mark.parametrize(
-        "start, entries",
-        [
-            ("duals", [[0.3, 0.2, 0.1], [0.1, 0.7, 0.6], [0.1, 0.2, 0.1]]),
-            ("zeros", [[0.1, 0.3, 0.7, 0.3], [0.2, 0.7, 0.6, 0.6],
-                       [0.2, 0.2, 0.3, 0.1], [0.3, 0.2, 0.3, 0.1]]),
-        ],
-    )
-    def test_zero_cycle_rounded_below_zero(self, start, entries):
-        # an exactly zero exchange cycle whose rounded cost is negative:
-        # potentials along it keep falling, so only the sweeps' stop rule
-        # and cap end the Bellman-Ford loop. The 3x3 has such a cycle under
-        # the solver's own optimum and duals; the 4x4 only under scipy's
-        # optimum, from zero potentials
-        m = np.array(entries)
-        if start == "duals":
-            _, sigma, prices = matching._best_score(m)
-        else:
-            sigma, prices = _scipy_sigma(m), np.zeros(len(m))
-        optimum = float(m[np.arange(len(m)), sigma].sum())
-        tol = SCORE_RTOL * max(1.0, abs(optimum))
-        assert _cheapest_cycles(m, sigma).min() < 0
-        rows = matching._tie_rows(m, sigma, prices, tol)
-        oracle = _greedy_oracle(m)
-        np.testing.assert_array_equal(_greedy_over(m, sigma, rows, tol),
-                                      oracle.mapping)
-        out = linear_sum_assignment(m)
-        np.testing.assert_array_equal(out.mapping, oracle.mapping)
-        assert out.total_score == oracle.total_score
-
-    def test_margin_keeps_a_cycle_costing_under_the_slack(self):
-        # from scipy's optimum and zero potentials the sweeps stop once none
-        # falls by more than the slack (2e-12): edge 0 -> 1 reads -1.5e-12.
-        # Rows 0 and 1 lie on a cycle costing 1e-12, so edge 1 -> 0 reads
-        # 2.5e-12, above the slack; only the margin for negative reduced
-        # costs keeps the two rows, and without them sigma stands
-        m = np.array([
-            [0.250000000002, 0.249999999998, 0.25, 0.250000000002],
-            [0.25, 0.0, 0.25, 0.249999999999],
-            [-1e-12, 0.0, 0.25, 0.0],
-            [0.0, 0.25, -5e-13, 0.2500000000015],
-        ])
+    def test_equals_greedy_over_cycle_rows(self, m):
         sigma = _scipy_sigma(m)
         optimum = float(m[np.arange(len(m)), sigma].sum())
         tol = SCORE_RTOL * max(1.0, abs(optimum))
-        rows = matching._tie_rows(m, sigma, np.zeros(len(m)), tol)
-        cycles = _cheapest_cycles(m, sigma)
-        assert set(np.flatnonzero(cycles <= _slack(m, tol))) <= set(rows)
-        oracle = _greedy_oracle(m)
-        assert not np.array_equal(sigma, oracle.mapping)
-        np.testing.assert_array_equal(_greedy_over(m, sigma, rows, tol),
-                                      oracle.mapping)
+        rows = np.flatnonzero(_cheapest_cycles(m, sigma) <= _slack(m, tol))
+        mapping = _greedy_over(m, sigma, rows, tol)
         out = linear_sum_assignment(m)
+        assert out.mapping.tobytes() == mapping.tobytes()
+        assert out.total_score == float(m[np.arange(len(m)), mapping].sum())
+        assert abs(out.total_score - optimum) <= tol
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # an exactly zero exchange cycle that rounds below zero under
+            # the solver's optimum
+            [[0.3, 0.2, 0.1], [0.1, 0.7, 0.6], [0.1, 0.2, 0.1]],
+            # the same under scipy's optimum only
+            [[0.1, 0.3, 0.7, 0.3], [0.2, 0.7, 0.6, 0.6],
+             [0.2, 0.2, 0.3, 0.1], [0.3, 0.2, 0.3, 0.1]],
+            # rows 0 and 1 lie on a cycle costing 1e-12, at the tolerance,
+            # and one of its reduced costs rounds below zero: the filters
+            # need their noise margin to keep the greedy's mapping
+            [[0.250000000002, 0.249999999998, 0.25, 0.250000000002],
+             [0.25, 0.0, 0.25, 0.249999999999],
+             [-1e-12, 0.0, 0.25, 0.0],
+             [0.0, 0.25, -5e-13, 0.2500000000015]],
+            # the canonical mapping scores 3e-12 below the optimum, within
+            # tol, and only potentials shifted by the owners before each
+            # move find it
+            _tenths([[9, 9, -2, 9, -9], [0, 0, 0, 0, 0], [4, 1, -1, -2, 7],
+                     [-1, -9, 8, 1, -1], [-3, 8, -3, 8, -4]],
+                    [[-2, -3, 0, 0, 0], [0, 2, -1, 0, 0], [2, -1, -1, 0, 0],
+                     [-1, 0, -1, 0, 0], [1, 0, 0, -3, 0]]),
+            # rows 1 and 3 may each give up 1e-12, but not both: tol is 1.2e-12
+            _tenths([[1, 1, 2, 1], [-1, 5, 0, 5], [0, -2, 6, -9], [0, 0, 0, 0]],
+                    [[0, 0, 0, 0], [0, 1, -3, 0], [0, -1, 0, 0], [0, 0, 0, -2]]),
+        ],
+        ids=["below-zero-3x3", "below-zero-4x4", "cycle-within-tol",
+             "old-owners", "total-budget"],
+    )
+    def test_pinned_cases_equal_oracle(self, entries):
+        out, oracle = linear_sum_assignment(entries), _greedy_oracle(entries)
         np.testing.assert_array_equal(out.mapping, oracle.mapping)
         assert out.total_score == oracle.total_score
+
+
+def _solver_calls(monkeypatch):
+    """The shapes that matching._shortest_augmenting_paths is called with."""
+    calls = []
+    solver = matching._shortest_augmenting_paths
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solver(cost)
+
+    monkeypatch.setattr(matching, "_shortest_augmenting_paths", counted)
+    return calls
 
 
 class TestAgainstScipy:
@@ -260,18 +277,21 @@ class TestAgainstScipy:
 
     @pytest.mark.parametrize("n", [0, 129, 256, 512])
     def test_tie_free_matrix_takes_one_solver_call(self, monkeypatch, n):
-        calls = []
-        solver = matching._shortest_augmenting_paths
-
-        def counted(cost):
-            calls.append(cost.shape)
-            return solver(cost)
-
-        monkeypatch.setattr(matching, "_shortest_augmenting_paths", counted)
+        calls = _solver_calls(monkeypatch)
         m = np.tanh(np.random.default_rng(81).normal(size=(n, n)))
         out = linear_sum_assignment(m)
         assert calls == [(n, n)]
         np.testing.assert_array_equal(out.mapping, _scipy_sigma(m))
+
+    def test_tied_matrix_takes_one_solver_call(self, monkeypatch):
+        # rounding leaves 114 rows that can tie; breaking the ties needs
+        # no second solve
+        calls = _solver_calls(monkeypatch)
+        m = np.round(np.tanh(np.random.default_rng(0).normal(size=(128, 128))), 1)
+        out = linear_sum_assignment(m)
+        assert calls == [(128, 128)]
+        optimum = _best_score(m)
+        assert abs(out.total_score - optimum) <= SCORE_RTOL * abs(optimum)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -284,8 +304,9 @@ class TestAgainstScipy:
         m = np.tanh(rng.normal(size=(n, n)))
         if decimals is not None:  # rounding plants ties
             m = np.round(m, decimals)
-        score, cols, _ = matching._best_score(m)
+        cols, _ = matching._shortest_augmenting_paths(-m)
         assert np.array_equal(np.sort(cols), np.arange(n))
+        score = float(m[np.arange(n), cols].sum())
         optimum = _best_score(m)
         tol = SCORE_RTOL * max(1.0, abs(optimum))
         assert abs(score - optimum) <= tol

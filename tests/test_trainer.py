@@ -308,6 +308,22 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match=f"^{field} must be >= 0"):
             TrainConfig(**{field: -1})
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [("epochs", 2.5, "epochs"), ("batch_size", 1.5, "batch_size"),
+         ("hidden_widths", (4, 2.5), "hidden width"),
+         ("init_seed", 1.5, "init_seed"), ("shuffle_seed", 2.0, "shuffle_seed")],
+    )
+    def test_non_integer_count_is_named(self, field, value, name):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be an integer, got"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainConfig(hidden_widths=(np.int32(3),), epochs=np.int64(2),
+                          batch_size=np.uint8(4), init_seed=np.int64(1))
+        assert cfg.hidden_widths == (3,) and type(cfg.hidden_widths[0]) is int
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(hidden_widths=())
