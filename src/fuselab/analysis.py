@@ -18,7 +18,7 @@ import numpy as np
 from . import cca, matching, merge
 from .activations import _pairs_among
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .model import MethodTag
+from .model import MethodTag, _as_array, _check_number
 
 COVERAGE_PAIRS = ((1, 5), (2, 10))
 RATIO_KS = (1, 2)
@@ -34,6 +34,8 @@ def non_optimal_matches(c, assignment):
     values = matching._score_matrix(c)
     if assignment.mapping.shape[0] != values.shape[0]:
         raise ShapeError("assignment length does not match the matrix")
+    if not values.size:
+        raise ShapeError("score matrix is empty")
     return _non_optimal_pct(values, assignment.mapping)
 
 
@@ -45,13 +47,11 @@ def _non_optimal_pct(values, mapping):
 def _coefficients(t, shape):
     """|T| of a LayerTransform or matrix, checked against the correlations'
     shape."""
-    coeffs = np.abs(np.asarray(getattr(t, "forward", t), dtype=np.float64))
+    coeffs = np.abs(_as_array("transform", getattr(t, "forward", t), 2))
     if coeffs.shape != shape:
         raise ShapeError(
             f"correlation and transform shapes differ: {shape} != {coeffs.shape}"
         )
-    if not np.all(np.isfinite(coeffs)):
-        raise ValidationError("transform contains non-finite entries")
     return coeffs
 
 
@@ -64,8 +64,8 @@ def topk_coefficient_coverage(c, t, k_corr, k_coeff):
     values = matching._score_matrix(c)
     coeffs = _coefficients(t, values.shape)
     n = values.shape[0]
-    if not (1 <= k_corr <= n and 1 <= k_coeff <= n):
-        raise ValidationError("k out of range for the layer width")
+    k_corr = _check_number("k_corr", k_corr, 1, n, error=ValidationError)
+    k_coeff = _check_number("k_coeff", k_coeff, 1, n, error=ValidationError)
     # stable descending orders; ties resolve toward the lower index
     want = np.argsort(-values, axis=1, kind="stable")[:, k_corr - 1]
     top = np.argsort(-coeffs, axis=1, kind="stable")[:, :k_coeff]
@@ -79,14 +79,9 @@ def wasserstein_1d(p, q):
     Equal sizes pair off sorted samples; unequal sizes integrate the
     piecewise-constant quantile functions exactly.
     """
-    p, q = (np.asarray(x, dtype=np.float64) for x in (p, q))
-    if p.ndim != 1 or q.ndim != 1:
-        raise ShapeError(f"samples must be 1-d, got shapes {p.shape} and {q.shape}")
-    p, q = np.sort(p), np.sort(q)
+    p, q = (np.sort(_as_array("samples", x, 1)) for x in (p, q))
     if p.size == 0 or q.size == 0:
         raise ValidationError("need at least one sample on each side")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise ValidationError("samples contain non-finite entries")
     n, m = p.size, q.size
     if n == m:
         return float(np.abs(p - q).mean())
@@ -100,8 +95,7 @@ def wasserstein_1d(p, q):
 
 
 def _kth_largest_per_row(matrix, k):
-    if not 1 <= k <= matrix.shape[1]:
-        raise ValidationError("k out of range for the layer width")
+    k = _check_number("k", k, 1, matrix.shape[1], error=ValidationError)
     return np.sort(matrix, axis=1)[:, -k]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 # wraps every module's binding of it
 from .activations import _check_gamma, _pair_stats, capture  # noqa: F401
 from .errors import NumericalError, ShapeError, ValidationError
-from .model import AlignmentPlan, LayerTransform, MethodTag, _inverse
+from .model import AlignmentPlan, LayerTransform, MethodTag, _as_array, _inverse
 
 EIGENVALUE_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-8
@@ -69,11 +69,9 @@ def inv_sqrt(s, gamma=0.0):
     Eigenvalues are clamped below at EIGENVALUE_FLOOR before the -1/2 power,
     so rank-deficient inputs come back finite instead of infinite.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError(f"matrix must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("matrix contains non-finite entries")
+    s = _as_array("matrix", s, 2)
+    if s.shape[0] != s.shape[1] or not s.size:
+        raise ShapeError(f"matrix must be square and non-empty, got shape {s.shape}")
     scale = max(1.0, float(np.max(np.abs(s))))
     if np.max(np.abs(s - s.T)) > SYMMETRY_ATOL * scale:
         raise ValidationError("matrix is not symmetric")
@@ -138,6 +136,12 @@ def _layer_scale(s_aa, s_bb):
 
 def default_gamma(s_aa, s_bb):
     """Scale-aware ridge: DEFAULT_GAMMA_COEFF x mean diagonal scatter."""
+    s_aa, s_bb = (_as_array("scatter", s, 2) for s in (s_aa, s_bb))
+    if s_aa.shape[0] != s_aa.shape[1] or not s_aa.size or s_aa.shape != s_bb.shape:
+        raise ShapeError(
+            f"scatters must be square, non-empty and of one shape, got "
+            f"{s_aa.shape} and {s_bb.shape}"
+        )
     return DEFAULT_GAMMA_COEFF * _layer_scale(s_aa, s_bb)
 
 

@@ -23,7 +23,7 @@ from . import analysis, evaluation, merge, reports, trainer
 from .datagen import SplitKind, SplitSpec, generate, load_dataset, save_dataset, split
 from .activations import _check_gamma, _pair_stats
 from .errors import ConfigurationError, FuselabError, ParseError
-from .model import MethodTag, load_model, save_model
+from .model import MethodTag, _check_number, load_model, save_model
 from .trainer import TrainConfig, seeds_for
 
 DEFAULT_CLASSES = 16
@@ -124,15 +124,6 @@ def cmd_train(args):
     return 0
 
 
-def _reference(args, count):
-    """The --reference index, checked against the number of models."""
-    if not 0 <= args.reference < count:
-        raise ConfigurationError(
-            f"--reference must be in 0..{count - 1}, got {args.reference}"
-        )
-    return args.reference
-
-
 def _search_candidates(args, probes):
     """--gamma-search's candidates (None for auto or for no search), checked
     with --gamma before any capture or training."""
@@ -151,10 +142,7 @@ def _search_candidates(args, probes):
     if not candidates:
         raise ConfigurationError("--gamma-search lists no candidates")
     for g in candidates:
-        if not (np.isfinite(g) and g >= 0):
-            raise ConfigurationError(
-                f"--gamma-search candidate {g} must be finite and >= 0"
-            )
+        _check_number("--gamma-search candidate", g, 0, real=True)
     return candidates
 
 
@@ -168,7 +156,7 @@ def cmd_merge(args):
     if args.probes is not None:
         probes_ds = load_dataset(args.probes)
         probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
-    reference = _reference(args, len(models))
+    reference = _check_number("--reference", args.reference, 0, len(models) - 1)
     candidates = _search_candidates(args, probes)
     if probes is None and method is not MethodTag.IDENTITY:
         raise ConfigurationError(f"--method {args.method} needs --probes")
@@ -275,9 +263,9 @@ def cmd_experiment(args):
         raise ConfigurationError("experiments need at least 2 models")
     if kind is not SplitKind.FULL and num_models != 2:
         raise ConfigurationError("data splits are two-way; give 2 --seeds")
-    reference = _reference(args, num_models)
+    reference = _check_number("--reference", args.reference, 0, num_models - 1)
     methods = _method_list(args.methods)
-    evaluation._check_grid(args.grid)
+    _check_number("grid_size", args.grid, 2)
     cfgs = [_train_config(args, s) for s in seeds]
     probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
     candidates = _search_candidates(args, probes)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
 from .model import (
-    _check_count, _check_seed, _read_manifest, _read_payload, _reading,
+    _as_array, _check_number, _read_manifest, _read_payload, _reading,
     _write_atomic,
 )
 
@@ -33,23 +33,22 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
-        x = np.array(self.features, dtype=np.float64)
-        y = np.array(self.labels, dtype=np.int64)
-        if x.ndim != 2:
-            raise ShapeError(f"features must be 2-d, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ShapeError("labels must be 1-d and match the feature rows")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("features contain non-finite entries")
-        if self.num_classes < 2:
-            raise ValidationError("need at least 2 classes")
-        _check_seed("seed", self.seed)
-        if y.size and (y.min() < 0 or y.max() >= self.num_classes):
+        x = _as_array("features", self.features, 2, copy=True)
+        y = _as_array("labels", self.labels, 1)
+        if y.shape[0] != x.shape[0]:
+            raise ShapeError("labels must match the feature rows")
+        if (y != np.floor(y)).any():
+            raise ValidationError("labels must be integers")
+        k = _check_number("num_classes", self.num_classes, 2, error=ValidationError)
+        seed = _check_number("seed", self.seed, 0)
+        if y.size and (y.min() < 0 or y.max() >= k):
             raise ValidationError("labels out of range")
+        y = y.astype(np.int64)
         x.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
+        for name, value in (("features", x), ("labels", y), ("num_classes", k),
+                            ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self):
@@ -85,34 +84,30 @@ class SplitSpec:
     def __post_init__(self):
         if not isinstance(self.kind, SplitKind):
             raise ConfigurationError(f"unknown split kind {self.kind!r}")
-        _check_seed("split seed", self.seed)
+        _check_number("split seed", self.seed, 0)
         if self.kind is SplitKind.DIRICHLET:
-            a = tuple(float(v) for v in self.alpha)
-            # written so that NaN fails too
-            if len(a) != 2 or not all(np.isfinite(v) and v > 0 for v in a):
+            a = _as_array("dirichlet concentrations", self.alpha, 1,
+                          error=ConfigurationError)
+            if a.shape != (2,) or not (a > 0).all():
                 raise ConfigurationError(
                     "dirichlet split needs two positive concentrations"
                 )
-            object.__setattr__(self, "alpha", a)
+            object.__setattr__(self, "alpha", tuple(a.tolist()))
 
 
 def generate(num_classes, per_class, dim, seed, sample_salt=0):
     """Deterministic mixture sample: per_class points around each center."""
-    for name, count in (("num_classes", num_classes), ("per_class", per_class),
-                        ("dim", dim)):
-        _check_count(name, count)
-    if num_classes < 2 or per_class < 1 or dim < 1:
-        raise ConfigurationError(
-            "need num_classes >= 2, per_class >= 1, dim >= 1"
-        )
-    _check_seed("seed", seed)
-    _check_seed("sample_salt", sample_salt)
-    center_rng = np.random.default_rng([int(seed), 0])
+    num_classes = _check_number("num_classes", num_classes, 2)
+    per_class = _check_number("per_class", per_class, 1)
+    dim = _check_number("dim", dim, 1)
+    seed = _check_number("seed", seed, 0)
+    sample_salt = _check_number("sample_salt", sample_salt, 0)
+    center_rng = np.random.default_rng([seed, 0])
     centers = center_rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= CLASS_MARGIN
 
-    sample_rng = np.random.default_rng([int(seed), 1, int(sample_salt)])
+    sample_rng = np.random.default_rng([seed, 1, sample_salt])
     feats = np.empty((num_classes * per_class, dim))
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     for k in range(num_classes):
@@ -120,7 +115,7 @@ def generate(num_classes, per_class, dim, seed, sample_salt=0):
         feats[rows] = centers[k] + sample_rng.standard_normal((per_class, dim))
         labels[rows] = k
     order = sample_rng.permutation(num_classes * per_class)
-    return Dataset(feats[order], labels[order], num_classes, int(seed))
+    return Dataset(feats[order], labels[order], num_classes, seed)
 
 
 def _require_even_classes(ds, kind):

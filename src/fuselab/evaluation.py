@@ -22,7 +22,7 @@ from . import cca, merge, trainer
 from .activations import _check_gamma, _pair_stats
 from .cca import summaries_from_solutions
 from .errors import ConfigurationError, ValidationError
-from .model import DenseLayer, MethodTag, MlpModel, _check_count, forward
+from .model import DenseLayer, MethodTag, MlpModel, _check_number, forward
 
 DEFAULT_GRID_SIZE = 21
 
@@ -31,11 +31,7 @@ def limit_probes(features, probe_limit):
     """The first probe_limit rows of features; None keeps every row."""
     if probe_limit is None:
         return features
-    if probe_limit < 2:
-        raise ConfigurationError(
-            f"probe limit must be at least 2, got {probe_limit}"
-        )
-    return features[: int(probe_limit)]
+    return features[: _check_number("probe limit", probe_limit, 2)]
 
 
 def accuracy(model, ds):
@@ -80,18 +76,12 @@ class BarrierCurve:
     barrier: float
 
 
-def _check_grid(grid_size):
-    _check_count("grid_size", grid_size)
-    if grid_size < 2:
-        raise ConfigurationError("grid needs at least the two endpoints")
-
-
 def interpolation_curve(model_a, model_b, ds, grid_size=DEFAULT_GRID_SIZE):
     """Loss and accuracy along (1-lam) A + lam B; barrier included.
 
     model_b is used as handed in: align it first if alignment is wanted.
     """
-    _check_grid(grid_size)
+    grid_size = _check_number("grid_size", grid_size, 2)
     if not model_a.same_architecture(model_b):
         raise ValidationError("interpolation endpoints must share shapes")
     lambdas = np.linspace(0.0, 1.0, grid_size)
@@ -172,8 +162,7 @@ def _merge(models, method, probes, gamma, reference_index, pairs=None):
     against the other models in order, formed once by the caller."""
     if len(models) < 2:
         raise ConfigurationError("merging needs at least 2 models")
-    if not 0 <= reference_index < len(models):
-        raise ConfigurationError("reference index out of range")
+    _check_number("reference index", reference_index, 0, len(models) - 1)
     if gamma is not None:
         _check_gamma(gamma)
     reference = models[reference_index]

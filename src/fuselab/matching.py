@@ -24,8 +24,8 @@ import numpy as np
 # capture stays bound here: bench/test_tracer.py checks that the tracer
 # wraps every module's binding of it
 from .activations import CorrelationMatrix, _pair_stats, capture  # noqa: F401
-from .errors import ShapeError, ValidationError
-from .model import AlignmentPlan, LayerTransform, MethodTag
+from .errors import ShapeError
+from .model import AlignmentPlan, LayerTransform, MethodTag, _as_array
 
 # slack for comparing float assignment scores computed in different orders;
 # exact ties (duplicate entries) differ by at most a few ulps of the total
@@ -48,11 +48,9 @@ class Assignment:
 def _score_matrix(c):
     if isinstance(c, CorrelationMatrix):
         c = c.values
-    m = np.asarray(c, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _as_array("score matrix", c, 2)
+    if m.shape[0] != m.shape[1]:
         raise ShapeError(f"score matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("score matrix contains non-finite entries")
     return m
 
 

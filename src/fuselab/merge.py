@@ -181,10 +181,8 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
     kept. A candidate whose solve, plan, merge or score fails on a pair is
     dropped; any other error, such as forming a pair, propagates."""
     if candidate_gammas is not None:
-        candidate_gammas = [float(g) for g in candidate_gammas]
-        for g in candidate_gammas:  # before sorting: a NaN leaves no order
-            _check_gamma(g)
-        candidate_gammas.sort()
+        # each is checked before sorting: a NaN leaves no order
+        candidate_gammas = sorted(_check_gamma(g) for g in candidate_gammas)
         if not candidate_gammas:
             raise GammaSelectionError("no candidate gammas given")
     pairs = iter(pairs)

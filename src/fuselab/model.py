@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,12 +49,52 @@ class MethodTag(Enum):
     CCA = "cca"
 
 
-def _as_matrix(a, name):
-    arr = np.array(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+def _check_number(name, value, low, high=None, *, real=False, above=False,
+                  error=ConfigurationError):
+    """value as a Python int, or with real a float, if it is a number of the
+    field's kind in the field's range; otherwise error, naming the field.
+
+    A count is an int or numpy integer in low..high, both ends included. A
+    real may also be a float; it must be finite, > low with above, else >=
+    low, and < high. A bool is neither, though Python counts it an int.
+    """
+    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "a number" if real else "an integer"
+        raise error(f"{name} must be {kind}, got {value!r}")
+    # written so that NaN, and an int too large for a float, fail too
+    if real:
+        if isinstance(value, np.floating):
+            # compare as a Python float: a float32 compared with the float64
+            # maximum would cast that maximum down and warn of overflow
+            with np.errstate(over="ignore"):
+                value = float(np.float64(value))
+        fits = (value > low if above else value >= low) and (
+            abs(value) <= sys.float_info.max and (high is None or value < high))
+        bounds = (f"finite and {'>' if above else '>='} {low}" if high is None
+                  else f"in [{low}, {high})")
+    else:
+        fits = low <= value and (high is None or value <= high)
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+    if not fits:
+        raise error(f"{name} must be {bounds}, got {value}")
+    return float(value) if real else int(value)
+
+
+def _as_array(name, value, ndim, copy=False, error=ValidationError):
+    """value as a float64 array with ndim dimensions and finite entries, a
+    copy in the input's memory order when asked, else the input itself if
+    it already is one. Otherwise error (ShapeError for the ndim) naming the
+    field."""
+    try:
+        arr = (np.array if copy else np.asarray)(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be numeric ({exc})") from None
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-d, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        verb = "contain" if name.endswith("s") else "contains"
+        raise error(f"{name} {verb} non-finite entries")
     return arr
 
 
@@ -66,12 +107,8 @@ class DenseLayer:
     activation: Activation
 
     def __post_init__(self):
-        w = _as_matrix(self.weights, "weights")
-        b = np.array(self.bias, dtype=np.float64)
-        if b.ndim != 1:
-            raise ShapeError(f"bias must be 1-d, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValidationError("bias contains non-finite entries")
+        w = _as_array("weights", self.weights, 2, copy=True)
+        b = _as_array("bias", self.bias, 1, copy=True)
         if b.shape[0] != w.shape[0]:
             raise ShapeError(
                 f"bias length {b.shape[0]} != weight rows {w.shape[0]}"
@@ -110,19 +147,6 @@ def _check_seed_tag(tag):
         raise ValidationError(
             f"seed tag {tag!r} must be printable ASCII without whitespace"
         )
-
-
-def _check_count(name, value):
-    # a float count would be truncated, or fail deep inside numpy
-    if not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_seed(name, value):
-    # numpy's generators take only non-negative integer seeds
-    _check_count(name, value)
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,21 +205,18 @@ class MlpModel:
 
 def forward(model, inputs):
     """Logits for a batch of row vectors."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+    x = _as_array("inputs", inputs, 2)
+    if x.shape[1] != model.input_dim:
         raise ShapeError(
             f"model expects {model.input_dim} input columns, got "
             f"{x.shape} at layer 0"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("inputs contain non-finite entries")
     return model.layers[-1].apply(hidden_outputs(model, x)[-1])
 
 
 def hidden_outputs(model, inputs):
     """Post-activation outputs of every hidden layer, in order."""
-    x = np.asarray(inputs, dtype=np.float64)
-    outs = []
+    x, outs = inputs, []
     for layer in model.layers[:-1]:
         x = layer.apply(x)
         outs.append(x)
@@ -232,8 +253,8 @@ class LayerTransform:
     layer_index: int
 
     def __post_init__(self):
-        f = _as_matrix(self.forward, "transform")
-        g = _as_matrix(self.inverse, "inverse transform")
+        f = _as_array("transform", self.forward, 2, copy=True)
+        g = _as_array("inverse transform", self.inverse, 2, copy=True)
         if f.shape[0] != f.shape[1] or f.shape != g.shape:
             raise ShapeError(
                 f"transform must be square, got {f.shape} and {g.shape}"
@@ -279,7 +300,7 @@ class LayerTransform:
     @classmethod
     def general(cls, matrix, layer_index):
         """Dense transform; the inverse comes from a pivoted solve."""
-        m = _as_matrix(matrix, "transform")
+        m = _as_array("transform", matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"transform must be square, got {m.shape}")
         return cls(m, _inverse(m, f"transform at layer {layer_index}"),

@@ -18,9 +18,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .model import (
-    Activation, DenseLayer, MlpModel, _check_count, _check_seed, forward
-)
+from .model import Activation, DenseLayer, MlpModel, _check_number, forward
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
 DEFAULT_EPOCHS = 30
@@ -44,29 +42,25 @@ class TrainConfig:
     shuffle_seed: int = SHUFFLE_SEED_OFFSET
 
     def __post_init__(self):
-        _check_seed("init_seed", self.init_seed)
-        _check_seed("shuffle_seed", self.shuffle_seed)
-        _check_count("epochs", self.epochs)
-        _check_count("batch_size", self.batch_size)
-        for w in self.hidden_widths:
-            _check_count("hidden width", w)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigurationError("epochs must be >= 0, batch_size >= 1")
-        if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ConfigurationError("hidden widths must be positive")
-        # written so that NaN fails too
-        lr, momentum = self.learning_rate, self.momentum
-        if not (np.isfinite(lr) and lr > 0):
-            raise ConfigurationError(
-                f"learning_rate must be finite and > 0, got {lr}"
-            )
-        if not 0 <= momentum < 1:
-            raise ConfigurationError(
-                f"momentum must be in [0, 1), got {momentum}"
-            )
-        object.__setattr__(
-            self, "hidden_widths", tuple(int(w) for w in self.hidden_widths)
+        # numpy's generators take only non-negative integer seeds; counts
+        # are kept as Python ints, as a numpy uint8 would wrap in training
+        for name, low in (("init_seed", 0), ("shuffle_seed", 0), ("epochs", 0),
+                          ("batch_size", 1)):
+            value = _check_number(name, getattr(self, name), low)
+            object.__setattr__(self, name, value)
+        _check_number("learning_rate", self.learning_rate, 0, real=True,
+                      above=True)
+        _check_number("momentum", self.momentum, 0, 1, real=True)
+        object.__setattr__(self, "hidden_widths", _widths(self.hidden_widths))
+
+
+def _widths(hidden_widths):
+    """hidden_widths as a tuple of Python ints, each checked."""
+    if not isinstance(hidden_widths, (tuple, list)) or not hidden_widths:
+        raise ConfigurationError(
+            f"hidden widths must be a non-empty tuple, got {hidden_widths!r}"
         )
+    return tuple(_check_number("hidden width", w, 1) for w in hidden_widths)
 
 
 def seeds_for(seed):
@@ -76,8 +70,9 @@ def seeds_for(seed):
 
 def init_model(input_dim, hidden_widths, num_classes, init_seed, seed_tag=None):
     """Uniform +-1/sqrt(fan_in) weights, zero biases."""
-    rng = np.random.default_rng(int(init_seed))
-    dims = [input_dim, *hidden_widths, num_classes]
+    rng = np.random.default_rng(_check_number("init_seed", init_seed, 0))
+    dims = [_check_number("input_dim", input_dim, 1), *_widths(hidden_widths),
+            _check_number("num_classes", num_classes, 1)]
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
@@ -86,7 +81,7 @@ def init_model(input_dim, hidden_widths, num_classes, init_seed, seed_tag=None):
         b = np.zeros(fan_out)
         act = Activation.RELU if i < len(dims) - 2 else Activation.IDENTITY
         layers.append(DenseLayer(w, b, act))
-    return MlpModel(tuple(layers), input_dim, seed_tag)
+    return MlpModel(tuple(layers), dims[0], seed_tag)
 
 
 def _log_softmax(logits):

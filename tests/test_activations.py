@@ -60,6 +60,16 @@ class TestProbeMatrix:
             probe_matrix([[1.0, np.nan], [0.0, 1.0]])
 
 
+class TestActivationMatrix:
+    @pytest.mark.parametrize("values, message", [
+        ([["a"]], "^activations must be numeric"),
+        ([[np.nan]], "^activations contain non-finite entries$"),
+    ])
+    def test_values_are_coerced_and_checked(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            ActivationMatrix(values, [0.0], 0, 1)
+
+
 class TestCapture:
     def test_columns_are_centered(self, rng):
         model = tiny_relu_model(

@@ -196,6 +196,14 @@ class TestMalformedMatrices:
         with pytest.raises(error):
             DIAGNOSTICS[name](np.eye(4), t)
 
+    def test_unsigned_k_reads_as_its_value(self):
+        # -np.uint8(2) wraps to 254, which indexes past the row
+        c = np.array([[0.9, 0.5, 0.1], [0.2, 0.8, 0.4], [0.3, 0.6, 0.7]])
+        t = np.array([[1.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 1.0]])
+        assert coefficient_distribution_ratio(c, t, np.uint8(2)) == (
+            coefficient_distribution_ratio(c, t, 2)
+        )
+
 
 class TestIndirectDiagnostics:
     def test_permuted_twins_are_perfectly_consistent(self, rng):

@@ -240,6 +240,16 @@ class TestGammaHandling:
         s = np.diag([2.0, 4.0])
         assert default_gamma(s, s) == pytest.approx(1e-3 * 3.0)
 
+    @pytest.mark.parametrize("s_aa, s_bb", [
+        (np.ones(2), np.ones(2)),  # np.diag of a vector builds a matrix
+        (np.eye(2), np.eye(3)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+    ], ids=["vectors", "mismatched", "not-square", "empty"])
+    def test_default_gamma_needs_square_grams_of_one_shape(self, s_aa, s_bb):
+        with pytest.raises(ShapeError):
+            default_gamma(s_aa, s_bb)
+
     def test_solve_layers_records_gamma(self, small_pair, small_task):
         train_ds, _ = small_task
         a, b = small_pair

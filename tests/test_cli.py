@@ -218,8 +218,8 @@ DASH_VALUES = [
     ("experiment", ["--split", "dirichlet", "--alpha", "-1,2"],
      "dirichlet split needs two positive concentrations"),
     ("experiment", ["--gamma-search", "-1,2"],
-     "--gamma-search candidate -1.0 must be finite and >= 0"),
-    ("train", ["--widths", "-3,4"], "hidden widths must be positive"),
+     "--gamma-search candidate must be finite and >= 0, got -1.0"),
+    ("train", ["--widths", "-3,4"], "hidden width must be >= 1, got -3"),
 ]
 
 
@@ -596,7 +596,7 @@ class TestExperiment:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: experiment: grid needs at least the two endpoints\n"
+            "error: experiment: grid_size must be >= 2, got 1\n"
         )
 
     def test_non_full_split_needs_two_models(self, tmp_path, capsys):
@@ -749,8 +749,8 @@ class TestExperiment:
                      "--alpha", alpha, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: experiment: dirichlet split needs two positive "
-            "concentrations\n"
+            "error: experiment: dirichlet concentrations contain non-finite "
+            "entries\n"
         )
         assert not out.exists()
 
@@ -943,7 +943,10 @@ class TestGammaChecks:
         assert code == 1
         assert seen == []
         err = capsys.readouterr().err
-        assert err.startswith("error: merge: --gamma-search candidate " + bad)
+        assert err == (
+            "error: merge: --gamma-search candidate must be finite and >= 0, "
+            f"got {float(bad)}\n"
+        )
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_empty_search_list_rejected_before_any_capture(

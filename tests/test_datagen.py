@@ -9,6 +9,7 @@ from fuselab import (
     ParseError,
     SplitKind,
     SplitSpec,
+    ValidationError,
     generate,
     load_dataset,
     save_dataset,
@@ -209,6 +210,16 @@ class TestDatasetFile:
         with pytest.raises(ConfigurationError,
                            match="^seed must be >= 0, got -1$"):
             Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, seed=-1)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.2], [0.0, 1.000001]])
+    def test_non_integral_labels_rejected(self, labels):
+        # numpy's int64 cast would truncate them to [0, 1]
+        with pytest.raises(ValidationError, match="^labels must be integers$"):
+            Dataset(np.zeros((2, 1)), labels, 2, 0)
+
+    def test_integral_float_labels_accepted(self):
+        ds = Dataset(np.zeros((2, 1)), [0.0, 1.0], 2, 0)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
 
     def test_labels_validated_against_classes(self):
         with pytest.raises(Exception):

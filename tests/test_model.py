@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fuselab import (
     Activation,
     AlignmentPlan,
+    Dataset,
     DenseLayer,
     FuselabError,
     LayerTransform,
@@ -29,6 +30,9 @@ from fuselab import (
     save_dataset,
     save_model,
 )
+from fuselab import model as model_module
+from fuselab.activations import probe_matrix
+from fuselab.matching import _score_matrix
 from fuselab.model import hidden_outputs
 from _helpers import (
     assert_models_allclose,
@@ -108,6 +112,39 @@ class TestModelValidation:
         layers = random_model(4, (5,), 2, seed=0).layers
         with pytest.raises(ValidationError, match=re.escape(repr(tag))):
             MlpModel(layers, 4, seed_tag=tag)
+
+
+class TestInputLayout:
+    """A constructor that keeps an array keeps a copy in the input's memory
+    order: CCA transforms arrive F-ordered, and reordering one changes the
+    bytes of the models built from it. A function that only reads an array
+    takes a float64 ndarray as it is."""
+
+    def test_kept_arrays_keep_fortran_order(self):
+        rng = np.random.default_rng(0)
+        f = np.asfortranarray(rng.normal(size=(3, 3)) + 3.0 * np.eye(3))
+        kept = [
+            DenseLayer(f, np.zeros(3), Activation.RELU).weights,
+            LayerTransform(f, np.linalg.inv(f), 0).forward,
+            LayerTransform.general(f, 0).forward,
+            Dataset(f, [0, 1, 0], 2, 0).features,
+        ]
+        for arr in kept:
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+            assert not np.shares_memory(arr, f)
+            np.testing.assert_array_equal(arr, f)
+
+    def test_readers_do_not_copy_a_float64_array(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        x, square = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+        seen = []
+        inner = model_module.hidden_outputs
+        monkeypatch.setattr(model_module, "hidden_outputs",
+                            lambda m, inputs: seen.append(inputs) or inner(m, inputs))
+        forward(random_model(3, (4,), 2, seed=0), x)
+        assert np.shares_memory(seen[0], x)
+        assert np.shares_memory(probe_matrix(x), x)
+        assert np.shares_memory(_score_matrix(square), square)
 
 
 class TestLayerTransform:

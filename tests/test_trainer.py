@@ -324,6 +324,13 @@ class TestTrain:
                           batch_size=np.uint8(4), init_seed=np.int64(1))
         assert cfg.hidden_widths == (3,) and type(cfg.hidden_widths[0]) is int
 
+    def test_unsigned_batch_size_trains_like_an_int(self):
+        # start + np.uint8(4) would wrap, or overflow, past 255 rows
+        ds = generate(4, 70, 3, seed=0)
+        a, b = (train(ds, TrainConfig(hidden_widths=(4,), epochs=1, batch_size=bs))
+                for bs in (np.uint8(4), 4))
+        assert model_bytes(a) == model_bytes(b)
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(hidden_widths=())
