@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cca, matching, merge
+from . import matching, merge
 from .activations import _pairs_among
 from .errors import ConfigurationError, ShapeError, ValidationError
 from .model import MethodTag, _as_array, _check_number
@@ -155,6 +155,14 @@ def _indirect(plan_ca, plan_ba, plan_cb):
     return out
 
 
+def _plans(pairs, methods, gamma):
+    """Each _PairStats' {method: plan}, made by merge._align in methods' order."""
+    return [
+        {m: merge._align(p.b.model, m, iter([p]), gamma) for m in methods}
+        for p in pairs
+    ]
+
+
 def indirect_matching_diagnostics(
     model_a, model_b, model_c, method, probes, gamma=None
 ):
@@ -170,12 +178,8 @@ def indirect_matching_diagnostics(
         raise ConfigurationError(
             "indirect matching is defined for permute and cca"
         )
-    models = model_a, model_b, model_c
-    pairs = iter(_pairs_among(models, probes, ((0, 2), (0, 1), (1, 2))))
-    plan_ca, plan_ba, plan_cb = (
-        merge._align(m, method, pairs, gamma) for m in (model_c, model_b, model_c)
-    )
-    return _indirect(plan_ca, plan_ba, plan_cb)
+    pairs = _pairs_among((model_a, model_b, model_c), probes, ((0, 2), (0, 1), (1, 2)))
+    return _indirect(*(p[method] for p in _plans(pairs, (method,), gamma)))
 
 
 @dataclass(frozen=True)
@@ -186,31 +190,14 @@ class PairLayerDiagnostics:
     wasserstein_ratios: tuple  # ((k, ratio), ...)
 
 
-def _pair_plans(pair, gamma):
-    """({method: plan} for permute and cca, the pair's correlations)."""
-    sols = cca.solve_pair(pair, gamma)
-    corrs = pair.correlations()
-    plans = {
-        MethodTag.PERMUTE: matching._plan_from_correlations(corrs),
-        MethodTag.CCA: cca.plan_from_solutions(sols),
-    }
-    return plans, corrs
-
-
-def _diagnose_pair(pair, gamma):
-    """(pair diagnostics, _pair_plans' plans) of one pair's statistics."""
-    plans, corrs = _pair_plans(pair, gamma)
+def _diagnose_pair(corrs, plans):
+    """Pair diagnostics of one pair's correlations and {method: plan}."""
     out = []
-    for i, (corr, matched, transform) in enumerate(
-        zip(
-            corrs,
-            plans[MethodTag.PERMUTE].transforms,
-            plans[MethodTag.CCA].transforms,
-        )
-    ):
+    matched, dense = (plans[m].transforms for m in (MethodTag.PERMUTE, MethodTag.CCA))
+    for i, (corr, perm, transform) in enumerate(zip(corrs, matched, dense)):
         n = corr.values.shape[0]
         # row i of a permutation holds its matched column's 1
-        mapping = np.argmax(matched.forward, axis=1)
+        mapping = np.argmax(perm.forward, axis=1)
         coverage = tuple(
             (kc, kt, topk_coefficient_coverage(corr, transform, kc, kt))
             for kc, kt in COVERAGE_PAIRS
@@ -226,7 +213,7 @@ def _diagnose_pair(pair, gamma):
                 i, _non_optimal_pct(corr.values, mapping), coverage, ratios
             )
         )
-    return out, plans
+    return out
 
 
 def _mean(diagnostics, key):
@@ -278,10 +265,11 @@ def analyze(models, probes, gamma=None):
         raise ConfigurationError("analysis works on 2 or 3 models")
     index_pairs = ((0, 1), (0, 2), (1, 2))[: 1 if len(models) == 2 else 3]
     pairs = _pairs_among(models, probes, index_pairs)
-    pair_layers, plans_ab = _diagnose_pair(pairs[0], gamma)
+    plans = _plans(pairs, (MethodTag.CCA, MethodTag.PERMUTE), gamma)
+    pair_layers = _diagnose_pair(pairs[0].correlations(), plans[0])
     indirect = None
     if len(models) == 3:
-        plans_ac, plans_bc = (_pair_plans(p, gamma)[0] for p in pairs[1:])
+        plans_ab, plans_ac, plans_bc = plans
         indirect = {
             method.value: tuple(
                 _indirect(plans_ac[method], plans_ab[method], plans_bc[method])

@@ -25,7 +25,7 @@ import numpy as np
 # wraps every module's binding of it
 from .activations import CorrelationMatrix, _pair_stats, capture  # noqa: F401
 from .errors import ShapeError
-from .model import AlignmentPlan, LayerTransform, MethodTag, _as_array
+from .model import AlignmentPlan, LayerTransform, MethodTag, _as_array, _as_permutation
 
 # slack for comparing float assignment scores computed in different orders;
 # exact ties (duplicate entries) differ by at most a few ulps of the total
@@ -40,8 +40,7 @@ class Assignment:
     total_score: float
 
     def __post_init__(self):
-        m = np.array(self.mapping, dtype=np.intp)
-        m.setflags(write=False)
+        m = _as_permutation("assignment mapping", self.mapping, empty=True)
         object.__setattr__(self, "mapping", m)
 
 

@@ -7,10 +7,10 @@ uniform average.
 
 Every alignment goes through _align, the one place that dispatches on the
 method; it reads one pair's activations._PairStats. The all-to-one loop,
-_merge_all, serves merge_many and evaluation._merge and consumes the pairs
-in order, so a stream of them holds one partner's statistics at a time.
-The gamma search reads its pairs the same way and keeps a method's merge,
-in evaluation._merge's form, as it scores the ridges, so `merge
+_merge_all, serves merge_many, evaluation._merge and every scoring merge of
+the gamma search, and consumes the pairs in order, so a stream of them
+holds one partner's statistics at a time. The search keeps a method's
+merge, in evaluation._merge's form, as it scores the ridges, so `merge
 --gamma-search` makes none twice.
 
 The reset pass rescales each hidden neuron of a merged model so its
@@ -193,28 +193,29 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
     # permute and direct do not read gamma: one _ModelSum serves every candidate
     shared = None if method in (None, MethodTag.CCA) else _ModelSum(pair.a.model)
     while pair is not None:
+        a, b = pair.a.model, pair.b.model
         for cand in list(live):
             try:
-                sols = cca.solve_pair(pair, cand.gamma)
-                aligned = apply_plan(pair.b.model, cca.plan_from_solutions(sols))
-                merged = average_models([pair.a.model, aligned])
+                merged, aligned = _merge_all(a, [b], MethodTag.CCA, [pair], cand.gamma)
                 _, acc = trainer.cross_entropy_accuracy(merged, eval_ds)
             except (NumericalError, ValidationError):
                 live.remove(cand)
                 continue
             cand.scores.append(acc)
             if method is not None and cand.total is None:
-                cand.summaries = cca.summaries_from_solutions(sols)
-                cand.total = shared or _ModelSum(pair.a.model)
+                # the merge's solve, kept on the pair: nothing is solved again
+                cand.summaries = cca.summaries_from_solutions(
+                    cca.solve_pair(pair, cand.gamma)
+                )
+                cand.total = shared or _ModelSum(a)
             if method is MethodTag.CCA:
-                cand.total.add(aligned)
+                cand.total.add(aligned[0])
         if not live:
             raise GammaSelectionError("every candidate gamma failed during merging")
         if shared is not None:
-            b = pair.b.model
             shared.add(apply_plan(b, _align(b, method, iter([pair]))))
         # this pair and the models made from it go before the next is formed
-        del pair, sols, aligned, merged
+        del pair, aligned, merged
         pair = next(pairs, None)
     best, best_score = None, -np.inf
     for cand in live:  # ascending, so >= sends exact ties to the larger gamma

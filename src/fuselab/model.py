@@ -87,6 +87,8 @@ def _as_array(name, value, ndim, copy=False, error=ValidationError):
     it already is one. Otherwise error (ShapeError for the ndim) naming the
     field."""
     try:
+        if np.iscomplexobj(value):  # the cast would drop the imaginary part
+            raise TypeError("complex entries")
         arr = (np.array if copy else np.asarray)(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} must be numeric ({exc})") from None
@@ -96,6 +98,24 @@ def _as_array(name, value, ndim, copy=False, error=ValidationError):
         verb = "contain" if name.endswith("s") else "contains"
         raise error(f"{name} {verb} non-finite entries")
     return arr
+
+
+def _as_permutation(what, mapping, empty=False):
+    """mapping as a read-only intp array if it is a 1-d integer permutation
+    of 0..n-1, n > 0 unless empty; otherwise ValidationError naming what."""
+    try:
+        m = np.array(mapping)
+    except ValueError:  # ragged
+        m = np.array(mapping, dtype=object)
+    if not (m.ndim == 1 and (empty or m.size) and np.issubdtype(m.dtype, np.integer)
+            and np.array_equal(np.sort(m), np.arange(m.size))):
+        raise ValidationError(
+            f"{what} is not a {'' if empty else 'non-empty '}1-d integer "
+            f"permutation: {np.array2string(m, threshold=8)}"
+        )
+    m = m.astype(np.intp, copy=False)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,19 +300,8 @@ class LayerTransform:
     @classmethod
     def from_mapping(cls, mapping, layer_index):
         """Permutation P with P[i, mapping[i]] = 1, stored as (P, P.T)."""
-        mapping = np.asarray(mapping)
+        mapping = _as_permutation(f"mapping at layer {layer_index}", mapping)
         n = mapping.size
-        if not (
-            mapping.ndim == 1
-            and n > 0
-            and np.issubdtype(mapping.dtype, np.integer)
-            and np.array_equal(np.sort(mapping), np.arange(n))
-        ):
-            raise ValidationError(
-                f"mapping at layer {layer_index} is not a non-empty 1-d "
-                "integer permutation: "
-                f"{np.array2string(mapping, threshold=8)}"
-            )
         m = np.zeros((n, n))
         m[np.arange(n), mapping] = 1.0
         return cls(m, m.T, layer_index)

@@ -65,7 +65,8 @@ def _widths(hidden_widths):
 
 def seeds_for(seed):
     """(init_seed, shuffle_seed) derived from one user-facing seed."""
-    return int(seed), int(seed) + SHUFFLE_SEED_OFFSET
+    seed = _check_number("init_seed", seed, 0)
+    return seed, seed + SHUFFLE_SEED_OFFSET
 
 
 def init_model(input_dim, hidden_widths, num_classes, init_seed, seed_tag=None):

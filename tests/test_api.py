@@ -5,6 +5,7 @@ PUBLIC below (and a CHANGES.md note), not a side effect.
 """
 
 import math
+import re
 import types
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuselab
-from fuselab import ConfigurationError, FuselabError, ShapeError, ValidationError
+from fuselab import (
+    ConfigurationError, FuselabError, ParseError, ShapeError, ValidationError,
+)
 
 PUBLIC = [
     "Activation",
@@ -182,6 +185,22 @@ PINNED = {
         lambda: fuselab.ActivationMatrix([["a"]], [0.0], 0, 1), ValidationError),
     "default_gamma(2x2, 3x3)": (
         lambda: fuselab.default_gamma(np.eye(2), np.eye(3)), ShapeError),
+    "Assignment([1.5, 0.2])": (
+        lambda: fuselab.Assignment([1.5, 0.2], 0.0), ValidationError),
+    "Assignment(['a'])": (lambda: fuselab.Assignment(["a"], 0), ValidationError),
+    "Assignment([5, 1, 2])": (
+        lambda: fuselab.Assignment([5, 1, 2], 0.0), ValidationError),
+    "Assignment([0, 0, 0])": (
+        lambda: fuselab.Assignment([0, 0, 0], 0.0), ValidationError),
+    "LayerTransform.from_mapping([[0], [0, 1]])": (
+        lambda: fuselab.LayerTransform.from_mapping([[0], [0, 1]], 0),
+        ValidationError),
+    "seeds_for(1.5)": (lambda: fuselab.seeds_for(1.5), ConfigurationError),
+    "seeds_for(True)": (lambda: fuselab.seeds_for(True), ConfigurationError),
+    "seeds_for('x')": (lambda: fuselab.seeds_for("x"), ConfigurationError),
+    "forward(complex inputs)": (
+        lambda: fuselab.forward(A, np.array([[1 + 2j, 0, 0], [0, 0, 0]])),
+        ValidationError),
 }
 
 
@@ -190,6 +209,71 @@ def test_pinned_hostile_call_raises_its_fuselab_error(name):
     call, error = PINNED[name]
     with pytest.raises(error):
         call()
+
+
+def _loaded(directory, manifest):
+    path = directory / "m.model"
+    path.write_bytes(manifest)
+    return fuselab.load_model(path)
+
+
+# public input checks that no other test reaches: (call given a scratch
+# directory, the error it raises, the end of its message)
+CHECKS = {
+    "DenseLayer.apply(2x5)": (
+        lambda d: A.layers[0].apply(np.zeros((2, 5))),
+        ShapeError, "layer expects 3 input columns, got (2, 5)"),
+    "MlpModel(non-layer entry)": (
+        lambda d: fuselab.MlpModel((A.layers[0], "x"), 3),
+        ValidationError, "layer 1 is not a DenseLayer"),
+    "MlpModel(ReLU last layer)": (
+        lambda d: fuselab.MlpModel(
+            (A.layers[0], fuselab.DenseLayer(np.ones((2, 4)), np.zeros(2), RELU)), 3),
+        ValidationError, "the final layer must be linear (Identity)"),
+    "AlignmentPlan(())": (
+        lambda d: fuselab.AlignmentPlan(()),
+        ValidationError, "a plan needs at least one transform"),
+    "AlignmentPlan(('x',))": (
+        lambda d: fuselab.AlignmentPlan(("x",)),
+        ValidationError, "plan entry 0 is not a LayerTransform"),
+    "apply_plan(width 3 on width 4)": (
+        lambda d: fuselab.apply_plan(A, fuselab.AlignmentPlan(
+            (fuselab.LayerTransform.from_mapping([0, 1, 2], 0),))),
+        ShapeError, "transform 0 has width 3, layer 0 is 4 wide"),
+    "LayerTransform(2x3, 3x2)": (
+        lambda d: fuselab.LayerTransform(np.ones((2, 3)), np.ones((3, 2)), 0),
+        ShapeError, "transform must be square, got (2, 3) and (3, 2)"),
+    "ActivationMatrix(m=5, 2 rows)": (
+        lambda d: fuselab.ActivationMatrix(np.zeros((2, 3)), np.zeros(3), 0, 5),
+        ShapeError, "row count disagrees with m"),
+    "non_optimal_matches(0x0)": (
+        lambda d: fuselab.non_optimal_matches(
+            np.zeros((0, 0)), fuselab.Assignment(np.array([], dtype=int), 0.0)),
+        ShapeError, "score matrix is empty"),
+    "load_model(manifest without end)": (
+        lambda d: _loaded(d, b"fuselab-model 1\ninput_dim 3\n"),
+        ParseError, "manifest ended before 'end'"),
+    "load_model(2-field layer line)": (
+        lambda d: _loaded(
+            d, b"fuselab-model 1\ninput_dim 3\nlayers 1\nlayer 4 3\nend\n"),
+        ParseError, "layer line needs 3 fields: '4 3'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_input_check_raises_its_error(tmp_path, name):
+    call, error, message = CHECKS[name]
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call(tmp_path)
+
+
+def test_blank_manifest_line_is_accepted(tmp_path):
+    fuselab.save_model(A, tmp_path / "a.model")
+    magic, _, rest = (tmp_path / "a.model").read_bytes().partition(b"\n")
+    loaded = _loaded(tmp_path, magic + b"\n\n" + rest)
+    for x, y in zip(loaded.layers, A.layers, strict=True):
+        assert x.weights.tobytes() + x.bias.tobytes() == (
+            y.weights.tobytes() + y.bias.tobytes())
 
 
 def _with(args, slot, value):
@@ -257,6 +341,7 @@ ENTRIES = {
         "array", lambda v: fuselab.LayerTransform.general(v, 0)),
     "linear_sum_assignment": (
         "array", lambda v: fuselab.linear_sum_assignment(v)),
+    "Assignment": ("array", lambda v: fuselab.Assignment(v, 0.0)),
     "wasserstein_1d": ("array", lambda v: fuselab.wasserstein_1d(v, [1.0])),
     "ActivationMatrix.values": (
         "array", lambda v: fuselab.ActivationMatrix(v, [0.0], 0, 1)),
@@ -286,6 +371,7 @@ ARRAYS = st.one_of(
         None, "x", 3, 2.5, True, [], [[]], [["a", "b", "c"]] * 2,
         [[1.0, 2.0, 3.0], [1.0, 2.0]], [[1.0, None, 3.0]] * 2, [[[1.0]]],
         {"a": 1}, np.zeros((2, 3), dtype=np.int64), np.ones((3, 3), dtype=bool),
+        np.array([2, 0, 1]), np.array([[1 + 2j, 0, 0]] * 3), [1j],
     ]),
 )
 HOSTILE = {

@@ -1,12 +1,18 @@
 """End-to-end command line coverage, in-process through main() except
 where a test needs the stderr a user sees."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab import (
     DenseLayer,
@@ -1243,3 +1249,178 @@ class TestOneDeclaration:
         report = parse_report((out / "merge_report.txt").read_text())
         assert report["repair"] == "true"
         capsys.readouterr()
+
+
+# --- hostile argv -----------------------------------------------------------
+#
+# argv for each subcommand is built from its parser's own actions. Whatever
+# the values, main() returns 0, 1 or argparse's 2 and never raises; on 1 it
+# prints one error line and leaves no --out path it made.
+
+# size-like options are always given, small or hostile but never large, so
+# no example starts large work
+SIZES = {
+    "--classes": ["2", "3"], "--per-class": ["1", "3"],
+    "--test-per-class": ["1", "2"], "--dim": ["1", "3"], "--epochs": ["1", "2"],
+    "--widths": ["2", "3,2"], "--grid": ["2", "3"],
+}
+HOSTILE = ["", " ", "-1", "0", "nan", "inf", "-inf", "1e400", "1e-300", "x", ",",
+           "1,,2", "2, ,1", "-0.5"]
+HUGE = "99999999999999999999"
+TYPICAL = {
+    int: ["0", "1"], float: ["1e-3", "0.5"], "--gamma": ["0", "1e-3", "0.5"],
+    "--probe-limit": ["5", "20"], "--batch-size": ["1", "4"],
+    "--gamma-search": ["auto", "1e-3,0.1"], "--seeds": ["0,1", "0,1,2"],
+    "--methods": ["cca", "permute,direct"], "--alpha": ["0.5,0.5", "0.3,2"],
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    """Small valid files of each kind, and odd ones: a dataset of another
+    dimension and a deeper model."""
+    root = tmp_path_factory.mktemp("hostile")
+    data, other = root / "d.ds", root / "other.ds"
+    assert main(["gen-data", "--classes", "3", "--per-class", "4", "--dim", "3",
+                 "--out", str(data)]) == 0
+    assert main(["gen-data", "--classes", "2", "--per-class", "2", "--dim", "2",
+                 "--out", str(other)]) == 0
+    models = []
+    for seed, widths in (("0", "4"), ("1", "4"), ("2", "4"), ("3", "3,3")):
+        path = root / f"m{seed}.model"
+        assert main(["train", "--data", str(data), "--seed", seed, "--widths",
+                     widths, "--epochs", "1", "--out", str(path)]) == 0
+        models.append(path)
+    config = root / "opt.cfg"
+    config.write_text("# defaults\nseeds = 0,1\nmethods = cca\ngamma = 0.5\n")
+    return {"dataset": [data], "model": models[:3], "config": [config],
+            "odd": [other, models[3], config]}
+
+
+class _Argv:
+    """One example's draws; each value or file is hostile one time in
+    one_in, drawn per example so that some examples run to the end."""
+
+    def __init__(self, data, work, files):
+        self.data, self.work, self.files = data, work, files
+        self.one_in = data.draw(st.sampled_from([3, 12, 60]), "one in")
+        self.outs = []  # every --out given, by flag or by config
+
+    def draw(self, strategy, label=None):
+        return self.data.draw(strategy, label)
+
+    def hostile(self, label):
+        return self.draw(st.integers(1, self.one_in), label) == self.one_in
+
+    def mutated(self, kind):
+        """A copy of a file of kind with one byte-level mutation."""
+        raw = bytearray(self.draw(st.sampled_from(self.files[kind])).read_bytes())
+        at = self.draw(st.integers(0, len(raw) - 1), "at")
+        how = self.draw(st.sampled_from(["flip", "truncate", "insert", "delete"]))
+        if how == "flip":
+            raw[at] ^= 1 << self.draw(st.integers(0, 7), "bit")
+        elif how == "truncate":
+            del raw[at:]
+        elif how == "insert":
+            raw.insert(at, self.draw(st.integers(0, 255), "byte"))
+        else:
+            del raw[at]
+        path = self.work / f"mutated{len(list(self.work.iterdir()))}.{kind}"
+        path.write_bytes(bytes(raw))
+        return str(path)
+
+    def file(self, kind):
+        """A valid file of kind, or a mutated one, an odd one, a file of
+        another kind, a directory or nothing."""
+        if not self.hostile(f"hostile {kind}"):
+            return str(self.draw(st.sampled_from(self.files[kind])))
+        how = self.draw(st.sampled_from(["mutated", "odd", "dir", "missing"]))
+        if how == "mutated":
+            return self.mutated(kind)
+        if how == "odd":
+            other = self.files["dataset" if kind == "model" else "model"]
+            return str(self.draw(st.sampled_from(self.files["odd"] + other)))
+        return str(self.work if how == "dir" else self.work / "absent")
+
+    def value(self, action):
+        """A value for the option, typical or hostile."""
+        option = action.option_strings[-1]
+        if option in ("--data", "--probes"):
+            return self.file("dataset")
+        if option == "--out":  # a file or a directory, as the command takes
+            hostile = self.hostile("hostile --out")
+            (self.work / "file").touch()
+            self.outs.append(self.work / self.draw(st.sampled_from(
+                [".", "file/out"] if hostile else ["out", "new/sub/out"])))
+            return str(self.outs[-1])
+        if option == "--config":
+            return self.config()
+        if action.nargs == 0:
+            return self.draw(st.sampled_from(["true", "false", "maybe"]))
+        if self.hostile(f"hostile {option}"):
+            return self.draw(st.sampled_from(
+                HOSTILE if option in SIZES else [*HOSTILE, HUGE]))
+        typical = action.choices or SIZES.get(option) or TYPICAL.get(option)
+        return self.draw(st.sampled_from(list(typical or TYPICAL[action.type])))
+
+    def config(self):
+        """A config file of the command's keys, or a mutated one, or one
+        with a malformed line."""
+        hostile = self.hostile("hostile config")
+        if hostile and self.draw(st.booleans(), "mutate config"):
+            return self.mutated("config")
+        lines = [
+            f"{a.option_strings[-1].lstrip('-')} = {self.value(a)}"
+            for a in self.draw(st.lists(st.sampled_from(_settable(self.command)),
+                                        max_size=3), "keys")
+        ] + ["", "# note"]
+        if hostile:
+            lines.append(self.draw(st.sampled_from(["nokey", "= 1", "bogus = 1"])))
+        path = self.work / "opt.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def argv(self, command):
+        self.command, argv = command, [command]
+        for action in SUBCOMMANDS[command]._actions:
+            option = (action.option_strings or [None])[-1]
+            if option is None:  # the model files
+                count = action.nargs if isinstance(action.nargs, int) else 2
+                if self.hostile("hostile count"):
+                    count = self.draw(st.integers(1, 3), "count")
+                argv += [self.file("model") for _ in range(count)]
+            elif option == "--help" or (
+                option not in SIZES and not action.required
+                and not self.draw(st.integers(0, 3), f"give {option}")
+            ):
+                continue
+            elif action.nargs == 0:
+                argv.append(option)
+            elif self.draw(st.booleans(), f"{option}="):
+                argv.append(f"{option}={self.value(action)}")
+            else:
+                argv += [option, self.value(action)]
+        return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_argv_ends_in_an_exit_code(hostile_files, data):
+    command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)), "command")
+    with tempfile.TemporaryDirectory() as tmp:
+        drawn = _Argv(data, Path(tmp), hostile_files)
+        argv = drawn.argv(command)
+        fresh = [p for out in drawn.outs for p in (out, *out.parents)
+                 if not p.exists()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            assert [p for p in fresh if p.exists()] == []

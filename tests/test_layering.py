@@ -1,5 +1,6 @@
 """Module layering: imports sit at module level, form no cycle and leave
-out scipy, and no private helper outlives its last caller."""
+out scipy, no private helper outlives its last caller, and plans are made
+in one dispatch."""
 
 import ast
 from collections import Counter
@@ -89,3 +90,18 @@ def test_every_private_function_is_used():
                 used[node.attr] += 1
     assert defined
     assert [name for name in defined if not used[name]] == []
+
+
+def test_plans_are_made_in_one_dispatch():
+    # merge._align turns a pair's statistics into a plan; cca_plan and
+    # permute_plan are the one-pair public entry points
+    makers = {"plan_from_solutions", "_plan_from_correlations"}
+    found = set()
+    for path in SOURCES:
+        for top in _tree(path).body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                # a Name's id or an Attribute's attr; an import is neither
+                if getattr(node, "id", getattr(node, "attr", None)) in makers:
+                    found.add(f"{path.stem}.{where}")
+    assert found == {"merge._align", "cca.cca_plan", "matching.permute_plan"}
