@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
 from .model import (
-    _as_array, _check_number, _read_manifest, _read_payload, _reading,
-    _write_atomic,
+    _allocating, _as_array, _check_number, _read_manifest, _read_payload,
+    _reading, _write_atomic,
 )
 
 CLASS_MARGIN = 3.0
@@ -102,14 +102,17 @@ def generate(num_classes, per_class, dim, seed, sample_salt=0):
     dim = _check_number("dim", dim, 1)
     seed = _check_number("seed", seed, 0)
     sample_salt = _check_number("sample_salt", sample_salt, 0)
+    # the largest arrays come first, so a size numpy refuses is named
+    with _allocating(f"num_classes {num_classes} x per_class {per_class} "
+                     f"x dim {dim}"):
+        feats = np.empty((num_classes * per_class, dim))
+        labels = np.empty(num_classes * per_class, dtype=np.int64)
     center_rng = np.random.default_rng([seed, 0])
     centers = center_rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= CLASS_MARGIN
 
     sample_rng = np.random.default_rng([seed, 1, sample_salt])
-    feats = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
     for k in range(num_classes):
         rows = slice(k * per_class, (k + 1) * per_class)
         feats[rows] = centers[k] + sample_rng.standard_normal((per_class, dim))

@@ -22,7 +22,9 @@ from . import cca, merge, trainer
 from .activations import _check_gamma, _pair_stats
 from .cca import summaries_from_solutions
 from .errors import ConfigurationError, ValidationError
-from .model import DenseLayer, MethodTag, MlpModel, _check_number, forward
+from .model import (
+    DenseLayer, MethodTag, MlpModel, _allocating, _check_number, forward,
+)
 
 DEFAULT_GRID_SIZE = 21
 
@@ -84,9 +86,10 @@ def interpolation_curve(model_a, model_b, ds, grid_size=DEFAULT_GRID_SIZE):
     grid_size = _check_number("grid_size", grid_size, 2)
     if not model_a.same_architecture(model_b):
         raise ValidationError("interpolation endpoints must share shapes")
-    lambdas = np.linspace(0.0, 1.0, grid_size)
-    losses = np.empty(grid_size)
-    accs = np.empty(grid_size)
+    with _allocating(f"grid_size {grid_size}"):
+        lambdas = np.linspace(0.0, 1.0, grid_size)
+        losses = np.empty(grid_size)
+        accs = np.empty(grid_size)
     for i, lam in enumerate(lambdas):
         losses[i], accs[i] = trainer.cross_entropy_accuracy(
             _blend(model_a, model_b, lam), ds

@@ -100,6 +100,16 @@ def _as_array(name, value, ndim, copy=False, error=ValidationError):
     return arr
 
 
+@contextlib.contextmanager
+def _allocating(what):
+    """Numpy's refusal of an array too large to index or to allocate becomes
+    ConfigurationError naming what, the counts that sized the array."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"{what} too large: {exc}") from None
+
+
 def _as_permutation(what, mapping, empty=False):
     """mapping as a read-only intp array if it is a 1-d integer permutation
     of 0..n-1, n > 0 unless empty; otherwise ValidationError naming what."""

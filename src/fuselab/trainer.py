@@ -8,7 +8,11 @@ model bit for bit, whether it trains alone or in a lockstep pool.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +22,9 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .model import Activation, DenseLayer, MlpModel, _check_number, forward
+from .model import (
+    Activation, DenseLayer, MlpModel, _allocating, _check_number, forward,
+)
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
 DEFAULT_EPOCHS = 30
@@ -78,11 +84,52 @@ def init_model(input_dim, hidden_widths, num_classes, init_seed, seed_tag=None):
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        with _allocating(f"hidden widths {dims[1:-1]} with input_dim "
+                         f"{dims[0]} and num_classes {dims[-1]}"):
+            w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         b = np.zeros(fan_out)
         act = Activation.RELU if i < len(dims) - 2 else Activation.IDENTITY
         layers.append(DenseLayer(w, b, act))
     return MlpModel(tuple(layers), dims[0], seed_tag)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy >= 2 wheels
+    bundle, or None on any other build (numpy 1.x, MKL, Accelerate)."""
+    here = Path(np.__file__).parent
+    for path in (*here.parent.glob("numpy.libs/*openblas*"),
+                 *here.glob(".dylibs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+    A batch's products are too small to pay for a second thread, and a
+    matmul's bytes do not depend on the count (LAPACK's may: keep its calls
+    outside). The count is process-wide: training in several Python threads
+    at once can leave it at one."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def _log_softmax(logits):
@@ -156,43 +203,47 @@ def train_scored(ds, cfgs):
     rngs = [np.random.default_rng(int(c.shuffle_seed)) for c in cfgs]
     pool = np.arange(len(cfgs))[:, None]
     failed = {}
-    for epoch in range(cfg.epochs):
-        order = np.stack([rng.permutation(ds.m) for rng in rngs])
-        for batch_no, start in enumerate(range(0, ds.m, cfg.batch_size)):
-            idx = order[:, start : start + cfg.batch_size]
-            n = idx.shape[1]
-            picked = (pool, np.arange(n), ds.labels[idx])
-            # post[i] is layer i's input; ReLU keeps post > 0 where pre > 0
-            post = [ds.features[idx]]
-            for i in range(n_layers):
-                z = post[i] @ weights[i].transpose(0, 2, 1)
-                z += biases[i]
-                post.append(np.maximum(z, 0.0, out=z) if i < n_layers - 1 else z)
+    with _one_blas_thread():
+        for epoch in range(cfg.epochs):
+            order = np.stack([rng.permutation(ds.m) for rng in rngs])
+            for batch_no, start in enumerate(range(0, ds.m, cfg.batch_size)):
+                idx = order[:, start : start + cfg.batch_size]
+                n = idx.shape[1]
+                picked = (pool, np.arange(n), ds.labels[idx])
+                # post[i] is layer i's input; ReLU keeps post > 0 where pre > 0
+                post = [ds.features[idx]]
+                for i in range(n_layers):
+                    z = post[i] @ weights[i].transpose(0, 2, 1)
+                    z += biases[i]
+                    post.append(np.maximum(z, 0.0, out=z)
+                                if i < n_layers - 1 else z)
 
-            logp = _log_softmax(post.pop())
-            # a sum is finite exactly when the mean is
-            finite = np.isfinite(np.add.reduce(logp[picked], axis=1))
-            if not finite[0]:
-                raise TrainingDivergedError(epoch, batch_no, **who[0])
-            for k in np.flatnonzero(~finite):
-                failed.setdefault(k, (epoch, batch_no))
+                logp = _log_softmax(post.pop())
+                # a sum is finite exactly when the mean is
+                finite = np.isfinite(np.add.reduce(logp[picked], axis=1))
+                if not finite.all():
+                    if not finite[0]:
+                        raise TrainingDivergedError(epoch, batch_no, **who[0])
+                    for k in np.flatnonzero(~finite):
+                        failed.setdefault(k, (epoch, batch_no))
 
-            # (softmax - onehot) / n, built in place
-            delta = np.exp(logp)
-            delta[picked] -= 1.0
-            delta /= n
-            for i in range(n_layers - 1, -1, -1):
-                np.matmul(delta.transpose(0, 2, 1), post[i], out=grad_views[i])
-                np.add.reduce(delta, axis=1, keepdims=True,
-                              out=grad_views[n_layers + i])
-                if i > 0:
-                    delta = delta @ weights[i]
-                    delta *= post[i] > 0
-            # every gradient was taken at the old parameters
-            velocity *= cfg.momentum
-            grads *= cfg.learning_rate
-            velocity -= grads
-            params += velocity
+                # (softmax - onehot) / n, built in place
+                delta = np.exp(logp)
+                delta[picked] -= 1.0
+                delta /= n
+                for i in range(n_layers - 1, -1, -1):
+                    np.matmul(delta.transpose(0, 2, 1), post[i],
+                              out=grad_views[i])
+                    np.add.reduce(delta, axis=1, keepdims=True,
+                                  out=grad_views[n_layers + i])
+                    if i > 0:
+                        delta = delta @ weights[i]
+                        delta *= post[i] > 0
+                # every gradient was taken at the old parameters
+                velocity *= cfg.momentum
+                grads *= cfg.learning_rate
+                velocity -= grads
+                params += velocity
 
     trained = []
     for k, init in enumerate(inits):

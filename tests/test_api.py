@@ -201,6 +201,23 @@ PINNED = {
     "forward(complex inputs)": (
         lambda: fuselab.forward(A, np.array([[1 + 2j, 0, 0], [0, 0, 0]])),
         ValidationError),
+    # counts too large for numpy to make the array they size
+    "generate(num_classes=10**20)": (
+        lambda: fuselab.generate(10**20, 3, 3, 0), ConfigurationError),
+    "generate(per_class=10**20)": (
+        lambda: fuselab.generate(4, 10**20, 3, 0), ConfigurationError),
+    "generate(dim=10**20)": (
+        lambda: fuselab.generate(4, 3, 10**20, 0), ConfigurationError),
+    "init_model(hidden_widths=(10**20,))": (
+        lambda: fuselab.init_model(3, (10**20,), 4, 0), ConfigurationError),
+    "init_model(num_classes=10**20)": (
+        lambda: fuselab.init_model(3, (4,), 10**20, 0), ConfigurationError),
+    "train(hidden_widths=(4, 10**20))": (
+        lambda: fuselab.train(DS, fuselab.TrainConfig(hidden_widths=(4, 10**20))),
+        ConfigurationError),
+    "interpolation_curve(grid_size=10**20)": (
+        lambda: fuselab.interpolation_curve(A, B, DS, 10**20),
+        ConfigurationError),
 }
 
 

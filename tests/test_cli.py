@@ -219,6 +219,55 @@ def test_negative_seed_is_a_named_error(
     assert not out.exists()
 
 
+HUGE = "99999999999999999999"
+HUGE_COUNTS = [
+    ("gen-data", ["--per-class", HUGE],
+     f"num_classes 16 x per_class {HUGE} x dim 32"),
+    ("gen-data", ["--classes", HUGE],
+     f"num_classes {HUGE} x per_class 125 x dim 32"),
+    ("gen-data", ["--dim", HUGE],
+     f"num_classes 16 x per_class 125 x dim {HUGE}"),
+    # an 11.2 TiB array, which the child's address-space cap refuses
+    ("gen-data", ["--per-class", "3000000000"],
+     "num_classes 16 x per_class 3000000000 x dim 32"),
+    ("train", ["--widths", HUGE],
+     f"hidden widths [{HUGE}] with input_dim 6 and num_classes 4"),
+    ("barrier", ["--grid", HUGE], f"grid_size {HUGE}"),
+]
+
+# main under a 16 GiB address-space cap, so that an array too large to make
+# is refused at once, whatever the system's overcommit policy
+CAPPED_MAIN = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 34 if hard == resource.RLIM_INFINITY else min(1 << 34, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from fuselab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the address-space cap is enforced on Linux")
+@pytest.mark.parametrize("command, flags, named", HUGE_COUNTS)
+def test_huge_count_is_a_named_error(workdir, tmp_path, command, flags, named):
+    _, data, test, models = workdir
+    out = ["--out", str(tmp_path / "out")]
+    needs = {"gen-data": out, "train": ["--data", str(data), *out],
+             "barrier": [str(models[0]), str(models[1]), "--data", str(test)]}
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, command, *needs[command], *flags],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 1
+    # one line, naming the counts, ending in numpy's reason
+    assert run.stderr.startswith(f"error: {command}: {named} too large: ")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+    assert run.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 DASH_VALUES = [
     ("experiment", ["--seeds", "-1,2"], "init_seed must be >= 0, got -1"),
     ("experiment", ["--split", "dirichlet", "--alpha", "-1,2"],

@@ -26,7 +26,8 @@ from fuselab import (
     train,
     train_many,
 )
-from fuselab.trainer import SHUFFLE_SEED_OFFSET, _log_softmax
+from fuselab import trainer
+from fuselab.trainer import SHUFFLE_SEED_OFFSET, _log_softmax, _openblas
 from _helpers import model_bytes
 
 
@@ -458,3 +459,66 @@ class TestTrainMany:
     def test_empty_pool_rejected(self, small_task):
         with pytest.raises(ConfigurationError, match="at least one config"):
             train_many(small_task[0], [])
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of the bundled OpenBLAS's thread count, or None when it is
+    not found. The count is set to 2 for the test, a count the SGD loop's
+    pin must change and then restore."""
+    found = _openblas()
+    if found is None:
+        yield None
+        return
+    get, set_ = found
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestOneBlasThread:
+    @pytest.mark.usefixtures("blas_threads")
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_models_do_not_depend_on_the_pin(self, monkeypatch, n):
+        # (128, 128) at batch 32 is wide enough for OpenBLAS to thread
+        ds = generate(16, 125, 32, seed=0)
+        cfgs = pool_configs(n, 5, hidden_widths=(128, 128), epochs=2,
+                            batch_size=32)
+        pinned = [model_bytes(m) for m in train_many(ds, cfgs)]
+        monkeypatch.setattr(trainer, "_openblas", lambda: None)
+        assert [model_bytes(m) for m in train_many(ds, cfgs)] == pinned
+
+    def test_loop_runs_on_one_thread_and_restores_the_count(
+        self, blas_threads, monkeypatch
+    ):
+        if blas_threads is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        seen = []
+
+        def spy(logits):
+            seen.append(blas_threads())
+            return _log_softmax(logits)
+
+        monkeypatch.setattr(trainer, "_log_softmax", spy)
+        ds = generate(4, 10, 4, seed=0)  # 40 rows: 2 batches of 32
+        train(ds, TrainConfig(hidden_widths=(8,), epochs=1))
+        # the loop's batches on one thread, the final score on the caller's
+        assert seen == [1, 1, 2]
+        assert blas_threads() == 2
+        train_many(ds, pool_configs(3, 0, hidden_widths=(8,), epochs=1))
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 3)])
+    def test_count_is_restored_when_the_loop_raises(self, blas_threads,
+                                                    seeds):
+        if blas_threads is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        ds = generate(4, 10, 4, seed=0)
+        cfgs = [TrainConfig(hidden_widths=(64, 64), epochs=3, batch_size=8,
+                            learning_rate=1e6, init_seed=s, shuffle_seed=s + 7)
+                for s in seeds]
+        with pytest.raises(TrainingDivergedError) as info:
+            train_many(ds, cfgs)
+        assert (info.value.epoch, info.value.batch) == (1, 1)  # mid-loop
+        assert blas_threads() == 2
