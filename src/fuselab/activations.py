@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .model import _as_array, _check_number, hidden_outputs
+from .model import _as_array, _check_number
 
 DEGENERATE_VARIANCE = 1e-12
 
@@ -94,10 +94,13 @@ def probe_matrix(probes):
 
 def capture(model, probes):
     """Centered post-activation matrices, one per hidden layer."""
-    x = probe_matrix(probes)
+    x, outs = probe_matrix(probes), []
+    for layer in model.layers[:-1]:
+        x = layer.apply(x)
+        outs.append(x)
     mats = []
-    for i, h in enumerate(hidden_outputs(model, x)):
-        # h is a fresh array nothing else refers to: center it in place
+    for i, h in enumerate(outs):
+        # h is a fresh array the next layer has read: center it in place
         mu = h.mean(axis=0)
         h -= mu
         mats.append(ActivationMatrix._adopt(h, mu, i))
@@ -120,8 +123,10 @@ def _check_gamma(gamma):
 
 
 def _columns(x):
-    """(column norms, dead-neuron mask) of one centered activation block."""
-    return np.linalg.norm(x.values, axis=0), x.variances() < DEGENERATE_VARIANCE
+    """(column norms, dead-neuron mask) of one centered activation block,
+    both from the one sum of squares that norm(axis=0) and variances() take."""
+    squares = np.add.reduce(x.values * x.values, axis=0)
+    return np.sqrt(squares), squares / x.m < DEGENERATE_VARIANCE
 
 
 def _correlations(s_ab, columns_a, columns_b):

@@ -23,7 +23,7 @@ from . import analysis, evaluation, merge, reports, trainer
 from .datagen import SplitKind, SplitSpec, generate, load_dataset, save_dataset, split
 from .activations import _check_gamma, _pair_stats
 from .errors import ConfigurationError, FuselabError, ParseError
-from .model import MethodTag, _check_number, load_model, save_model
+from .model import MethodTag, _allocating, _check_number, load_model, save_model
 from .trainer import TrainConfig, seeds_for
 
 DEFAULT_CLASSES = 16
@@ -265,7 +265,8 @@ def cmd_experiment(args):
         raise ConfigurationError("data splits are two-way; give 2 --seeds")
     reference = _check_number("--reference", args.reference, 0, num_models - 1)
     methods = _method_list(args.methods)
-    _check_number("grid_size", args.grid, 2)
+    with _allocating(f"grid_size {args.grid}"):  # refused before training
+        np.empty(_check_number("grid_size", args.grid, 2))
     cfgs = [_train_config(args, s) for s in seeds]
     probes = evaluation.limit_probes(train_ds.features, args.probe_limit)
     candidates = _search_candidates(args, probes)

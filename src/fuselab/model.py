@@ -241,16 +241,9 @@ def forward(model, inputs):
             f"model expects {model.input_dim} input columns, got "
             f"{x.shape} at layer 0"
         )
-    return model.layers[-1].apply(hidden_outputs(model, x)[-1])
-
-
-def hidden_outputs(model, inputs):
-    """Post-activation outputs of every hidden layer, in order."""
-    x, outs = inputs, []
-    for layer in model.layers[:-1]:
+    for layer in model.layers:
         x = layer.apply(x)
-        outs.append(x)
-    return outs
+    return x
 
 
 def _inverse(matrix, what, hint=""):

@@ -190,6 +190,37 @@ def _blocks(draw):
     return blocks
 
 
+@st.composite
+def _column_blocks(draw):
+    """One centered block from 2 rows up, its column variances spanning the
+    dead-neuron threshold: constant, ReLU-zeroed and F-ordered columns, or
+    a real capture."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.one_of(st.just(2), st.integers(2, 40)))
+    width = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        model = random_model(3, (width,), 2, seed=int(rng.integers(1000)))
+        return capture(model, rng.standard_normal((rows, 3)))[0]
+    x = rng.standard_normal((rows, width))
+    x *= 10.0 ** rng.uniform(-9, 3, size=width)
+    dead = rng.random(width) < 0.3
+    x[:, dead] = rng.standard_normal(int(dead.sum()))
+    if draw(st.booleans()):
+        x = np.maximum(x, 0.0)
+    return _mat(np.asfortranarray(x) if draw(st.booleans()) else x)
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(_column_blocks())
+    def test_one_pass_matches_the_two_pass_bytes(self, mat):
+        norms, dead = activations._columns(mat)
+        expect = np.linalg.norm(mat.values, axis=0)
+        assert norms.tobytes() == expect.tobytes()
+        expect = mat.variances() < DEGENERATE_VARIANCE
+        assert dead.tobytes() == expect.tobytes()
+
+
 class TestPairStatistics:
     @settings(max_examples=150, deadline=None)
     @given(_blocks())

@@ -654,6 +654,23 @@ class TestExperiment:
             "error: experiment: grid_size must be >= 2, got 1\n"
         )
 
+    def test_grid_numpy_refuses_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        train_scored = trainer.train_scored
+        monkeypatch.setattr(trainer, "train_scored",
+                            lambda *a: calls.append(a) or train_scored(*a))
+        huge = "99999999999999999999"
+        code = main(["experiment", *EXPERIMENT_ARGS, "--grid", huge,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: experiment: grid_size {huge} too large: ")
+        assert err.count("\n") == 1
+        assert calls == []
+        assert not (tmp_path / "x").exists()
+
     def test_non_full_split_needs_two_models(self, tmp_path, capsys):
         code = main(["experiment", *TINY_TRAIN, "--seeds", "0,1,2",
                      "--split", "disjoint", "--out", str(tmp_path / "x")])

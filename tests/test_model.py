@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,8 @@ from fuselab import (
     save_dataset,
     save_model,
 )
-from fuselab import model as model_module
-from fuselab.activations import probe_matrix
+from fuselab.activations import capture, probe_matrix
 from fuselab.matching import _score_matrix
-from fuselab.model import hidden_outputs
 from _helpers import (
     assert_models_allclose,
     model_bytes,
@@ -138,9 +137,10 @@ class TestInputLayout:
         rng = np.random.default_rng(1)
         x, square = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
         seen = []
-        inner = model_module.hidden_outputs
-        monkeypatch.setattr(model_module, "hidden_outputs",
-                            lambda m, inputs: seen.append(inputs) or inner(m, inputs))
+        inner = DenseLayer.apply
+        monkeypatch.setattr(DenseLayer, "apply",
+                            lambda layer, inputs: seen.append(inputs)
+                            or inner(layer, inputs))
         forward(random_model(3, (4,), 2, seed=0), x)
         assert np.shares_memory(seen[0], x)
         assert np.shares_memory(probe_matrix(x), x)
@@ -263,17 +263,38 @@ class TestLayerLoop:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_outputs_match_the_allocating_expression(self, data):
-        # the in-place layer loop against the expression it replaced; the
-        # draws include 3 hidden layers and 1-row inputs
+        # the in-place layer fold, and capture's centered outputs, against
+        # the allocating expression; the draws include 3 hidden layers and
+        # 1-row inputs (capture needs 2 rows)
         model, _, x = random_case(data.draw, min_rows=1)
         before = x.copy()
         expect, h = [], x
         for layer in model.layers:
             h = layer.activation.apply(h @ layer.weights.T + layer.bias)
-            expect.append(h.tobytes())
-        assert forward(model, x).tobytes() == expect[-1]
-        assert [o.tobytes() for o in hidden_outputs(model, x)] == expect[:-1]
+            expect.append(h)
+        assert forward(model, x).tobytes() == expect[-1].tobytes()
+        if x.shape[0] >= 2:
+            mats = capture(model, x)
+            assert len(mats) == len(expect) - 1
+            for mat, h in zip(mats, expect):
+                mu = h.mean(axis=0)
+                assert mat.column_means.tobytes() == mu.tobytes()
+                assert mat.values.tobytes() == (h - mu).tobytes()
         assert x.tobytes() == before.tobytes()
+
+    def test_forward_holds_one_layer_at_a_time(self):
+        # three 512-wide hidden layers on 2000 rows: the fold holds at most
+        # two hidden outputs at once; a list of them would hold three
+        model = random_model(8, (512, 512, 512), 4, seed=5)
+        x = np.random.default_rng(0).normal(size=(2000, 8))
+        forward(model, x)  # warm up numpy's and BLAS's own buffers
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (2000 * 512 * 8)
 
 
 class TestModelFile:
