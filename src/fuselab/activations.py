@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .model import _as_array, _check_number
+from .model import MlpModel, _as_array, _check_kind, _check_number
 
 DEGENERATE_VARIANCE = 1e-12
+# rows squared at once when a capture's column norms are taken
+SQUARE_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +96,7 @@ def probe_matrix(probes):
 
 def capture(model, probes):
     """Centered post-activation matrices, one per hidden layer."""
+    _check_kind("model", model, MlpModel)
     x, outs = probe_matrix(probes), []
     for layer in model.layers[:-1]:
         x = layer.apply(x)
@@ -124,9 +127,26 @@ def _check_gamma(gamma):
 
 def _columns(x):
     """(column norms, dead-neuron mask) of one centered activation block,
-    both from the one sum of squares that norm(axis=0) and variances() take."""
-    squares = np.add.reduce(x.values * x.values, axis=0)
-    return np.sqrt(squares), squares / x.m < DEGENERATE_VARIANCE
+    both from the one sum of squares that norm(axis=0) and variances() take.
+
+    The squares are formed SQUARE_ROWS rows at a time, so a block, not a
+    second capture, is held beside x. numpy sums a C-order array of 2 or
+    more columns down axis 0 one row after another, so each block is summed
+    after the running total, in one buffer. It sums a lone column, and each
+    column of an F-order array, pairwise: those are squared whole."""
+    v, m, n = x.values, x.m, x.width
+    if n < 2 or not v.flags.c_contiguous:
+        squares = np.add.reduce(v * v, axis=0)
+    else:
+        squares = np.zeros(n)  # 0 + s is s for every square s >= +0.0
+        buf = np.empty((min(m, SQUARE_ROWS) + 1, n))
+        for lo in range(0, m, SQUARE_ROWS):
+            block = v[lo:lo + SQUARE_ROWS]
+            k = len(block) + 1
+            buf[0] = squares
+            np.multiply(block, block, out=buf[1:k])
+            np.add.reduce(buf[:k], axis=0, out=squares)
+    return np.sqrt(squares), squares / m < DEGENERATE_VARIANCE
 
 
 def _correlations(s_ab, columns_a, columns_b):
@@ -144,9 +164,9 @@ def _correlations(s_ab, columns_a, columns_b):
 _Side = namedtuple("_Side", "model grams columns roots")
 
 
-def _side(model, acts, columns=True):
+def _side(model, acts):
     grams = [x.values.T @ x.values for x in acts]
-    return _Side(model, grams, [_columns(x) for x in acts] if columns else None, {})
+    return _Side(model, grams, [_columns(x) for x in acts], {})
 
 
 class _PairStats:
@@ -173,21 +193,21 @@ def _pair(a, acts_a, b, acts_b):
     return _PairStats(a, b, [x.values.T @ y.values for x, y in zip(acts_a, acts_b)])
 
 
-def _pair_stats(models, reference_index, probes, columns=True):
+def _pair_stats(models, reference_index, probes):
     """Yield models[reference_index]'s _PairStats against each other model
     in order, capturing each model once. A partner's capture is dropped once
     its statistics are formed, so a consumer holds one at most, and the
     reference's before the last pair is yielded, so a stream that is never
-    run to its end holds none. columns=False skips the column statistics,
-    which only correlations read: forming them squares each whole capture,
-    which raised the 5-model gamma-search benchmark's peak RSS by 3.5 MB."""
+    run to its end holds none. Column statistics are formed for every pair,
+    though only correlations read them: _columns squares a capture a block
+    at a time, so they add no capture-sized array."""
     reference = models[reference_index]
     others = models[:reference_index] + models[reference_index + 1:]
     acts = capture(reference, probes)
-    a = _side(reference, acts, columns)
+    a = _side(reference, acts)
     for n, partner in enumerate(others, 1):
         acts_b = capture(partner, probes)
-        pair = _pair(a, acts, _side(partner, acts_b, columns), acts_b)
+        pair = _pair(a, acts, _side(partner, acts_b), acts_b)
         del acts_b
         if n == len(others):
             del acts
@@ -204,7 +224,7 @@ def _pairs_among(models, probes, index_pairs):
 
 def scatter(a, b, gamma=0.0):
     """Scatter matrices X^T X of the centered activations, ridge recorded."""
-    pair = _pair(_side(None, [a], False), [a], _side(None, [b], False), [b])
+    pair = _pair(_side(None, [a]), [a], _side(None, [b]), [b])
     return ScatterStats(*pair.a.grams, *pair.b.grams, *pair.s_ab, _check_gamma(gamma))
 
 

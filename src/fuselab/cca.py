@@ -175,7 +175,7 @@ def solve_layers(model_a, model_b, probes, gamma=None):
     gamma=None applies the scale-aware default independently per layer;
     a float applies that exact ridge everywhere.
     """
-    pair = next(_pair_stats([model_a, model_b], 0, probes, columns=False))
+    pair = next(_pair_stats([model_a, model_b], 0, probes))
     return solve_pair(pair, gamma)
 
 

@@ -168,7 +168,7 @@ def cmd_merge(args):
         made = evaluation._merge(models, method, probes, gamma, reference)
     else:
         # one capture per model: the search makes the merge it picks
-        pairs = _pair_stats(models, reference, probes, method is MethodTag.PERMUTE)
+        pairs = _pair_stats(models, reference, probes)
         gamma, made = merge._search(candidates, pairs, probes_ds, method)
     merged, report = evaluation._report(
         models, method, made, probes, gamma, args.repair, reference

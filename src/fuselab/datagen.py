@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError, ValidationError
 from .model import (
-    _allocating, _as_array, _check_number, _read_manifest, _read_payload,
-    _reading, _write_atomic,
+    _allocating, _as_array, _check_kind, _check_number, _read_manifest,
+    _read_payload, _reading, _write_atomic,
 )
 
 CLASS_MARGIN = 3.0
@@ -136,6 +136,8 @@ def split(ds, spec):
     other three kinds produce exact partitions (disjoint, union == ds),
     deterministic in spec.seed.
     """
+    _check_kind("dataset", ds, Dataset)
+    _check_kind("spec", spec, SplitSpec)
     if spec.kind is SplitKind.FULL:
         return ds, ds
     rng = np.random.default_rng(int(spec.seed))
@@ -162,6 +164,7 @@ def split(ds, spec):
 
 
 def save_dataset(ds, path):
+    _check_kind("dataset", ds, Dataset)
     lines = [
         f"{DATASET_MAGIC} {DATASET_FORMAT_VERSION}",
         f"m {ds.m}",

@@ -21,9 +21,11 @@ import numpy as np
 from . import cca, merge, trainer
 from .activations import _check_gamma, _pair_stats
 from .cca import summaries_from_solutions
+from .datagen import Dataset
 from .errors import ConfigurationError, ValidationError
 from .model import (
-    DenseLayer, MethodTag, MlpModel, _allocating, _check_number, forward,
+    DenseLayer, MethodTag, MlpModel, _allocating, _check_kind, _check_number,
+    forward,
 )
 
 DEFAULT_GRID_SIZE = 21
@@ -49,7 +51,8 @@ def _logits(models, ds):
     """Each model's logits on ds, which score it and the ensemble alike."""
     if not models:
         raise ConfigurationError("ensemble needs at least one model")
-    for m in models:
+    for i, m in enumerate(models):
+        _check_kind(f"model {i}", m, MlpModel)
         trainer._check_scorable(m, ds)
     return [forward(m, ds.features) for m in models]
 
@@ -84,6 +87,8 @@ def interpolation_curve(model_a, model_b, ds, grid_size=DEFAULT_GRID_SIZE):
     model_b is used as handed in: align it first if alignment is wanted.
     """
     grid_size = _check_number("grid_size", grid_size, 2)
+    _check_kind("model_a", model_a, MlpModel)
+    _check_kind("model_b", model_b, MlpModel)
     if not model_a.same_architecture(model_b):
         raise ValidationError("interpolation endpoints must share shapes")
     with _allocating(f"grid_size {grid_size}"):
@@ -221,6 +226,7 @@ def evaluate_merge(method, models, train_ds, test_ds, gamma=None, repair=False,
     Endpoint and ensemble accuracies are left to the caller, which scores
     them once however many methods it merges with.
     """
+    _check_kind("train_ds", train_ds, Dataset)
     probes = limit_probes(train_ds.features, probe_limit)
     made = _merge(models, method, probes, gamma, reference_index)
     return _evaluate(models, method, made, test_ds, probes, gamma, repair,

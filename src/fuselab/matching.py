@@ -25,7 +25,10 @@ import numpy as np
 # wraps every module's binding of it
 from .activations import CorrelationMatrix, _pair_stats, capture  # noqa: F401
 from .errors import ShapeError
-from .model import AlignmentPlan, LayerTransform, MethodTag, _as_array, _as_permutation
+from .model import (
+    AlignmentPlan, LayerTransform, MethodTag, MlpModel, _as_array, _as_permutation,
+    _check_kind,
+)
 
 # slack for comparing float assignment scores computed in different orders;
 # exact ties (duplicate entries) differ by at most a few ulps of the total
@@ -178,6 +181,7 @@ def linear_sum_assignment(c):
 
 def identity_plan(model):
     """The do-nothing plan: identity transform at every hidden layer."""
+    _check_kind("model", model, MlpModel)
     transforms = tuple(
         LayerTransform.from_mapping(np.arange(layer.out_dim), i)
         for i, layer in enumerate(model.layers[:-1])

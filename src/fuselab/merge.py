@@ -28,10 +28,11 @@ import numpy as np
 
 from . import cca, matching, trainer
 from .activations import _check_gamma, _pair_stats, probe_matrix
+from .datagen import Dataset
 from .errors import (
     ConfigurationError, GammaSelectionError, NumericalError, ShapeError, ValidationError,
 )
-from .model import Activation, DenseLayer, MethodTag, MlpModel, apply_plan
+from .model import DenseLayer, MethodTag, MlpModel, _check_kind, apply_plan
 
 SIGMA_FLOOR = 1e-12
 
@@ -85,7 +86,7 @@ class _ModelSum:
     """
 
     def __init__(self, first):
-        self.first = first
+        self.first = _check_kind("model 0", first, MlpModel)
         self.params = [
             [[p] if p.size == 1 else p + 0.0 for p in (x.weights, x.bias)]
             for x in first.layers
@@ -93,6 +94,7 @@ class _ModelSum:
         self.tags = [first.seed_tag]
 
     def add(self, model):
+        _check_kind(f"model {len(self.tags)}", model, MlpModel)
         if not self.first.same_architecture(model):
             raise ValidationError(
                 f"model {len(self.tags)} does not share the reference "
@@ -157,9 +159,10 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     Each model is captured once per run of pairs sharing a reference, and
     such pairs share its Grams and inverse square roots.
     """
+    _check_kind("eval_ds", eval_ds, Dataset)
     runs = (list(run) for _, run in groupby(model_pairs, lambda p: id(p[0])))
     pairs = chain.from_iterable(
-        _pair_stats([run[0][0], *(b for _, b in run)], 0, probes, columns=False)
+        _pair_stats([run[0][0], *(b for _, b in run)], 0, probes)
         for run in runs
     )
     return _search(candidate_gammas, pairs, eval_ds)[0]
@@ -226,9 +229,10 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
     return best.gamma, made
 
 
-def _layer_stats(weights, bias, x):
-    z = x @ weights.T + bias
-    return z.mean(axis=0), z.std(axis=0), z
+def _preactivation(layer, x):
+    z = x @ layer.weights.T  # fresh, so the bias goes in place
+    z += layer.bias
+    return z
 
 
 def repair_reset(merged, reference, probes):
@@ -237,7 +241,13 @@ def repair_reset(merged, reference, probes):
     Returns (model, skipped): neurons whose merged spread is below
     SIGMA_FLOOR are left untouched and listed. The output layer is never
     rescaled.
+
+    A layer holds one working array beside the two models' inputs: the
+    reference's pre-activation becomes its next input in place, and the
+    merged model's is let go once its mean and spread are taken.
     """
+    _check_kind("merged", merged, MlpModel)
+    _check_kind("reference", reference, MlpModel)
     if not merged.same_architecture(reference):
         raise ValidationError("merged and reference architectures differ")
     ref_x = cur_x = probe_matrix(probes)
@@ -246,14 +256,16 @@ def repair_reset(merged, reference, probes):
                          f"probes have {ref_x.shape[1]}")
     new_layers = []
     skipped = []
-    for i, (layer, ref_layer) in enumerate(zip(merged.layers, reference.layers)):
-        if i == merged.num_layers - 1:
-            new_layers.append(layer)
-            break
-        mu_ref, sd_ref, ref_z = _layer_stats(
-            ref_layer.weights, ref_layer.bias, ref_x
-        )
-        mu_m, sd_m, _ = _layer_stats(layer.weights, layer.bias, cur_x)
+    for i, (layer, ref_layer) in enumerate(zip(merged.layers[:-1], reference.layers)):
+        if i:  # both models' outputs of the layer below
+            ref_x = np.maximum(ref_z, 0.0, out=ref_z)  # the reference's ReLU
+            cur_x = new_layers[-1].apply(cur_x)
+        ref_z = _preactivation(ref_layer, ref_x)
+        mu_ref, sd_ref = ref_z.mean(axis=0), ref_z.std(axis=0)
+        del ref_x
+        z = _preactivation(layer, cur_x)
+        mu_m, sd_m = z.mean(axis=0), z.std(axis=0)
+        del z
         keep = sd_m < SIGMA_FLOOR
         scale = np.where(keep, 1.0, sd_ref / np.where(keep, 1.0, sd_m))
         shift = np.where(keep, 0.0, mu_ref - mu_m * scale)
@@ -261,10 +273,8 @@ def repair_reset(merged, reference, probes):
         b = layer.bias * scale + shift
         for j in np.flatnonzero(keep):
             skipped.append(SkippedNeuron(i, int(j)))
-        new_layer = DenseLayer(w, b, layer.activation)
-        new_layers.append(new_layer)
-        cur_x = new_layer.apply(cur_x)
-        ref_x = Activation.RELU.apply(ref_z)
+        new_layers.append(DenseLayer(w, b, layer.activation))
+    new_layers.append(merged.layers[-1])  # the output layer is kept as it is
     return (
         MlpModel(tuple(new_layers), merged.input_dim, merged.seed_tag),
         tuple(skipped),

@@ -100,6 +100,16 @@ def _as_array(name, value, ndim, copy=False, error=ValidationError):
     return arr
 
 
+def _check_kind(name, value, kind):
+    """value if it is a kind (a class), else ValidationError naming the
+    argument: a wrong object would fail on the first attribute it lacks."""
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{name} must be of type {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 @contextlib.contextmanager
 def _allocating(what):
     """Numpy's refusal of an array too large to index or to allocate becomes
@@ -235,6 +245,7 @@ class MlpModel:
 
 def forward(model, inputs):
     """Logits for a batch of row vectors."""
+    _check_kind("model", model, MlpModel)
     x = _as_array("inputs", inputs, 2)
     if x.shape[1] != model.input_dim:
         raise ShapeError(
@@ -358,6 +369,8 @@ def apply_plan(model, plan):
     transforms commute with ReLU only in special cases, so the function may
     change and callers are expected to know which regime they are in.
     """
+    _check_kind("model", model, MlpModel)
+    _check_kind("plan", plan, AlignmentPlan)
     n_hidden = len(model.layers) - 1
     if len(plan.transforms) != n_hidden:
         raise ShapeError(
@@ -391,6 +404,7 @@ def apply_plan(model, plan):
 
 
 def save_model(model, path):
+    _check_kind("model", model, MlpModel)
     lines = [
         f"{MODEL_MAGIC} {MODEL_FORMAT_VERSION}",
         f"input_dim {model.input_dim}",

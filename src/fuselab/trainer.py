@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datagen import Dataset
 from .errors import (
     ConfigurationError,
     ShapeError,
@@ -23,7 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    Activation, DenseLayer, MlpModel, _allocating, _check_number, forward,
+    Activation, DenseLayer, MlpModel, _allocating, _check_kind, _check_number,
+    forward,
 )
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
@@ -138,6 +140,8 @@ def _log_softmax(logits):
 
 
 def _check_scorable(model, ds):
+    _check_kind("model", model, MlpModel)
+    _check_kind("dataset", ds, Dataset)
     if ds.m == 0:
         raise ValidationError("dataset has no rows")
     if model.out_dim != ds.num_classes:
@@ -172,6 +176,9 @@ def train_scored(ds, cfgs):
     """train_many's models as (model, cross_entropy_accuracy on ds) pairs."""
     if not cfgs:
         raise ConfigurationError("train_many needs at least one config")
+    _check_kind("dataset", ds, Dataset)
+    for i, c in enumerate(cfgs):
+        _check_kind(f"config {i}", c, TrainConfig)
     _check_rows(ds)
     cfg = cfgs[0]
     for field in ("hidden_widths", "epochs", "batch_size", "learning_rate",

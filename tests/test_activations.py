@@ -20,6 +20,7 @@ from fuselab import (
 from fuselab import activations
 from fuselab.activations import (
     DEGENERATE_VARIANCE,
+    SQUARE_ROWS,
     ActivationMatrix,
     _pair,
     _pair_stats,
@@ -194,9 +195,15 @@ def _blocks(draw):
 def _column_blocks(draw):
     """One centered block from 2 rows up, its column variances spanning the
     dead-neuron threshold: constant, ReLU-zeroed and F-ordered columns, or
-    a real capture."""
+    a real capture. Row counts cross _columns' block edges: exact
+    multiples of SQUARE_ROWS, and 1- and 2-row tails."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = draw(st.one_of(st.just(2), st.integers(2, 40)))
+    edge = draw(st.integers(1, 3)) * SQUARE_ROWS
+    rows = draw(st.one_of(
+        st.just(2),
+        st.integers(2, 40),
+        st.sampled_from([edge - 1, edge, edge + 1, edge + 2]),
+    ))
     width = draw(st.integers(1, 8))
     if draw(st.booleans()):
         model = random_model(3, (width,), 2, seed=int(rng.integers(1000)))

@@ -107,9 +107,10 @@ def test_public_names_are_pinned():
 
 # --- hostile inputs ----------------------------------------------------------
 #
-# Every public entry point that takes a number or an array either returns or
-# raises a FuselabError: a wrong kind, a value out of range, a wrong ndim or a
-# non-finite entry never ends in a raw numpy or Python error.
+# Every public entry point that takes a number, an array, a model, a dataset,
+# a plan or a config either returns or raises a FuselabError: a wrong kind, a
+# value out of range, a wrong ndim or a non-finite entry never ends in a raw
+# numpy or Python error.
 
 DS = fuselab.generate(4, 3, 3, seed=0)
 A, B = (fuselab.init_model(3, (4,), 4, seed) for seed in (0, 1))
@@ -118,6 +119,10 @@ ACTS = fuselab.capture(A, DS.features)[0]
 IDENTITY = fuselab.MethodTag.IDENTITY
 RELU = fuselab.Activation.RELU
 DIRICHLET = fuselab.SplitKind.DIRICHLET
+FULL = fuselab.SplitSpec(fuselab.SplitKind.FULL)
+PLAN = fuselab.identity_plan(A)
+CONFIG = fuselab.TrainConfig(hidden_widths=(2,), epochs=1)
+NO_DIR = "no-such-directory/out"  # a write that got this far would fail
 
 # (call, the FuselabError it raises); each raised a raw error, or returned
 # a silently wrong result, before the inputs went through one checker
@@ -366,6 +371,51 @@ ENTRIES = {
         "array", lambda v: fuselab.ActivationMatrix([[0.0]], v, 0, 1)),
 }
 
+# entry -> (kind, the argument its error names, call taking an object of
+# another kind); a str in any of these slots once ended in a raw Python error
+KIND_ENTRIES = {
+    "forward": ("model", "model", lambda v: fuselab.forward(v, DS.features)),
+    "capture": ("model", "model", lambda v: fuselab.capture(v, DS.features)),
+    "apply_plan.model": ("model", "model", lambda v: fuselab.apply_plan(v, PLAN)),
+    "apply_plan.plan": ("plan", "plan", lambda v: fuselab.apply_plan(A, v)),
+    "merge_pair.plan": ("plan", "plan", lambda v: fuselab.merge_pair(A, B, v)),
+    "save_model": ("model", "model", lambda v: fuselab.save_model(v, NO_DIR)),
+    "accuracy.model": ("model", "model", lambda v: fuselab.accuracy(v, DS)),
+    "accuracy.ds": ("dataset", "dataset", lambda v: fuselab.accuracy(A, v)),
+    "ensemble_accuracy.models": (
+        "model", "model 1", lambda v: fuselab.ensemble_accuracy([A, v], DS)),
+    "ensemble_accuracy.ds": (
+        "dataset", "dataset", lambda v: fuselab.ensemble_accuracy([A], v)),
+    "interpolation_curve.model_a": (
+        "model", "model_a", lambda v: fuselab.interpolation_curve(v, B, DS, 3)),
+    "interpolation_curve.model_b": (
+        "model", "model_b", lambda v: fuselab.interpolation_curve(A, v, DS, 3)),
+    "interpolation_curve.ds": (
+        "dataset", "dataset", lambda v: fuselab.interpolation_curve(A, B, v, 3)),
+    "merge_many.reference": (
+        "model", "model 0", lambda v: fuselab.merge_many(v, [B], IDENTITY)),
+    "merge_many.others": (
+        "model", "model", lambda v: fuselab.merge_many(A, [v], IDENTITY)),
+    "merge_many.others with probes": ("model", "model", lambda v: fuselab.merge_many(
+        A, [v], fuselab.MethodTag.PERMUTE, DS.features)),
+    "average_models": ("model", "model 1", lambda v: fuselab.average_models([A, v])),
+    "merge_and_report": (
+        "model", "model", lambda v: fuselab.merge_and_report([A, v], IDENTITY)),
+    "repair_reset.merged": (
+        "model", "merged", lambda v: fuselab.repair_reset(v, A, DS.features)),
+    "repair_reset.reference": (
+        "model", "reference", lambda v: fuselab.repair_reset(A, v, DS.features)),
+    "train.ds": ("dataset", "dataset", lambda v: fuselab.train(v, CONFIG)),
+    "train.config": ("config", "config 0", lambda v: fuselab.train(DS, v)),
+    "split.ds": ("dataset", "dataset", lambda v: fuselab.split(v, FULL)),
+    "save_dataset": ("dataset", "dataset", lambda v: fuselab.save_dataset(v, NO_DIR)),
+    "evaluate_merge.train_ds": ("dataset", "train_ds", lambda v: fuselab.evaluate_merge(
+        IDENTITY, [A, B], v, DS, grid_size=3)),
+    "select_gamma.eval_ds": ("dataset", "eval_ds", lambda v: fuselab.select_gamma(
+        [0.1], [(A, B)], DS.features, v)),
+    "analyze": ("model", "model", lambda v: fuselab.analyze([A, v], DS.features)),
+}
+
 NUMBERS = st.one_of(
     st.integers(-3, 5),
     st.floats(-5.0, 5.0),
@@ -391,14 +441,21 @@ ARRAYS = st.one_of(
         np.array([2, 0, 1]), np.array([[1 + 2j, 0, 0]] * 3), [1j],
     ]),
 )
+# objects of every kind but the slot's own
+OBJECTS = [None, "x", 3, 2.5, [], (), {"a": 1}, object(), np.zeros((2, 3)),
+           A.layers[0], ACTS, [A], (A, B)]
+OTHERS = {"model": [DS, PLAN, CONFIG], "dataset": [A, PLAN, CONFIG],
+          "plan": [A, DS, CONFIG], "config": [A, DS, PLAN]}
 HOSTILE = {
     "number": NUMBERS,
     "widths": st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3).map(tuple)),
     "array": ARRAYS,
+    **{kind: st.sampled_from(OBJECTS + others) for kind, others in OTHERS.items()},
 }
+ENTRIES.update({name: (kind, call) for name, (kind, _, call) in KIND_ENTRIES.items()})
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=620, deadline=None)
 @given(st.data())
 def test_hostile_numbers_and_arrays_raise_fuselab_errors(data):
     kind, call = ENTRIES[data.draw(st.sampled_from(sorted(ENTRIES)), "entry")]
@@ -407,3 +464,12 @@ def test_hostile_numbers_and_arrays_raise_fuselab_errors(data):
         call(value)
     except FuselabError:
         pass
+
+
+@pytest.mark.parametrize("name", sorted(KIND_ENTRIES))
+def test_wrong_kind_object_is_named(name):
+    _, argument, call = KIND_ENTRIES[name]
+    with pytest.raises(
+        ValidationError, match=f"^{argument} must be of type [A-Za-z]+, got str$"
+    ):
+        call("x")

@@ -1,6 +1,7 @@
 """Model averaging, aligned merging, and the statistics reset pass."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,95 @@ class TestRepairReset:
         b = random_model(6, (4,), 2, seed=1)
         with pytest.raises(ShapeError, match="expect 6 input columns"):
             repair_reset(a, b, rng.normal(size=(50, width)))
+
+
+def _repair_oracle(merged, reference, probes):
+    """repair_reset's arithmetic as it stood while every step allocated: the
+    bias added out of place, both pre-activations kept to the layer's end,
+    and the reference's ReLU taken into a copy."""
+
+    def layer_stats(weights, bias, x):
+        z = x @ weights.T + bias
+        return z.mean(axis=0), z.std(axis=0), z
+
+    ref_x = cur_x = np.asarray(probes, dtype=np.float64)
+    new_layers, skipped = [], []
+    for i, (layer, ref_layer) in enumerate(zip(merged.layers, reference.layers)):
+        if i == merged.num_layers - 1:
+            new_layers.append(layer)
+            break
+        mu_ref, sd_ref, ref_z = layer_stats(ref_layer.weights, ref_layer.bias, ref_x)
+        mu_m, sd_m, _ = layer_stats(layer.weights, layer.bias, cur_x)
+        keep = sd_m < SIGMA_FLOOR
+        scale = np.where(keep, 1.0, sd_ref / np.where(keep, 1.0, sd_m))
+        shift = np.where(keep, 0.0, mu_ref - mu_m * scale)
+        w = layer.weights * scale[:, None]
+        b = layer.bias * scale + shift
+        skipped += [SkippedNeuron(i, int(j)) for j in np.flatnonzero(keep)]
+        new_layer = DenseLayer(w, b, layer.activation)
+        new_layers.append(new_layer)
+        cur_x = new_layer.apply(cur_x)
+        ref_x = Activation.RELU.apply(ref_z)
+    model = MlpModel(tuple(new_layers), merged.input_dim, merged.seed_tag)
+    return model, tuple(skipped)
+
+
+@st.composite
+def repair_cases(draw):
+    """(merged, reference, probes): 1-3 hidden layers 1-40 wide, from 2 probe
+    rows. About a fifth of the merged model's hidden neurons are constant
+    (zero weights: the reset skips them) and a fifth dead on every probe
+    (a bias far below zero), and so are the reference's when drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = [draw(st.integers(1, 6)),
+            *draw(st.lists(st.integers(1, 40), min_size=1, max_size=3)),
+            draw(st.integers(2, 4))]
+
+    def model(degenerate):
+        layers = []
+        for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+            w = rng.standard_normal((fan_out, fan_in))
+            b = rng.standard_normal(fan_out)
+            hidden = k < len(dims) - 2
+            if degenerate and hidden:
+                w[rng.random(fan_out) < 0.2] = 0.0
+                b[rng.random(fan_out) < 0.2] = -1e3
+            act = Activation.RELU if hidden else Activation.IDENTITY
+            layers.append(DenseLayer(w, b, act))
+        return MlpModel(tuple(layers), dims[0])
+
+    merged, reference = model(True), model(draw(st.booleans()))
+    return merged, reference, rng.standard_normal((draw(st.integers(2, 30)), dims[0]))
+
+
+class TestRepairMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(repair_cases())
+    def test_models_and_skips_match_the_oracle(self, case):
+        fixed, skipped = repair_reset(*case)
+        expect, expect_skipped = _repair_oracle(*case)
+        assert model_bytes(fixed) == model_bytes(expect)
+        assert fixed.seed_tag == expect.seed_tag
+        assert skipped == expect_skipped
+
+
+class TestMergeWorkingSet:
+    def test_merge_with_repair_holds_two_captures_and_little_more(self):
+        # a 3-model (128, 128) permute merge and reset on 2000 probes: the
+        # reference's capture and one partner's are the floor, and the merge
+        # peaks at 2.34 captures. Squaring a whole capture for its column
+        # norms peaks at 2.74; keeping both pre-activations of a layer and a
+        # copy of the reference's ReLU in the reset, at 3.17
+        models = [random_model(32, (128, 128), 16, seed=s) for s in range(3)]
+        probes = np.random.default_rng(0).normal(size=(2000, 32))
+        merge_and_report(models, MethodTag.PERMUTE, probes, repair=True)  # warm up
+        tracemalloc.start()
+        try:
+            merge_and_report(models, MethodTag.PERMUTE, probes, repair=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (2000 * (128 + 128) * 8)
 
 
 # --- the separate merge paths before they were joined, kept as the oracle --
