@@ -159,8 +159,8 @@ def _correlations(s_ab, columns_a, columns_b):
     return CorrelationMatrix(values, mask)
 
 
-# one model's per-layer statistics from its capture; roots holds the Grams'
-# inverse square roots per (layer, gamma) while the side is a reference
+# one model's per-layer statistics from its capture; roots maps a layer to
+# (ridge hex, Gram's inverse square root) at its last ridge, for a reference
 _Side = namedtuple("_Side", "model grams columns roots")
 
 
@@ -172,7 +172,7 @@ def _side(model, acts):
 class _PairStats:
     """Everything alignment reads of one capture pair: the reference's side
     a (shared by all its pairs), the partner's side b, s_ab[i] = A_i^T B_i,
-    and solved, the (gamma key, solutions) of the last CCA solve."""
+    and solved, the (gamma key, solutions) of the last CCA solve or None."""
 
     def __init__(self, a, b, s_ab):
         self.a, self.b, self.s_ab, self.solved = a, b, s_ab, None

@@ -9,10 +9,10 @@ between the two feature spaces this recovers the mixing's inverse exactly.
 
 Only the ridge depends on gamma. solve_pair solves one
 activations._PairStats at any ridge, keeping the reference's inverse
-square roots once per (layer, gamma); every product is the same BLAS call
-on the same operands as a from-scratch solve, so results are bit-identical.
-This module is the algebra only: the gamma search, which scores the merges
-each ridge makes, lives with the merges in merge.py.
+square root per layer at the last ridge solved there; every product is
+the same BLAS call on the same operands as a from-scratch solve, so
+results are bit-identical. This module is the algebra only: the gamma
+search, which scores the merges each ridge makes, lives in merge.py.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def solve_pair(pair, gamma=None):
 
     gamma=None applies the scale-aware default independently per layer;
     a float applies that exact ridge everywhere. The solutions are kept on
-    the pair until it is solved at another ridge.
+    the pair, and each layer's reference root on its side, until solved at
+    another ridge.
     """
     # hex() keeps -0.0 and 0.0 apart: the ridged matrices may differ
     key = None if gamma is None else float(gamma).hex()
@@ -161,10 +162,9 @@ def solve_pair(pair, gamma=None):
         zip(pair.a.grams, pair.b.grams, pair.s_ab)
     ):
         g = default_gamma(s_aa, s_bb) if gamma is None else float(gamma)
-        root_a = pair.a.roots.get((i, g.hex()))
-        if root_a is None:
-            root_a = pair.a.roots[i, g.hex()] = inv_sqrt(s_aa, g)
-        sols.append(_whitened_solution(root_a, s_ab, inv_sqrt(s_bb, g), g))
+        if pair.a.roots.get(i, (None,))[0] != g.hex():
+            pair.a.roots[i] = g.hex(), inv_sqrt(s_aa, g)
+        sols.append(_whitened_solution(pair.a.roots[i][1], s_ab, inv_sqrt(s_bb, g), g))
     pair.solved = key, sols
     return sols
 

@@ -9,8 +9,9 @@ Every alignment goes through _align, the one place that dispatches on the
 method; it reads one pair's activations._PairStats. The all-to-one loop,
 _merge_all, serves merge_many, evaluation._merge and every scoring merge of
 the gamma search, and consumes the pairs in order, so a stream of them
-holds one partner's statistics at a time. The search keeps a method's
-merge, in evaluation._merge's form, as it scores the ridges, so `merge
+holds one partner's statistics at a time. The search forms every pair
+first, then scores one ridge at a time over all of them and keeps the
+best one's cca merge, in evaluation._merge's form, so `merge
 --gamma-search` makes none twice.
 
 The reset pass rescales each hidden neuron of a merged model so its
@@ -168,65 +169,62 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     return _search(candidate_gammas, pairs, eval_ds)[0]
 
 
-class _Candidate:
-    """A live ridge of the search: its accuracy on each pair so far and,
-    when a merge is kept, the first pair's summaries and its _ModelSum."""
-
-    def __init__(self, gamma):
-        self.gamma, self.scores, self.summaries, self.total = gamma, [], None, None
-
-
 def _search(candidate_gammas, pairs, eval_ds, method=None):
     """(select_gamma's choice, method's merge at it or None) over an iterable
-    of activations._PairStats, formed as they are consumed. With a method,
-    the pairs share one reference and the merge is evaluation._merge's
-    (merged, None, summaries) at the chosen gamma: no aligned partner is
-    kept. A candidate whose solve, plan, merge or score fails on a pair is
-    dropped; any other error, such as forming a pair, propagates."""
+    of activations._PairStats, all formed before any merge is scored, so a
+    stream of them holds no capture by then. With a method, the pairs share
+    one reference and the merge is evaluation._merge's (merged, None,
+    summaries) at the chosen gamma. A candidate whose solve, plan, merge or
+    score fails on a pair is dropped; any other error propagates."""
     if candidate_gammas is not None:
         # each is checked before sorting: a NaN leaves no order
         candidate_gammas = sorted(_check_gamma(g) for g in candidate_gammas)
         if not candidate_gammas:
             raise GammaSelectionError("no candidate gammas given")
-    pairs = iter(pairs)
-    pair = next(pairs, None)
-    if pair is None:
+    pairs = list(pairs)
+    if not pairs:
         raise GammaSelectionError("no model pairs given")
-    live = [_Candidate(g) for g in candidate_gammas or sorted(cca._grid(pair))]
-    # permute and direct do not read gamma: one _ModelSum serves every candidate
-    shared = None if method in (None, MethodTag.CCA) else _ModelSum(pair.a.model)
-    while pair is not None:
-        a, b = pair.a.model, pair.b.model
-        for cand in list(live):
-            try:
-                merged, aligned = _merge_all(a, [b], MethodTag.CCA, [pair], cand.gamma)
-                _, acc = trainer.cross_entropy_accuracy(merged, eval_ds)
-            except (NumericalError, ValidationError):
-                live.remove(cand)
-                continue
-            cand.scores.append(acc)
-            if method is not None and cand.total is None:
-                # the merge's solve, kept on the pair: nothing is solved again
-                cand.summaries = cca.summaries_from_solutions(
-                    cca.solve_pair(pair, cand.gamma)
-                )
-                cand.total = shared or _ModelSum(a)
-            if method is MethodTag.CCA:
-                cand.total.add(aligned[0])
-        if not live:
-            raise GammaSelectionError("every candidate gamma failed during merging")
-        if shared is not None:
-            shared.add(apply_plan(b, _align(b, method, iter([pair]))))
-        # this pair and the models made from it go before the next is formed
-        del pair, aligned, merged
-        pair = next(pairs, None)
     best, best_score = None, -np.inf
-    for cand in live:  # ascending, so >= sends exact ties to the larger gamma
-        score = float(np.mean(cand.scores))
-        if score >= best_score:
-            best, best_score = cand, score
-    made = None if method is None else (best.total.mean(), None, best.summaries)
-    return best.gamma, made
+    # ascending, so >= sends exact ties to the larger gamma
+    for gamma in candidate_gammas or sorted(cca._grid(pairs[0])):
+        scored = _score(gamma, pairs, eval_ds, method is MethodTag.CCA)
+        if scored is not None and scored[0] >= best_score:
+            best, (best_score, summaries, total) = gamma, scored
+        del scored  # a losing candidate's sum goes before the next is scored
+    if best is None:
+        raise GammaSelectionError("every candidate gamma failed during merging")
+    if method is None:
+        return best, None
+    if total is None:  # permute and direct do not read gamma: merge once
+        reference = pairs[0].a.model
+        merged = _merge_all(reference, [p.b.model for p in pairs], method, pairs)[0]
+    else:
+        merged = total.mean()
+    return best, (merged, None, summaries)
+
+
+def _score(gamma, pairs, eval_ds, keep_sum):
+    """(mean accuracy, first pair's summaries, the reference's and aligned
+    partners' _ModelSum if keep_sum) of the one-partner CCA merges at gamma
+    over pairs in order, or None when one fails."""
+    scores, summaries, total = [], None, None
+    for pair in pairs:
+        a, b = pair.a.model, pair.b.model
+        try:
+            merged, aligned = _merge_all(a, [b], MethodTag.CCA, [pair], gamma)
+            if summaries is None:  # from the merge's solve, kept on the pair
+                summaries = cca.summaries_from_solutions(pair.solved[1])
+            pair.solved = None  # let go before the merge is scored
+            _, acc = trainer.cross_entropy_accuracy(merged, eval_ds)
+        except (NumericalError, ValidationError):
+            pair.solved = None
+            return None
+        scores.append(acc)
+        if keep_sum:
+            total = total or _ModelSum(a)
+            total.add(aligned[0])
+        del merged, aligned  # before the next merge is made
+    return float(np.mean(scores)), summaries, total
 
 
 def _preactivation(layer, x):

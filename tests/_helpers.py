@@ -159,15 +159,12 @@ def count_calls(monkeypatch, names, calls=None):
     return counts
 
 
-def record_pair_lifetimes(monkeypatch, made=False):
+def record_pair_lifetimes(monkeypatch):
     """A list that gets, at each activation capture, how many of the pair
     statistics formed so far are still alive. A consumer that lets each
-    pair go before asking for the next keeps every entry at 0. With made,
-    the models merge's apply_plan and average_models return count too."""
+    pair go before asking for the next keeps every entry at 0."""
     pairs, alive = [], []
     capture = activations.capture
-    for name in ("apply_plan", "average_models") if made else ():
-        monkeypatch.setattr(merge, name, _kept(getattr(merge, name), pairs))
 
     class Recorded(activations._PairStats):
         def __init__(self, *args):
@@ -183,12 +180,46 @@ def record_pair_lifetimes(monkeypatch, made=False):
     return alive
 
 
-def _kept(fn, refs):
-    def wrapped(*args):
-        out = fn(*args)
-        refs.append(weakref.ref(out))
+def record_search_lifetimes(monkeypatch):
+    """(captures, scorings): lists that get, at each activation capture, the
+    indices of the earlier captures with a matrix still alive, and at each
+    trainer.cross_entropy_accuracy call, how many captured matrices, aligned
+    models (merge's apply_plan) and merged models (its average_models) are
+    alive."""
+    mats, aligned, merged = [], [], []
+    captures, scorings = [], []
+
+    def alive(refs):
+        return sum(r() is not None for r in refs)
+
+    def kept(fn, refs):
+        def wrapped(*args):
+            out = fn(*args)
+            refs.append(weakref.ref(out))
+            return out
+        return wrapped
+
+    capture, score = activations.capture, merge.trainer.cross_entropy_accuracy
+
+    def capturing(model, probes):
+        captures.append([k for k, refs in enumerate(mats) if alive(refs)])
+        out = capture(model, probes)
+        mats.append([weakref.ref(x) for x in out])
         return out
-    return wrapped
+
+    def scoring(model, ds):
+        scorings.append(
+            (sum(map(alive, mats)), alive(aligned), alive(merged))
+        )
+        return score(model, ds)
+
+    monkeypatch.setattr(activations, "capture", capturing)
+    monkeypatch.setattr(merge.trainer, "cross_entropy_accuracy", scoring)
+    monkeypatch.setattr(merge, "apply_plan", kept(merge.apply_plan, aligned))
+    monkeypatch.setattr(
+        merge, "average_models", kept(merge.average_models, merged)
+    )
+    return captures, scorings
 
 
 def model_bytes(model):

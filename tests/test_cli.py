@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fuselab import (
     DenseLayer,
     MlpModel,
+    cca,
     evaluate_merge,
     evaluation,
     generate,
@@ -25,13 +26,14 @@ from fuselab import (
     merge,
     parse_report,
     save_dataset,
+    save_model,
     strip_timestamp,
     trainer,
 )
 from fuselab.cli import METHOD_NAMES, build_parser, main, parse_args
 from fuselab.reports import format_value
 
-from _helpers import count_calls
+from _helpers import count_calls, random_model
 
 TINY_TRAIN = [
     "--classes", "4", "--per-class", "25", "--dim", "6",
@@ -423,6 +425,34 @@ class TestMerge:
         report = parse_report((out / "merge_report.txt").read_text())
         assert float(report["gamma_selected"]) in (0.001, 0.01)
         assert report["gamma_requested"] == report["gamma_selected"]
+        capsys.readouterr()
+
+    def test_gamma_search_solves_each_pair_once_per_candidate(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # scoring one candidate at a time over the pairs adds no solve: each
+        # (candidate, pair, layer) is solved once, the reference whitened
+        # once per (candidate, layer) and each partner once per solve
+        _, data, _, _ = workdir
+        paths = [tmp_path / f"m{s}.model" for s in range(3)]
+        for s, path in enumerate(paths):
+            save_model(random_model(6, (8, 8), 4, seed=s), path)
+        solves = []
+        whiten = cca._whitened_solution
+
+        def counted(*args):
+            solves.append(args[-1])  # the ridge
+            return whiten(*args)
+
+        monkeypatch.setattr(cca, "_whitened_solution", counted)
+        counts = count_calls(monkeypatch, ["inv_sqrt"])
+        code = main(["merge", *map(str, paths), "--method", "cca",
+                     "--probes", str(data), "--gamma-search", "auto",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        candidates, pairs, layers = 4, 2, 2
+        assert len(solves) == candidates * pairs * layers == 16
+        assert counts["inv_sqrt"] == (candidates * pairs + candidates) * layers == 24
         capsys.readouterr()
 
     def test_gamma_and_search_exclusive(self, workdir, tmp_path, capsys):

@@ -67,6 +67,7 @@ from _helpers import (
     random_case,
     random_model,
     record_pair_lifetimes,
+    record_search_lifetimes,
 )
 
 
@@ -420,6 +421,32 @@ class TestMergeWorkingSet:
         assert peak < 2.5 * (2000 * (128 + 128) * 8)
 
 
+class TestSearchWorkingSet:
+    def test_search_with_repair_scores_with_no_capture_alive(self):
+        # `merge --method cca --gamma-search auto --repair` of 5 (256, 256)
+        # models on 2000 probes. Every pair is formed before a merge is
+        # scored, and the reference keeps one ridge's inverse square roots:
+        # the op peaks at 3.16 captures. Scoring each pair as it is formed,
+        # with every candidate's roots and running sum, peaks at 3.62
+        models = [random_model(32, (256, 256), 16, seed=s) for s in range(5)]
+        probes_ds = generate(16, 125, 32, seed=0)
+        probes = probes_ds.features
+
+        def search_merge():
+            pairs = _pair_stats(models, 0, probes)
+            gamma, made = merge._search(None, pairs, probes_ds, MethodTag.CCA)
+            evaluation._report(models, MethodTag.CCA, made, probes, gamma, True, 0)
+
+        search_merge()  # warm up
+        tracemalloc.start()
+        try:
+            search_merge()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.4 * (2000 * (256 + 256) * 8)
+
+
 # --- the separate merge paths before they were joined, kept as the oracle --
 #
 # Every model is captured afresh for every pair and every scatter is formed
@@ -645,17 +672,22 @@ def _report_text(report):
 
 
 class TestPairsAreLetGo:
-    """Each partner's statistics are dead by the next partner's capture."""
+    """Each partner's statistics are dead by the next partner's capture,
+    except in the gamma search, which keeps them and lets the captures go."""
 
     MODELS = [random_model(6, (8, 8), 4, seed=s) for s in range(4)]
 
     @pytest.mark.parametrize("method", [None, MethodTag.PERMUTE, MethodTag.CCA])
     def test_search(self, monkeypatch, method):
-        # with the aligned and merged models the search made from them
-        alive = record_pair_lifetimes(monkeypatch, made=True)
+        # every pair is formed before any merge is scored: each partner's
+        # capture is gone by the next capture, the reference's by the first
+        # scoring, and each scoring merge and its aligned partner by the next
+        captures, scorings = record_search_lifetimes(monkeypatch)
         pairs = _pair_stats(self.MODELS, 0, PATH_TASK.features)
         merge._search([1e-3, 1.0], pairs, PATH_TASK, method)
-        assert alive == [0] * len(self.MODELS)
+        partners = len(self.MODELS) - 1
+        assert captures == [[]] + [[0]] * partners
+        assert scorings == [(0, 1, 1)] * (2 * partners)
 
     @pytest.mark.parametrize("method", [MethodTag.PERMUTE, MethodTag.CCA])
     def test_merge(self, monkeypatch, method):
