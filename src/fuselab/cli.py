@@ -315,6 +315,7 @@ def cmd_experiment(args):
     items.append(("base_models_avg", float(np.mean(accs))))
     ensemble = evaluation._ensemble_accuracy(logits, test_ds.labels)
     items.append(("ensemble_accuracy", ensemble))
+    del logits  # not held through every method's curve
     for method in methods:
         made = evaluation._merge(models, method, probes, gamma, reference, pairs)
         _, rep = evaluation._evaluate(models, method, made, test_ds, probes, gamma,

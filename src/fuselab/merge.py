@@ -177,8 +177,10 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
     summaries) at the chosen gamma. A candidate whose solve, plan, merge or
     score fails on a pair is dropped; any other error propagates."""
     if candidate_gammas is not None:
-        # each is checked before sorting: a NaN leaves no order
-        candidate_gammas = sorted(_check_gamma(g) for g in candidate_gammas)
+        # each is checked before sorting: a NaN leaves no order. A repeat is
+        # scored once; by its hex, -0.0 stays apart from 0.0
+        unique = {g.hex(): g for g in map(_check_gamma, candidate_gammas)}
+        candidate_gammas = sorted(unique.values())
         if not candidate_gammas:
             raise GammaSelectionError("no candidate gammas given")
     pairs = list(pairs)
@@ -233,6 +235,17 @@ def _preactivation(layer, x):
     return z
 
 
+def _spread(z, mean, out):
+    """z.std(axis=0) of a C-order z whose column means are mean: np.std's
+    ufuncs in its order, with the deviations written to out, which may be
+    z itself (np.std(mean=...) needs numpy 2)."""
+    dev = np.subtract(z, mean, out=out)
+    np.multiply(dev, dev, out=dev)
+    sd = np.add.reduce(dev, axis=0)
+    sd /= z.shape[0]
+    return np.sqrt(sd, out=sd)
+
+
 def repair_reset(merged, reference, probes):
     """Match the merged model's hidden pre-activation stats to the reference.
 
@@ -241,8 +254,9 @@ def repair_reset(merged, reference, probes):
     rescaled.
 
     A layer holds one working array beside the two models' inputs: the
-    reference's pre-activation becomes its next input in place, and the
-    merged model's is let go once its mean and spread are taken.
+    reference's pre-activation becomes its next input in place, its spread
+    is taken in the buffer of its last input, and the merged model's
+    pre-activation takes its own spread in place.
     """
     _check_kind("merged", merged, MlpModel)
     _check_kind("reference", reference, MlpModel)
@@ -259,10 +273,18 @@ def repair_reset(merged, reference, probes):
             ref_x = np.maximum(ref_z, 0.0, out=ref_z)  # the reference's ReLU
             cur_x = new_layers[-1].apply(cur_x)
         ref_z = _preactivation(ref_layer, ref_x)
-        mu_ref, sd_ref = ref_z.mean(axis=0), ref_z.std(axis=0)
+        mu_ref = ref_z.mean(axis=0)
+        # the probes are the caller's; a lower layer's output is let go
+        # here, so the reference's deviations may overwrite it
+        scratch = None
+        if i and ref_x.size >= ref_z.size:
+            scratch = ref_x.reshape(-1)[:ref_z.size].reshape(ref_z.shape)
         del ref_x
+        sd_ref = _spread(ref_z, mu_ref, scratch)
+        del scratch
         z = _preactivation(layer, cur_x)
-        mu_m, sd_m = z.mean(axis=0), z.std(axis=0)
+        mu_m = z.mean(axis=0)
+        sd_m = _spread(z, mu_m, z)
         del z
         keep = sd_m < SIGMA_FLOOR
         scale = np.where(keep, 1.0, sd_ref / np.where(keep, 1.0, sd_m))

@@ -40,6 +40,7 @@ from fuselab import (
     solve_layers,
     strip_timestamp,
 )
+from fuselab import merge
 from fuselab.activations import ActivationMatrix, _pair_stats, scatter
 from fuselab.cca import (
     GAMMA_GRID_COEFFS,
@@ -279,6 +280,19 @@ class TestGammaHandling:
             [1e-9, 1e-8, 1e-7], [(model, twin)], train_ds.features[:200], train_ds
         )
         assert picked == 1e-7
+
+    def test_select_gamma_scores_a_repeat_once(self, monkeypatch):
+        # candidates are told apart by their bits: -0.0 stays apart from 0.0
+        scored = []
+
+        def score(gamma, *_):
+            scored.append(gamma.hex())
+            return 0.5, None, None
+
+        monkeypatch.setattr(merge, "_score", score)
+        picked = merge._search([0.1, -0.0, 0.0, 0.1, -0.0], [None], None)
+        assert scored == [(-0.0).hex(), (0.0).hex(), (0.1).hex()]
+        assert picked == (0.1, None)
 
     def test_select_gamma_rejects_empty(self, small_pair, small_task):
         train_ds, _ = small_task

@@ -455,6 +455,30 @@ class TestMerge:
         assert counts["inv_sqrt"] == (candidates * pairs + candidates) * layers == 24
         capsys.readouterr()
 
+    def test_gamma_search_scores_a_repeated_candidate_once(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # `--gamma-search 0.1,0.1` solves, scores and reports what
+        # `--gamma-search 0.1` does: 2 scorings, one per pair
+        _, data, _, _ = workdir
+        paths = [tmp_path / f"m{s}.model" for s in range(3)]
+        for s, path in enumerate(paths):
+            save_model(random_model(6, (8, 8), 4, seed=s), path)
+        runs = []
+        for search in ("0.1", "0.1,0.1"):
+            counts = count_calls(
+                monkeypatch, ["cross_entropy_accuracy", "eigh", "svd"])
+            out = tmp_path / search
+            assert main(["merge", *map(str, paths), "--method", "cca",
+                         "--probes", str(data), "--gamma-search", search,
+                         "--out", str(out)]) == 0
+            report = strip_timestamp((out / "merge_report.txt").read_text())
+            runs.append((dict(counts), report))
+            monkeypatch.undo()
+        assert runs[1] == runs[0]
+        assert runs[0][0]["cross_entropy_accuracy"] == 2
+        capsys.readouterr()
+
     def test_gamma_and_search_exclusive(self, workdir, tmp_path, capsys):
         _, data, _, models = workdir
         code = main(["merge", str(models[0]), str(models[1]),

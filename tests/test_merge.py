@@ -420,6 +420,23 @@ class TestMergeWorkingSet:
             tracemalloc.stop()
         assert peak < 2.5 * (2000 * (128 + 128) * 8)
 
+    def test_repair_takes_each_spread_in_place(self):
+        # repair_reset alone on that merge peaks at 3.07 probes x width
+        # arrays: a layer's two inputs and one pre-activation. The merged
+        # pre-activation's spread is taken in place and the reference's in
+        # its last input's buffer; np.std's temporary made it 4.07
+        models = [random_model(32, (128, 128), 16, seed=s) for s in range(3)]
+        probes = np.random.default_rng(0).normal(size=(2000, 32))
+        merged = merge_many(models[0], models[1:], MethodTag.PERMUTE, probes)
+        repair_reset(merged, models[0], probes)  # warm up
+        tracemalloc.start()
+        try:
+            repair_reset(merged, models[0], probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * (2000 * 128 * 8)
+
 
 class TestSearchWorkingSet:
     def test_search_with_repair_scores_with_no_capture_alive(self):

@@ -33,6 +33,7 @@ from fuselab import (
 )
 from fuselab.activations import capture, probe_matrix
 from fuselab.matching import _score_matrix
+from fuselab.model import FORWARD_CELLS, FORWARD_ROWS
 from _helpers import (
     assert_models_allclose,
     model_bytes,
@@ -259,6 +260,49 @@ class TestPermutationProperties:
         assert model_bytes(back) == model_bytes(model)
 
 
+def _fold_forward(model, x):
+    """forward as it stood before row blocks: one fold over the layers on
+    the whole set at once, the oracle for the blocked forward's bytes."""
+    for layer in model.layers:
+        x = layer.apply(x)
+    return x
+
+
+@st.composite
+def block_edge_cases(draw):
+    """(model, inputs): input dims 3-64, 1-2 hidden layers 1-600 wide, 2-16
+    classes, weights in C or F order, and rows on both sides of a block
+    edge, at FORWARD_ROWS or at the cap a narrow layer widens (a 1-wide
+    one's rows are drawn as for 2: it runs whole), in C order, F order, or
+    strided by rows or columns. Widths up to 192, and multiples of 8 above,
+    are drawn more often: a model with any other width above 192, or with
+    F-order weights, runs whole."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = (st.integers(1, 192) | st.integers(25, 75).map(lambda k: 8 * k)
+             | st.integers(1, 600))
+    dims = [draw(st.integers(3, 64)),
+            *draw(st.lists(width, min_size=1, max_size=2)),
+            draw(st.integers(2, 16))]
+    order = draw(st.sampled_from("CCF"))  # DenseLayer keeps the order
+    layers = tuple(
+        DenseLayer(np.asarray(rng.standard_normal((fan_out, fan_in)),
+                              order=order),
+                   rng.standard_normal(fan_out),
+                   Activation.RELU if k < len(dims) - 2 else Activation.IDENTITY)
+        for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
+    )
+    cap = max(FORWARD_ROWS, -(-FORWARD_CELLS // max(2, min(dims[1:]))))
+    edge = draw(st.sampled_from([FORWARD_ROWS, cap]))
+    rows = draw(st.sampled_from([edge - 1, edge + 1, 2 * edge + 1])
+                | st.integers(1, 3 * edge))
+    layout = draw(st.sampled_from(["C", "F", "rows", "columns"]))
+    x = rng.standard_normal((rows * (1 + (layout == "rows")),
+                             dims[0] * (1 + (layout == "columns"))))
+    x = {"C": x, "F": np.asfortranarray(x), "rows": x[::2],
+         "columns": x[:, ::2]}[layout]
+    return MlpModel(layers, dims[0]), x
+
+
 class TestLayerLoop:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -281,6 +325,49 @@ class TestLayerLoop:
                 assert mat.column_means.tobytes() == mu.tobytes()
                 assert mat.values.tobytes() == (h - mu).tobytes()
         assert x.tobytes() == before.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_edge_cases())
+    def test_row_blocks_match_the_whole_set_fold(self, case):
+        model, x = case
+        assert forward(model, x).tobytes() == _fold_forward(model, x).tobytes()
+
+    def test_row_blocks_keep_to_the_whole_sets_kernels(self):
+        # OpenBLAS's small kernel, which sums in another order, takes a
+        # product of at most about 1,150 rows x width: a 2-class output on
+        # 513-1,200 rows, and a 64-to-16 layer on a 1-96-row tail past a
+        # multiple of FORWARD_ROWS, would reach it in a short block. A
+        # 300-wide layer's tail columns change with any row split, and so
+        # do some products with F-order weights
+        x = np.random.default_rng(0).normal(size=(2100, 32))
+        two = random_model(32, (64,), 2, seed=1)
+        narrow = random_model(32, (64, 16), 16, seed=2)
+        wide = random_model(32, (300,), 16, seed=3)
+        fortran = MlpModel(tuple(
+            DenseLayer(np.asfortranarray(layer.weights), layer.bias,
+                       layer.activation)
+            for layer in random_model(32, (71, 18), 13, seed=3).layers), 32)
+        cases = [(two, m) for m in range(513, 1201)] + [
+            (narrow, k * FORWARD_ROWS + t) for k in (1, 2) for t in range(1, 97)
+        ] + [(model, m) for model in (wide, fortran) for m in (1025, 2049)]
+        for model, m in cases:
+            got = forward(model, x[:m]).tobytes()
+            assert got == _fold_forward(model, x[:m]).tobytes(), m
+
+    def test_forward_holds_a_block(self):
+        # a (64, 64) model on 4,000 rows runs in blocks of 500 rows: the
+        # forward peaks at 0.53 of one hidden output's bytes, where the
+        # whole-set fold held two hidden outputs at once (2.03)
+        model = random_model(32, (64, 64), 16, seed=5)
+        x = np.random.default_rng(0).normal(size=(4000, 32))
+        forward(model, x)  # warm up numpy's and BLAS's own buffers
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * (4000 * 64 * 8)
 
     def test_forward_holds_one_layer_at_a_time(self):
         # three 512-wide hidden layers on 2000 rows: the fold holds at most
