@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .model import MlpModel, _as_array, _check_kind, _check_number
+from .model import MlpModel, _as_array, _check_kind, _check_number, _step
 
 DEGENERATE_VARIANCE = 1e-12
 # rows squared at once when a capture's column norms are taken
@@ -40,24 +40,18 @@ class ActivationMatrix:
             raise ShapeError("activations and means do not line up")
         if v.shape[0] != self.m:
             raise ShapeError("row count disagrees with m")
-        v.setflags(write=False)
-        mu.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "column_means", mu)
 
     @classmethod
     def _adopt(cls, values, column_means, layer_index):
-        """Wrap arrays the caller made and hands over, without copying."""
+        """Wrap C-order arrays the caller made and hands over, without
+        copying."""
         values.setflags(write=False)
         column_means.setflags(write=False)
         mat = object.__new__(cls)
-        for name, value in (
-            ("values", values),
-            ("column_means", column_means),
-            ("layer_index", layer_index),
-            ("m", values.shape[0]),
-        ):
-            object.__setattr__(mat, name, value)
+        vars(mat).update(values=values, column_means=column_means,
+                         layer_index=layer_index, m=values.shape[0])
         return mat
 
     @property
@@ -87,19 +81,23 @@ class CorrelationMatrix:
     degenerate_mask: np.ndarray
 
 
-def probe_matrix(probes):
+def probe_matrix(probes, input_dim):
+    """probes as a float64 matrix of 2 or more rows of input_dim columns."""
     x = _as_array("probes", probes, 2)
     if x.shape[0] < 2:
         raise ValidationError("need at least 2 probe rows")
+    if x.shape[1] != input_dim:
+        raise ShapeError(f"models expect {input_dim} input columns, "
+                         f"probes have {x.shape[1]}")
     return x
 
 
 def capture(model, probes):
     """Centered post-activation matrices, one per hidden layer."""
     _check_kind("model", model, MlpModel)
-    x, outs = probe_matrix(probes), []
+    x, outs = probe_matrix(probes, model.input_dim), []
     for layer in model.layers[:-1]:
-        x = layer.apply(x)
+        x = _step(layer, x)
         outs.append(x)
     mats = []
     for i, h in enumerate(outs):
@@ -132,10 +130,10 @@ def _columns(x):
     The squares are formed SQUARE_ROWS rows at a time, so a block, not a
     second capture, is held beside x. numpy sums a C-order array of 2 or
     more columns down axis 0 one row after another, so each block is summed
-    after the running total, in one buffer. It sums a lone column, and each
-    column of an F-order array, pairwise: those are squared whole."""
+    after the running total, in one buffer. It sums a lone column pairwise:
+    that is squared whole."""
     v, m, n = x.values, x.m, x.width
-    if n < 2 or not v.flags.c_contiguous:
+    if n < 2:
         squares = np.add.reduce(v * v, axis=0)
     else:
         squares = np.zeros(n)  # 0 + s is s for every square s >= +0.0

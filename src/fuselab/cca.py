@@ -161,7 +161,8 @@ def solve_pair(pair, gamma=None):
     for i, (s_aa, s_bb, s_ab) in enumerate(
         zip(pair.a.grams, pair.b.grams, pair.s_ab)
     ):
-        g = default_gamma(s_aa, s_bb) if gamma is None else float(gamma)
+        g = (DEFAULT_GAMMA_COEFF * _layer_scale(s_aa, s_bb) if gamma is None
+             else float(gamma))
         if pair.a.roots.get(i, (None,))[0] != g.hex():
             pair.a.roots[i] = g.hex(), inv_sqrt(s_aa, g)
         sols.append(_whitened_solution(pair.a.roots[i][1], s_ab, inv_sqrt(s_bb, g), g))

@@ -151,8 +151,7 @@ def cmd_merge(args):
     if len(models) < 2:
         raise ConfigurationError("merge needs at least 2 model files")
     method = METHOD_NAMES[args.method]
-    probes_ds = None
-    probes = None
+    probes_ds = probes = None
     if args.probes is not None:
         probes_ds = load_dataset(args.probes)
         probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
@@ -208,16 +207,12 @@ def cmd_eval(args):
     models = [load_model(p) for p in args.models]
     ds = load_dataset(args.data)
     items = [("report", "eval"), ("models", len(models))]
-    logits = evaluation._logits(models, ds)
-    accs = []
-    for i, z in enumerate(logits):
-        loss, acc = trainer._scores(z, ds.labels)
+    scores, ensemble = evaluation._scoreboard(models, ds)
+    for i, (loss, acc) in enumerate(scores):
         items += [(f"model.{i}.loss", loss), (f"model.{i}.accuracy", acc)]
-        accs.append(acc)
     if len(models) > 1:
-        items.append(("base_models_avg", float(np.mean(accs))))
-        ensemble = evaluation._ensemble_accuracy(logits, ds.labels)
-        items.append(("ensemble_accuracy", ensemble))
+        items += [("base_models_avg", float(np.mean([acc for _, acc in scores]))),
+                  ("ensemble_accuracy", ensemble)]
     return _emit(args, items)
 
 
@@ -309,13 +304,10 @@ def cmd_experiment(args):
         ("gamma_selected", None if args.gamma_search is None else gamma),
         ("repair", args.repair),
     ]
-    logits = evaluation._logits(models, test_ds)
-    accs = [trainer._scores(z, test_ds.labels)[1] for z in logits]
-    items += [(f"model.{i}.accuracy", a) for i, a in enumerate(accs)]
-    items.append(("base_models_avg", float(np.mean(accs))))
-    ensemble = evaluation._ensemble_accuracy(logits, test_ds.labels)
-    items.append(("ensemble_accuracy", ensemble))
-    del logits  # not held through every method's curve
+    scores, ensemble = evaluation._scoreboard(models, test_ds)
+    items += [(f"model.{i}.accuracy", acc) for i, (_, acc) in enumerate(scores)]
+    items += [("base_models_avg", float(np.mean([acc for _, acc in scores]))),
+              ("ensemble_accuracy", ensemble)]
     for method in methods:
         made = evaluation._merge(models, method, probes, gamma, reference, pairs)
         _, rep = evaluation._evaluate(models, method, made, test_ds, probes, gamma,

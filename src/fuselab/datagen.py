@@ -44,7 +44,6 @@ class Dataset:
         if y.size and (y.min() < 0 or y.max() >= k):
             raise ValidationError("labels out of range")
         y = y.astype(np.int64)
-        x.setflags(write=False)
         y.setflags(write=False)
         for name, value in (("features", x), ("labels", y), ("num_classes", k),
                             ("seed", seed)):
@@ -59,13 +58,16 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices):
-        idx = np.asarray(indices)
-        if idx.size == 0:
-            # an empty list is float64, which numpy will not index with
-            idx = idx.astype(np.intp)
-        return Dataset(
-            self.features[idx], self.labels[idx], self.num_classes, self.seed
-        )
+        """The rows that indices, integers or a boolean mask, pick."""
+        try:
+            idx = np.asarray(indices)
+            if idx.size == 0:
+                # an empty list is float64, which numpy will not index with
+                idx = idx.astype(np.intp)
+            features, labels = self.features[idx], self.labels[idx]
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"indices must pick dataset rows ({exc})") from None
+        return Dataset(features, labels, self.num_classes, self.seed)
 
 
 class SplitKind(Enum):

@@ -44,21 +44,20 @@ def accuracy(model, ds):
 
 def ensemble_accuracy(models, ds):
     """Accuracy of the uniform logit average of the models."""
-    return _ensemble_accuracy(_logits(models, ds), ds.labels)
+    return _scoreboard(models, ds)[1]
 
 
-def _logits(models, ds):
-    """Each model's logits on ds, which score it and the ensemble alike."""
+def _scoreboard(models, ds):
+    """([(loss, accuracy) of each model on ds], ensemble_accuracy), from one
+    forward of each model."""
     if not models:
         raise ConfigurationError("ensemble needs at least one model")
     for i, m in enumerate(models):
         _check_kind(f"model {i}", m, MlpModel)
         trainer._check_scorable(m, ds)
-    return [forward(m, ds.features) for m in models]
-
-
-def _ensemble_accuracy(logits, labels):
-    return trainer._scores(np.mean(logits, axis=0), labels)[1]
+    logits = [forward(m, ds.features) for m in models]
+    scores = [trainer._scores(z, ds.labels) for z in logits]
+    return scores, trainer._scores(np.mean(logits, axis=0), ds.labels)[1]
 
 
 def _blend(model_a, model_b, lam):

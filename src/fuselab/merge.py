@@ -31,9 +31,11 @@ from . import cca, matching, trainer
 from .activations import _check_gamma, _pair_stats, probe_matrix
 from .datagen import Dataset
 from .errors import (
-    ConfigurationError, GammaSelectionError, NumericalError, ShapeError, ValidationError,
+    ConfigurationError, GammaSelectionError, NumericalError, ValidationError,
 )
-from .model import DenseLayer, MethodTag, MlpModel, _check_kind, apply_plan
+from .model import (
+    DenseLayer, MethodTag, MlpModel, _check_kind, _preactivation, _step, apply_plan,
+)
 
 SIGMA_FLOOR = 1e-12
 
@@ -70,6 +72,8 @@ def align(reference, model, method, probes=None, gamma=None):
 
 def average_models(models):
     """Uniform elementwise average of identically shaped models."""
+    if not isinstance(models, (list, tuple)) or not models:
+        raise ValidationError(f"models must be a non-empty list, got {models!r:.60}")
     total = _ModelSum(models[0])
     for m in models[1:]:
         total.add(m)
@@ -229,12 +233,6 @@ def _score(gamma, pairs, eval_ds, keep_sum):
     return float(np.mean(scores)), summaries, total
 
 
-def _preactivation(layer, x):
-    z = x @ layer.weights.T  # fresh, so the bias goes in place
-    z += layer.bias
-    return z
-
-
 def _spread(z, mean, out):
     """z.std(axis=0) of a C-order z whose column means are mean: np.std's
     ufuncs in its order, with the deviations written to out, which may be
@@ -262,16 +260,13 @@ def repair_reset(merged, reference, probes):
     _check_kind("reference", reference, MlpModel)
     if not merged.same_architecture(reference):
         raise ValidationError("merged and reference architectures differ")
-    ref_x = cur_x = probe_matrix(probes)
-    if ref_x.shape[1] != merged.input_dim:
-        raise ShapeError(f"models expect {merged.input_dim} input columns, "
-                         f"probes have {ref_x.shape[1]}")
+    ref_x = cur_x = probe_matrix(probes, merged.input_dim)
     new_layers = []
     skipped = []
     for i, (layer, ref_layer) in enumerate(zip(merged.layers[:-1], reference.layers)):
         if i:  # both models' outputs of the layer below
             ref_x = np.maximum(ref_z, 0.0, out=ref_z)  # the reference's ReLU
-            cur_x = new_layers[-1].apply(cur_x)
+            cur_x = _step(new_layers[-1], cur_x)
         ref_z = _preactivation(ref_layer, ref_x)
         mu_ref = ref_z.mean(axis=0)
         # the probes are the caller's; a lower layer's output is let go

@@ -86,15 +86,16 @@ def _check_number(name, value, low, high=None, *, real=False, above=False,
     return float(value) if real else int(value)
 
 
-def _as_array(name, value, ndim, copy=False, error=ValidationError):
-    """value as a float64 array with ndim dimensions and finite entries, a
-    copy in the input's memory order when asked, else the input itself if
-    it already is one. Otherwise error (ShapeError for the ndim) naming the
-    field."""
+def _as_array(name, value, ndim, copy=False, error=ValidationError, order="C"):
+    """value as a float64 array with ndim dimensions and finite entries: with
+    copy, a read-only copy in order, the one form a value keeps; else the
+    input itself if it already is one. Otherwise error (ShapeError for the
+    ndim) naming the field."""
     try:
         if np.iscomplexobj(value):  # the cast would drop the imaginary part
             raise TypeError("complex entries")
-        arr = (np.array if copy else np.asarray)(value, dtype=np.float64)
+        arr = (np.array(value, dtype=np.float64, order=order) if copy
+               else np.asarray(value, dtype=np.float64))
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} must be numeric ({exc})") from None
     if arr.ndim != ndim:
@@ -102,6 +103,8 @@ def _as_array(name, value, ndim, copy=False, error=ValidationError):
     if not np.isfinite(arr).all():
         verb = "contain" if name.endswith("s") else "contains"
         raise error(f"{name} {verb} non-finite entries")
+    if copy:
+        arr.setflags(write=False)
     return arr
 
 
@@ -155,11 +158,7 @@ class DenseLayer:
         w = _as_array("weights", self.weights, 2, copy=True)
         b = _as_array("bias", self.bias, 1, copy=True)
         if b.shape[0] != w.shape[0]:
-            raise ShapeError(
-                f"bias length {b.shape[0]} != weight rows {w.shape[0]}"
-            )
-        w.setflags(write=False)
-        b.setflags(write=False)
+            raise ShapeError(f"bias length {b.shape[0]} != weight rows {w.shape[0]}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -173,15 +172,23 @@ class DenseLayer:
 
     def apply(self, inputs):
         """Post-activation output for a batch of row vectors."""
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        x = _as_array("inputs", inputs, 2)
+        if x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"layer expects {self.in_dim} input columns, got {x.shape}"
             )
-        z = x @ self.weights.T  # fresh, so the bias and ReLU go in place
-        z += self.bias
-        relu = self.activation is Activation.RELU
-        return np.maximum(z, 0.0, out=z) if relu else z
+        return _step(self, x)
+
+
+def _preactivation(layer, x):
+    z = x @ layer.weights.T  # fresh, so the bias goes in place
+    return np.add(z, layer.bias, out=z)
+
+
+def _step(layer, x):
+    """layer.apply of rows x already checked: the hot paths' layer step."""
+    z = _preactivation(layer, x)
+    return np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else z
 
 
 def _check_seed_tag(tag):
@@ -271,7 +278,7 @@ def forward(model, inputs):
         rows = slice(k * m // blocks, (k + 1) * m // blocks)
         h = x[rows]
         for layer in model.layers:
-            h = layer.apply(h)
+            h = _step(layer, h)
         out[rows] = h
     return out
 
@@ -284,14 +291,13 @@ def _block_rows(model):
     1, 2 and 4 threads). At most 1,200 rows x width takes a small kernel
     once the inner dimension reaches 32: the cap is raised until the
     narrowest layer reaches FORWARD_CELLS, and near-equal blocks keep at
-    least half of it. gemv (a 1-wide layer), a tail past BLAS_PANEL columns
-    that is not a multiple of BLAS_TILE, and F-order weights change bytes
-    with any row split: such a model runs whole.
+    least half of it. gemv (a 1-wide layer), and a tail past BLAS_PANEL
+    columns that is not a multiple of BLAS_TILE, change bytes with any row
+    split: such a model runs whole.
     """
     for layer in model.layers:
         w = layer.out_dim
-        if (w == 1 or (w > BLAS_PANEL and w % BLAS_TILE)
-                or not layer.weights.flags.c_contiguous):
+        if w == 1 or (w > BLAS_PANEL and w % BLAS_TILE):
             return sys.maxsize
     narrowest = min(layer.out_dim for layer in model.layers)
     return max(FORWARD_ROWS, -(-FORWARD_CELLS // narrowest))
@@ -327,12 +333,13 @@ class LayerTransform:
     layer_index: int
 
     def __post_init__(self):
-        f = _as_array("transform", self.forward, 2, copy=True)
-        g = _as_array("inverse transform", self.inverse, 2, copy=True)
+        # the one value kept in its input's order: a CCA transform arrives
+        # F-ordered, and apply_plan's bytes depend on the order it reads (C
+        # copies changed every merged model of bench's cca workloads)
+        f = _as_array("transform", self.forward, 2, copy=True, order="K")
+        g = _as_array("inverse transform", self.inverse, 2, copy=True, order="K")
         if f.shape[0] != f.shape[1] or f.shape != g.shape:
-            raise ShapeError(
-                f"transform must be square, got {f.shape} and {g.shape}"
-            )
+            raise ShapeError(f"transform must be square, got {f.shape} and {g.shape}")
         n = f.shape[0]
         if n == 0:
             raise ShapeError(f"transform at layer {self.layer_index} has width 0")
@@ -342,8 +349,6 @@ class LayerTransform:
                 f"transform at layer {self.layer_index} is not inverted to "
                 f"within {INVERSE_ATOL:g} (residual {resid:.3e})"
             )
-        f.setflags(write=False)
-        g.setflags(write=False)
         object.__setattr__(self, "forward", f)
         object.__setattr__(self, "inverse", g)
 
@@ -458,9 +463,8 @@ def save_model(model, path):
         lines.append(f"seed_tag {model.seed_tag}")
     lines.append("end")
     chunks = [("\n".join(lines) + "\n").encode("ascii")]
-    for layer in model.layers:
-        chunks.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    chunks += [p.astype("<f8", copy=False).tobytes()
+               for layer in model.layers for p in (layer.weights, layer.bias)]
     _write_atomic(path, b"".join(chunks))
 
 
@@ -469,7 +473,7 @@ def _write_atomic(path, data):
 
     A failure at any point leaves whatever was at path untouched.
     """
-    path = os.fspath(path)
+    path = _as_path(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
@@ -487,11 +491,19 @@ def _write_atomic(path, data):
         raise
 
 
+def _as_path(path):
+    """path as a str, from a str or an os.PathLike of one; otherwise
+    ValidationError naming it, as open() would take an int for a file."""
+    if isinstance(path, (str, os.PathLike)) and isinstance(text := os.fspath(path), str):
+        return text
+    raise ValidationError(f"path must be str or os.PathLike, got {type(path).__name__}")
+
+
 @contextlib.contextmanager
 def _reading(path, kind):
     """The open file; a ParseError raised while decoding it names the file."""
     try:
-        fh = open(path, "rb")
+        fh = open(_as_path(path), "rb")
     except OSError as exc:
         raise ParseError(f"cannot read {kind} {path}: {exc}") from exc
     with fh:

@@ -45,20 +45,20 @@ def _mat(values, layer_index=0):
 
 class TestProbeMatrix:
     def test_accepts_plain_lists(self):
-        x = probe_matrix([[1.0, 2.0], [3.0, 4.0]])
+        x = probe_matrix([[1.0, 2.0], [3.0, 4.0]], 2)
         assert x.dtype == np.float64
 
     def test_rejects_one_row(self):
         with pytest.raises(ValidationError):
-            probe_matrix([[1.0, 2.0]])
+            probe_matrix([[1.0, 2.0]], 2)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
-            probe_matrix([1.0, 2.0])
+            probe_matrix([1.0, 2.0], 2)
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            probe_matrix([[1.0, np.nan], [0.0, 1.0]])
+            probe_matrix([[1.0, np.nan], [0.0, 1.0]], 2)
 
 
 class TestActivationMatrix:
@@ -194,8 +194,8 @@ def _blocks(draw):
 @st.composite
 def _column_blocks(draw):
     """One centered block from 2 rows up, its column variances spanning the
-    dead-neuron threshold: constant, ReLU-zeroed and F-ordered columns, or
-    a real capture. Row counts cross _columns' block edges: exact
+    dead-neuron threshold: constant and ReLU-zeroed columns, handed over in
+    C or F order (the matrix keeps a C copy), or a real capture. Row counts cross _columns' block edges: exact
     multiples of SQUARE_ROWS, and 1- and 2-row tails."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edge = draw(st.integers(1, 3)) * SQUARE_ROWS
@@ -229,6 +229,18 @@ class TestColumns:
 
 
 class TestPairStatistics:
+    @settings(max_examples=100, deadline=None)
+    @given(_blocks())
+    def test_fortran_inputs_give_the_c_bytes(self, blocks):
+        # a matrix built from F-order values keeps a C copy, so its
+        # statistics are its C twin's, byte for byte
+        fortran = [ActivationMatrix(np.asfortranarray(x.values), x.column_means,
+                                    x.layer_index, x.m) for x in blocks]
+        assert _same_correlations(correlations(*fortran), correlations(*blocks))
+        got, expect = scatter(*fortran), scatter(*blocks)
+        for name in ("s_aa", "s_bb", "s_ab"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(_blocks())
     def test_correlations_match_the_oracle_bytes(self, blocks):

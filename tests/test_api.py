@@ -223,6 +223,24 @@ PINNED = {
     "interpolation_curve(grid_size=10**20)": (
         lambda: fuselab.interpolation_curve(A, B, DS, 10**20),
         ConfigurationError),
+    "DenseLayer.apply(non-numeric inputs)": (
+        lambda: A.layers[0].apply([["a", "b", "c"]]), ValidationError),
+    "DenseLayer.apply(ragged inputs)": (
+        lambda: A.layers[0].apply([[1, 2, 3], [1, 2]]), ValidationError),
+    "DenseLayer.apply(complex inputs)": (
+        lambda: A.layers[0].apply(np.array([[1 + 2j, 0, 0]])), ValidationError),
+    "DenseLayer.apply(nan row)": (
+        lambda: A.layers[0].apply([[np.nan, 0.0, 0.0]]), ValidationError),
+    "average_models([])": (lambda: fuselab.average_models([]), ValidationError),
+    "average_models(None)": (lambda: fuselab.average_models(None), ValidationError),
+    "load_model(None)": (lambda: fuselab.load_model(None), ValidationError),
+    "load_dataset(None)": (lambda: fuselab.load_dataset(None), ValidationError),
+    "save_model(path=None)": (lambda: fuselab.save_model(A, None), ValidationError),
+    "save_dataset(path=5.5)": (
+        lambda: fuselab.save_dataset(DS, 5.5), ValidationError),
+    "Dataset.subset(['a'])": (lambda: DS.subset(["a"]), ValidationError),
+    "Dataset.subset([1.5])": (lambda: DS.subset([1.5]), ValidationError),
+    "Dataset.subset([10**9])": (lambda: DS.subset([10**9]), ValidationError),
 }
 
 
@@ -231,6 +249,25 @@ def test_pinned_hostile_call_raises_its_fuselab_error(name):
     call, error = PINNED[name]
     with pytest.raises(error):
         call()
+
+
+# the argument that each of these pinned calls' messages starts with
+NAMED = {
+    **{f"DenseLayer.apply({what} inputs)": "inputs"
+       for what in ("non-numeric", "ragged", "complex")},
+    "DenseLayer.apply(nan row)": "inputs",
+    "average_models([])": "models",
+    "average_models(None)": "models",
+    **{name: "path" for name in ("load_model(None)", "load_dataset(None)",
+                                 "save_model(path=None)", "save_dataset(path=5.5)")},
+    **{f"Dataset.subset({v})": "indices" for v in ("['a']", "[1.5]", "[10**9]")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_pinned_error_names_its_argument(name):
+    with pytest.raises(FuselabError, match=f"^{NAMED[name]} "):
+        PINNED[name][0]()
 
 
 def _loaded(directory, manifest):
@@ -358,6 +395,8 @@ ENTRIES = {
         "array", lambda v: fuselab.DenseLayer(v, [0.0], RELU)),
     "DenseLayer.bias": (
         "array", lambda v: fuselab.DenseLayer([[1.0]], v, RELU)),
+    "DenseLayer.apply": ("array", lambda v: A.layers[0].apply(v)),
+    "Dataset.subset": ("array", lambda v: DS.subset(v)),
     "LayerTransform": ("array", lambda v: fuselab.LayerTransform(v, v, 0)),
     "LayerTransform.general": (
         "array", lambda v: fuselab.LayerTransform.general(v, 0)),

@@ -1,6 +1,6 @@
 """Module layering: imports sit at module level, form no cycle and leave
-out scipy, no private helper outlives its last caller, and plans are made
-in one dispatch."""
+out scipy, no private helper outlives its last caller, plans are made in
+one dispatch, and only model.py decides an array's memory order."""
 
 import ast
 from collections import Counter
@@ -105,3 +105,17 @@ def test_plans_are_made_in_one_dispatch():
                 if getattr(node, "id", getattr(node, "attr", None)) in makers:
                     found.add(f"{path.stem}.{where}")
     assert found == {"merge._align", "cca.cca_plan", "matching.permute_plan"}
+
+
+def test_only_model_reads_memory_order():
+    # the values model.py makes keep C-order copies (a LayerTransform its
+    # input's order), so no other module has a layout to branch on
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("c_contiguous", "f_contiguous")
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "flags"):
+                found.append(path.stem)
+    assert set(found) <= {"model"}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fuselab import (
     Activation,
+    ActivationMatrix,
     AlignmentPlan,
     Dataset,
     DenseLayer,
@@ -31,6 +32,7 @@ from fuselab import (
     save_dataset,
     save_model,
 )
+from fuselab import model as model_module
 from fuselab.activations import capture, probe_matrix
 from fuselab.matching import _score_matrix
 from fuselab.model import FORWARD_CELLS, FORWARD_ROWS
@@ -115,36 +117,66 @@ class TestModelValidation:
 
 
 class TestInputLayout:
-    """A constructor that keeps an array keeps a copy in the input's memory
-    order: CCA transforms arrive F-ordered, and reordering one changes the
-    bytes of the models built from it. A function that only reads an array
-    takes a float64 ndarray as it is."""
+    """A value that keeps an array keeps a read-only C-order float64 copy,
+    so the order a caller built it in leaves no trace in any result. A
+    LayerTransform alone keeps its input's order: CCA transforms arrive
+    F-ordered, and reordering one changes the bytes of the models built
+    from it. A function that only reads an array takes a float64 ndarray as
+    it is."""
 
-    def test_kept_arrays_keep_fortran_order(self):
+    def test_kept_arrays_are_read_only_c_copies(self):
         rng = np.random.default_rng(0)
         f = np.asfortranarray(rng.normal(size=(3, 3)) + 3.0 * np.eye(3))
         kept = [
             DenseLayer(f, np.zeros(3), Activation.RELU).weights,
-            LayerTransform(f, np.linalg.inv(f), 0).forward,
-            LayerTransform.general(f, 0).forward,
+            ActivationMatrix(f, np.zeros(3), 0, 3).values,
             Dataset(f, [0, 1, 0], 2, 0).features,
         ]
         for arr in kept:
-            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+            assert arr.flags.c_contiguous and not arr.flags.writeable
             assert not np.shares_memory(arr, f)
             np.testing.assert_array_equal(arr, f)
+
+    def test_transforms_keep_fortran_order(self):
+        rng = np.random.default_rng(0)
+        f = np.asfortranarray(rng.normal(size=(3, 3)) + 3.0 * np.eye(3))
+        for t in (LayerTransform(f, np.linalg.inv(f), 0),
+                  LayerTransform.general(f, 0)):
+            arr = t.forward
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+            assert not arr.flags.writeable and not np.shares_memory(arr, f)
+            np.testing.assert_array_equal(arr, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_fortran_built_models_give_the_c_built_bytes(self, seed):
+        # weights written as DenseLayer(W.T, ...) arrive F-ordered; the
+        # logits match the C-built twin's, and still do once both models
+        # have been saved and loaded
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(2, 80, size=int(rng.integers(3, 5)))
+        model = random_model(int(dims[0]), tuple(int(d) for d in dims[1:-1]),
+                             int(dims[-1]), seed=int(rng.integers(2**31)))
+        x = rng.standard_normal((int(rng.integers(1, 300)), int(dims[0])))
+        expect = forward(model, x).tobytes()
+        fortran = _built_in("F", model)
+        assert forward(fortran, x).tobytes() == expect
+        with tempfile.TemporaryDirectory() as d:
+            for m, name in ((model, "c.model"), (fortran, "f.model")):
+                save_model(m, Path(d) / name)
+                assert forward(load_model(Path(d) / name), x).tobytes() == expect
 
     def test_readers_do_not_copy_a_float64_array(self, monkeypatch):
         rng = np.random.default_rng(1)
         x, square = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
         seen = []
-        inner = DenseLayer.apply
-        monkeypatch.setattr(DenseLayer, "apply",
+        inner = model_module._step
+        monkeypatch.setattr(model_module, "_step",
                             lambda layer, inputs: seen.append(inputs)
                             or inner(layer, inputs))
         forward(random_model(3, (4,), 2, seed=0), x)
         assert np.shares_memory(seen[0], x)
-        assert np.shares_memory(probe_matrix(x), x)
+        assert np.shares_memory(probe_matrix(x, 3), x)
         assert np.shares_memory(_score_matrix(square), square)
 
 
@@ -268,25 +300,30 @@ def _fold_forward(model, x):
     return x
 
 
+def _built_in(order, model):
+    """model rebuilt from copies of its weights in memory order (C or F)."""
+    return MlpModel(tuple(
+        DenseLayer(np.asarray(layer.weights, order=order), layer.bias,
+                   layer.activation)
+        for layer in model.layers), model.input_dim)
+
+
 @st.composite
 def block_edge_cases(draw):
     """(model, inputs): input dims 3-64, 1-2 hidden layers 1-600 wide, 2-16
-    classes, weights in C or F order, and rows on both sides of a block
-    edge, at FORWARD_ROWS or at the cap a narrow layer widens (a 1-wide
-    one's rows are drawn as for 2: it runs whole), in C order, F order, or
-    strided by rows or columns. Widths up to 192, and multiples of 8 above,
-    are drawn more often: a model with any other width above 192, or with
-    F-order weights, runs whole."""
+    classes, and rows on both sides of a block edge, at FORWARD_ROWS or at
+    the cap a narrow layer widens (a 1-wide one's rows are drawn as for 2:
+    it runs whole), in C order, F order, or strided by rows or columns.
+    Widths up to 192, and multiples of 8 above, are drawn more often: a
+    model with any other width above 192 runs whole."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     width = (st.integers(1, 192) | st.integers(25, 75).map(lambda k: 8 * k)
              | st.integers(1, 600))
     dims = [draw(st.integers(3, 64)),
             *draw(st.lists(width, min_size=1, max_size=2)),
             draw(st.integers(2, 16))]
-    order = draw(st.sampled_from("CCF"))  # DenseLayer keeps the order
     layers = tuple(
-        DenseLayer(np.asarray(rng.standard_normal((fan_out, fan_in)),
-                              order=order),
+        DenseLayer(rng.standard_normal((fan_out, fan_in)),
                    rng.standard_normal(fan_out),
                    Activation.RELU if k < len(dims) - 2 else Activation.IDENTITY)
         for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
@@ -330,29 +367,33 @@ class TestLayerLoop:
     @given(block_edge_cases())
     def test_row_blocks_match_the_whole_set_fold(self, case):
         model, x = case
-        assert forward(model, x).tobytes() == _fold_forward(model, x).tobytes()
+        got = forward(model, x).tobytes()
+        assert got == _fold_forward(model, x).tobytes()
+        # F-order weights are kept as C copies: the same blocks, the same bytes
+        assert forward(_built_in("F", model), x).tobytes() == got
 
     def test_row_blocks_keep_to_the_whole_sets_kernels(self):
         # OpenBLAS's small kernel, which sums in another order, takes a
         # product of at most about 1,150 rows x width: a 2-class output on
         # 513-1,200 rows, and a 64-to-16 layer on a 1-96-row tail past a
         # multiple of FORWARD_ROWS, would reach it in a short block. A
-        # 300-wide layer's tail columns change with any row split, and so
-        # do some products with F-order weights
+        # 300-wide layer's tail columns change with any row split. A model
+        # built from F-order weights, whose products some row splits would
+        # change, runs as its C-built twin
         x = np.random.default_rng(0).normal(size=(2100, 32))
         two = random_model(32, (64,), 2, seed=1)
         narrow = random_model(32, (64, 16), 16, seed=2)
         wide = random_model(32, (300,), 16, seed=3)
-        fortran = MlpModel(tuple(
-            DenseLayer(np.asfortranarray(layer.weights), layer.bias,
-                       layer.activation)
-            for layer in random_model(32, (71, 18), 13, seed=3).layers), 32)
         cases = [(two, m) for m in range(513, 1201)] + [
             (narrow, k * FORWARD_ROWS + t) for k in (1, 2) for t in range(1, 97)
-        ] + [(model, m) for model in (wide, fortran) for m in (1025, 2049)]
+        ] + [(wide, m) for m in (1025, 2049)]
         for model, m in cases:
             got = forward(model, x[:m]).tobytes()
             assert got == _fold_forward(model, x[:m]).tobytes(), m
+        twin = random_model(32, (71, 18), 13, seed=3)
+        for m in (1025, 2049):
+            got = forward(_built_in("F", twin), x[:m]).tobytes()
+            assert got == forward(twin, x[:m]).tobytes(), m
 
     def test_forward_holds_a_block(self):
         # a (64, 64) model on 4,000 rows runs in blocks of 500 rows: the
