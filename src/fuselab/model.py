@@ -12,11 +12,14 @@ invertible transforms up to what the nonlinearity allows.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import io
 import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,7 @@ FORWARD_ROWS = 512
 FORWARD_CELLS = 8192
 BLAS_PANEL = 192
 BLAS_TILE = 8
+BLOCK_CORES = ("SkylakeX", "Sandybridge")
 
 MODEL_MAGIC = "fuselab-model"
 MODEL_FORMAT_VERSION = 1
@@ -293,14 +297,52 @@ def _block_rows(model):
     narrowest layer reaches FORWARD_CELLS, and near-equal blocks keep at
     least half of it. gemv (a 1-wide layer), and a tail past BLAS_PANEL
     columns that is not a multiple of BLAS_TILE, change bytes with any row
-    split: such a model runs whole.
+    split: such a model runs whole. So does every model on a core outside
+    BLOCK_CORES (Haswell's blocks broke these rules) or on another BLAS.
     """
-    for layer in model.layers:
-        w = layer.out_dim
-        if w == 1 or (w > BLAS_PANEL and w % BLAS_TILE):
-            return sys.maxsize
-    narrowest = min(layer.out_dim for layer in model.layers)
-    return max(FORWARD_ROWS, -(-FORWARD_CELLS // narrowest))
+    widths = [layer.out_dim for layer in model.layers]
+    if _core() not in BLOCK_CORES or any(
+            w == 1 or (w > BLAS_PANEL and w % BLAS_TILE) for w in widths):
+        return sys.maxsize
+    return max(FORWARD_ROWS, -(-FORWARD_CELLS // min(widths)))
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS library that numpy >= 2 wheels bundle, or None on any
+    other build (numpy 1.x, MKL, Accelerate)."""
+    here = Path(np.__file__).parent
+    for path in (*here.parent.glob("numpy.libs/*openblas*"),
+                 *here.glob(".dylibs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        except (OSError, AttributeError):
+            continue
+        return lib
+
+
+@functools.cache
+def _core():
+    """The bundled OpenBLAS's core, as it spells it, or None without it."""
+    return (lib := _openblas()) and lib.scipy_openblas_get_corename64_().decode()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+    A matmul's bytes do not depend on it (LAPACK's may). The count is
+    process-wide: blocks in several Python threads can leave it at one."""
+    if (lib := _openblas()) is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def _inverse(matrix, what, hint=""):

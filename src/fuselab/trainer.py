@@ -8,11 +8,7 @@ model bit for bit, whether it trains alone or in a lockstep pool.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +21,7 @@ from .errors import (
 )
 from .model import (
     Activation, DenseLayer, MlpModel, _allocating, _check_kind, _check_number,
-    forward,
+    _one_blas_thread, forward,
 )
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
@@ -93,45 +89,6 @@ def init_model(input_dim, hidden_widths, num_classes, init_seed, seed_tag=None):
         act = Activation.RELU if i < len(dims) - 2 else Activation.IDENTITY
         layers.append(DenseLayer(w, b, act))
     return MlpModel(tuple(layers), dims[0], seed_tag)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS that numpy >= 2 wheels
-    bundle, or None on any other build (numpy 1.x, MKL, Accelerate)."""
-    here = Path(np.__file__).parent
-    for path in (*here.parent.glob("numpy.libs/*openblas*"),
-                 *here.glob(".dylibs/*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count.
-    A batch's products are too small to pay for a second thread, and a
-    matmul's bytes do not depend on the count (LAPACK's may: keep its calls
-    outside). The count is process-wide: training in several Python threads
-    at once can leave it at one."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    threads = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(threads)
 
 
 def _log_softmax(logits):
@@ -210,6 +167,7 @@ def train_scored(ds, cfgs):
     rngs = [np.random.default_rng(int(c.shuffle_seed)) for c in cfgs]
     pool = np.arange(len(cfgs))[:, None]
     failed = {}
+    # a batch's products are too small to pay for a second OpenBLAS thread
     with _one_blas_thread():
         for epoch in range(cfg.epochs):
             order = np.stack([rng.permutation(ds.m) for rng in rngs])

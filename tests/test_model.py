@@ -1,6 +1,9 @@
 """Model containers, forward rule, transforms, plan application, file IO."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -35,7 +38,7 @@ from fuselab import (
 from fuselab import model as model_module
 from fuselab.activations import capture, probe_matrix
 from fuselab.matching import _score_matrix
-from fuselab.model import FORWARD_CELLS, FORWARD_ROWS
+from fuselab.model import BLOCK_CORES, FORWARD_CELLS, FORWARD_ROWS
 from _helpers import (
     assert_models_allclose,
     model_bytes,
@@ -340,6 +343,66 @@ def block_edge_cases(draw):
     return MlpModel(layers, dims[0]), x
 
 
+def kernel_edge_cases():
+    """(model, inputs) on both sides of OpenBLAS's kernel edges.
+
+    OpenBLAS's small kernel, which sums in another order, takes a product of
+    at most about 1,150 rows x width: a 2-class output on 513-1,200 rows,
+    and a 64-to-16 layer on a 1-96-row tail past a multiple of FORWARD_ROWS,
+    would reach it in a short block. A 300-wide layer's tail columns change
+    with any row split."""
+    x = np.random.default_rng(0).normal(size=(2100, 32))
+    two = random_model(32, (64,), 2, seed=1)
+    narrow = random_model(32, (64, 16), 16, seed=2)
+    wide = random_model(32, (300,), 16, seed=3)
+    cases = [(two, m) for m in range(513, 1201)] + [
+        (narrow, k * FORWARD_ROWS + t) for k in (1, 2) for t in range(1, 97)
+    ] + [(wide, m) for m in (1025, 2049)]
+    return [(model, x[:m]) for model, m in cases]
+
+
+# run in a child process under another OpenBLAS core and thread count: the
+# blocked forward against the whole-set fold, on drawn edge cases and on the
+# kernel-edge grid; prints the core OpenBLAS chose
+BLOCKS_ON_A_CORE = """
+from hypothesis import given, settings
+from fuselab import forward
+from fuselab.model import _core
+from test_model import _fold_forward, block_edge_cases, kernel_edge_cases
+print(_core(), flush=True)
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(block_edge_cases())
+def blocks_match_the_fold(case):
+    assert forward(*case).tobytes() == _fold_forward(*case).tobytes()
+
+blocks_match_the_fold()
+for model, x in kernel_edge_cases():
+    assert forward(model, x).tobytes() == _fold_forward(model, x).tobytes(), (
+        model.hidden_widths, len(x))
+"""
+
+
+@pytest.mark.skipif(model_module._openblas() is None,
+                    reason="OPENBLAS_CORETYPE needs numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "SandyBridge"])
+def test_row_blocks_match_the_fold_on_each_core(coretype, threads):
+    # OpenBLAS runs an older core's kernels when asked, and a host that
+    # cannot run the asked core's instructions gets another: the child
+    # names the core it checked
+    run = subprocess.run(
+        [sys.executable, "-c", BLOCKS_ON_A_CORE], capture_output=True,
+        text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": threads},
+    )
+    core = (run.stdout.splitlines() or ["no core"])[0]
+    assert run.returncode == 0, (
+        f"blocked forward differs from the whole-set fold on {core} kernels "
+        f"({coretype} asked) at {threads} threads:\n{run.stderr}")
+
+
 class TestLayerLoop:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -373,32 +436,33 @@ class TestLayerLoop:
         assert forward(_built_in("F", model), x).tobytes() == got
 
     def test_row_blocks_keep_to_the_whole_sets_kernels(self):
-        # OpenBLAS's small kernel, which sums in another order, takes a
-        # product of at most about 1,150 rows x width: a 2-class output on
-        # 513-1,200 rows, and a 64-to-16 layer on a 1-96-row tail past a
-        # multiple of FORWARD_ROWS, would reach it in a short block. A
-        # 300-wide layer's tail columns change with any row split. A model
-        # built from F-order weights, whose products some row splits would
-        # change, runs as its C-built twin
-        x = np.random.default_rng(0).normal(size=(2100, 32))
-        two = random_model(32, (64,), 2, seed=1)
-        narrow = random_model(32, (64, 16), 16, seed=2)
-        wide = random_model(32, (300,), 16, seed=3)
-        cases = [(two, m) for m in range(513, 1201)] + [
-            (narrow, k * FORWARD_ROWS + t) for k in (1, 2) for t in range(1, 97)
-        ] + [(wide, m) for m in (1025, 2049)]
-        for model, m in cases:
-            got = forward(model, x[:m]).tobytes()
-            assert got == _fold_forward(model, x[:m]).tobytes(), m
+        # blocks run only on the cores whose kernels their rules were
+        # measured on; elsewhere forward is the whole-set fold itself
+        if model_module._core() not in BLOCK_CORES:
+            pytest.skip(f"forward runs whole sets on {model_module._core()}")
+        for model, x in kernel_edge_cases():
+            got = forward(model, x).tobytes()
+            assert got == _fold_forward(model, x).tobytes(), len(x)
+        # a model built from F-order weights, whose products some row splits
+        # would change, runs as its C-built twin
         twin = random_model(32, (71, 18), 13, seed=3)
+        x = np.random.default_rng(0).normal(size=(2049, 32))
         for m in (1025, 2049):
             got = forward(_built_in("F", twin), x[:m]).tobytes()
             assert got == forward(twin, x[:m]).tobytes(), m
 
+    @pytest.mark.parametrize("core", [None, "Haswell", "Zen", *BLOCK_CORES])
+    def test_rows_split_only_on_measured_cores(self, monkeypatch, core):
+        monkeypatch.setattr(model_module, "_core", lambda: core)
+        model = random_model(32, (64, 64), 16, seed=5)
+        rows = model_module._block_rows(model)
+        assert rows == (FORWARD_ROWS if core in BLOCK_CORES else sys.maxsize)
+
     def test_forward_holds_a_block(self):
         # a (64, 64) model on 4,000 rows runs in blocks of 500 rows: the
         # forward peaks at 0.53 of one hidden output's bytes, where the
-        # whole-set fold held two hidden outputs at once (2.03)
+        # whole-set fold, which runs off BLOCK_CORES, holds two hidden
+        # outputs at once (2.28)
         model = random_model(32, (64, 64), 16, seed=5)
         x = np.random.default_rng(0).normal(size=(4000, 32))
         forward(model, x)  # warm up numpy's and BLAS's own buffers
@@ -408,7 +472,8 @@ class TestLayerLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.0 * (4000 * 64 * 8)
+        held = 1.0 if model_module._core() in BLOCK_CORES else 2.5
+        assert peak < held * (4000 * 64 * 8)
 
     def test_forward_holds_one_layer_at_a_time(self):
         # three 512-wide hidden layers on 2000 rows: the fold holds at most

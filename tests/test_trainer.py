@@ -26,8 +26,10 @@ from fuselab import (
     train,
     train_many,
 )
+from fuselab import model as model_module
 from fuselab import trainer
-from fuselab.trainer import SHUFFLE_SEED_OFFSET, _log_softmax, _openblas
+from fuselab.model import _openblas
+from fuselab.trainer import SHUFFLE_SEED_OFFSET, _log_softmax
 from _helpers import model_bytes
 
 
@@ -466,11 +468,12 @@ def blas_threads():
     """The getter of the bundled OpenBLAS's thread count, or None when it is
     not found. The count is set to 2 for the test, a count the SGD loop's
     pin must change and then restore."""
-    found = _openblas()
-    if found is None:
+    lib = _openblas()
+    if lib is None:
         yield None
         return
-    get, set_ = found
+    get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                 lib.scipy_openblas_set_num_threads64_)
     before = get()
     set_(2)
     yield get
@@ -486,7 +489,7 @@ class TestOneBlasThread:
         cfgs = pool_configs(n, 5, hidden_widths=(128, 128), epochs=2,
                             batch_size=32)
         pinned = [model_bytes(m) for m in train_many(ds, cfgs)]
-        monkeypatch.setattr(trainer, "_openblas", lambda: None)
+        monkeypatch.setattr(model_module, "_openblas", lambda: None)
         assert [model_bytes(m) for m in train_many(ds, cfgs)] == pinned
 
     def test_loop_runs_on_one_thread_and_restores_the_count(
