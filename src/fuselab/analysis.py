@@ -18,7 +18,7 @@ import numpy as np
 from . import matching, merge
 from .activations import _pairs_among
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .model import MethodTag, _as_array, _check_number
+from .model import MethodTag, _as_array, _check_list, _check_number
 
 COVERAGE_PAIRS = ((1, 5), (2, 10))
 RATIO_KS = (1, 2)
@@ -261,7 +261,7 @@ def analyze(models, probes, gamma=None):
     Each model is captured once, and both methods' plans and the
     diagnostics' correlations come from one pair's statistics.
     """
-    if len(models) not in (2, 3):
+    if len(_check_list("models", models)) not in (2, 3):
         raise ConfigurationError("analysis works on 2 or 3 models")
     index_pairs = ((0, 1), (0, 2), (1, 2))[: 1 if len(models) == 2 else 3]
     pairs = _pairs_among(models, probes, index_pairs)

@@ -58,7 +58,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices):
-        """The rows that indices, integers or a boolean mask, pick."""
+        """The rows that indices, integers >= 0 or a boolean mask, pick."""
         try:
             idx = np.asarray(indices)
             if idx.size == 0:
@@ -67,6 +67,8 @@ class Dataset:
             features, labels = self.features[idx], self.labels[idx]
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"indices must pick dataset rows ({exc})") from None
+        if idx.dtype != bool and (idx < 0).any():  # numpy would count from the end
+            raise ValidationError(f"indices must be >= 0, got {idx.min()}")
         return Dataset(features, labels, self.num_classes, self.seed)
 
 

@@ -24,8 +24,8 @@ from .cca import summaries_from_solutions
 from .datagen import Dataset
 from .errors import ConfigurationError, ValidationError
 from .model import (
-    DenseLayer, MethodTag, MlpModel, _allocating, _check_kind, _check_number,
-    forward,
+    DenseLayer, MethodTag, MlpModel, _allocating, _check_kind, _check_list,
+    _check_number, forward,
 )
 
 DEFAULT_GRID_SIZE = 21
@@ -50,7 +50,7 @@ def ensemble_accuracy(models, ds):
 def _scoreboard(models, ds):
     """([(loss, accuracy) of each model on ds], ensemble_accuracy), from one
     forward of each model."""
-    if not models:
+    if not _check_list("models", models):
         raise ConfigurationError("ensemble needs at least one model")
     for i, m in enumerate(models):
         _check_kind(f"model {i}", m, MlpModel)
@@ -167,7 +167,7 @@ def _merge(models, method, probes, gamma, reference_index, pairs=None):
     """(merged, aligned non-reference models in order, layer summaries) of
     merge_and_report. pairs, when given, are the reference's _PairStats
     against the other models in order, formed once by the caller."""
-    if len(models) < 2:
+    if len(_check_list("models", models)) < 2:
         raise ConfigurationError("merging needs at least 2 models")
     _check_number("reference index", reference_index, 0, len(models) - 1)
     if gamma is not None:

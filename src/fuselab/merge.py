@@ -34,7 +34,8 @@ from .errors import (
     ConfigurationError, GammaSelectionError, NumericalError, ValidationError,
 )
 from .model import (
-    DenseLayer, MethodTag, MlpModel, _check_kind, _preactivation, _step, apply_plan,
+    DenseLayer, MethodTag, MlpModel, _check_kind, _check_list, _preactivation, _step,
+    apply_plan,
 )
 
 SIGMA_FLOOR = 1e-12
@@ -72,8 +73,7 @@ def align(reference, model, method, probes=None, gamma=None):
 
 def average_models(models):
     """Uniform elementwise average of identically shaped models."""
-    if not isinstance(models, (list, tuple)) or not models:
-        raise ValidationError(f"models must be a non-empty list, got {models!r:.60}")
+    _check_list("models", models, 1)
     total = _ModelSum(models[0])
     for m in models[1:]:
         total.add(m)
@@ -147,6 +147,7 @@ def _merge_all(reference, others, method, pairs=None, gamma=None):
 
 def merge_many(reference, others, method, probes=None, gamma=None):
     """All-to-one merge: align each of `others` to `reference`, average all."""
+    _check_list("others", others)
     pairs = None if probes is None else _pair_stats([reference, *others], 0, probes)
     return _merge_all(reference, others, method, pairs, gamma)[0]
 
@@ -165,6 +166,8 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     such pairs share its Grams and inverse square roots.
     """
     _check_kind("eval_ds", eval_ds, Dataset)
+    for i, pair in enumerate(_check_list("model_pairs", model_pairs)):
+        _check_list(f"model_pairs entry {i}", pair, 2, 2)
     runs = (list(run) for _, run in groupby(model_pairs, lambda p: id(p[0])))
     pairs = chain.from_iterable(
         _pair_stats([run[0][0], *(b for _, b in run)], 0, probes)
@@ -233,17 +236,6 @@ def _score(gamma, pairs, eval_ds, keep_sum):
     return float(np.mean(scores)), summaries, total
 
 
-def _spread(z, mean, out):
-    """z.std(axis=0) of a C-order z whose column means are mean: np.std's
-    ufuncs in its order, with the deviations written to out, which may be
-    z itself (np.std(mean=...) needs numpy 2)."""
-    dev = np.subtract(z, mean, out=out)
-    np.multiply(dev, dev, out=dev)
-    sd = np.add.reduce(dev, axis=0)
-    sd /= z.shape[0]
-    return np.sqrt(sd, out=sd)
-
-
 def repair_reset(merged, reference, probes):
     """Match the merged model's hidden pre-activation stats to the reference.
 
@@ -251,44 +243,34 @@ def repair_reset(merged, reference, probes):
     SIGMA_FLOOR are left untouched and listed. The output layer is never
     rescaled.
 
-    A layer holds one working array beside the two models' inputs: the
-    reference's pre-activation becomes its next input in place, its spread
-    is taken in the buffer of its last input, and the merged model's
-    pre-activation takes its own spread in place.
+    The targets are the reference's own, so it is walked first, its ReLU
+    taken in place; the merged model is then rescaled bottom-up, each layer
+    before its output becomes the next input.
     """
     _check_kind("merged", merged, MlpModel)
     _check_kind("reference", reference, MlpModel)
     if not merged.same_architecture(reference):
         raise ValidationError("merged and reference architectures differ")
-    ref_x = cur_x = probe_matrix(probes, merged.input_dim)
-    new_layers = []
-    skipped = []
-    for i, (layer, ref_layer) in enumerate(zip(merged.layers[:-1], reference.layers)):
-        if i:  # both models' outputs of the layer below
-            ref_x = np.maximum(ref_z, 0.0, out=ref_z)  # the reference's ReLU
-            cur_x = _step(new_layers[-1], cur_x)
-        ref_z = _preactivation(ref_layer, ref_x)
-        mu_ref = ref_z.mean(axis=0)
-        # the probes are the caller's; a lower layer's output is let go
-        # here, so the reference's deviations may overwrite it
-        scratch = None
-        if i and ref_x.size >= ref_z.size:
-            scratch = ref_x.reshape(-1)[:ref_z.size].reshape(ref_z.shape)
-        del ref_x
-        sd_ref = _spread(ref_z, mu_ref, scratch)
-        del scratch
-        z = _preactivation(layer, cur_x)
-        mu_m = z.mean(axis=0)
-        sd_m = _spread(z, mu_m, z)
-        del z
+    x = probes = probe_matrix(probes, merged.input_dim)
+    targets = []
+    for layer in reference.layers[:-1]:
+        x = _preactivation(layer, x)  # the input below is let go
+        targets.append((x.mean(axis=0), x.std(axis=0)))
+        np.maximum(x, 0.0, out=x)  # the reference's ReLU
+    x = probes
+    new_layers, skipped = [], []
+    for i, (layer, (mu_ref, sd_ref)) in enumerate(zip(merged.layers, targets)):
+        if i:  # the output of the layer below, rescaled
+            x = _step(new_layers[-1], x)
+        z = _preactivation(layer, x)
+        mu_m, sd_m = z.mean(axis=0), z.std(axis=0)
+        del z  # before the layer's rescaled output is made
         keep = sd_m < SIGMA_FLOOR
         scale = np.where(keep, 1.0, sd_ref / np.where(keep, 1.0, sd_m))
         shift = np.where(keep, 0.0, mu_ref - mu_m * scale)
-        w = layer.weights * scale[:, None]
-        b = layer.bias * scale + shift
-        for j in np.flatnonzero(keep):
-            skipped.append(SkippedNeuron(i, int(j)))
-        new_layers.append(DenseLayer(w, b, layer.activation))
+        skipped += [SkippedNeuron(i, int(j)) for j in np.flatnonzero(keep)]
+        new_layers.append(DenseLayer(layer.weights * scale[:, None],
+                                     layer.bias * scale + shift, layer.activation))
     new_layers.append(merged.layers[-1])  # the output layer is kept as it is
     return (
         MlpModel(tuple(new_layers), merged.input_dim, merged.seed_tag),

@@ -122,6 +122,15 @@ def _check_kind(name, value, kind):
     return value
 
 
+def _check_list(name, value, low=0, high=None):
+    """value if it is a list or tuple of low..high items, else
+    ValidationError naming the argument."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {type(value).__name__}")
+    _check_number(f"{name} length", len(value), low, high, error=ValidationError)
+    return value
+
+
 @contextlib.contextmanager
 def _allocating(what):
     """Numpy's refusal of an array too large to index or to allocate becomes
@@ -159,6 +168,7 @@ class DenseLayer:
     activation: Activation
 
     def __post_init__(self):
+        _check_kind("activation", self.activation, Activation)
         w = _as_array("weights", self.weights, 2, copy=True)
         b = _as_array("bias", self.bias, 1, copy=True)
         if b.shape[0] != w.shape[0]:
@@ -214,10 +224,8 @@ class MlpModel:
     seed_tag: str | None = None
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        if len(layers) < 2:
-            raise ValidationError("a model needs at least 2 layers")
-        prev = self.input_dim
+        layers = tuple(_check_list("layers", self.layers, 2))
+        prev = _check_number("input_dim", self.input_dim, 1, error=ValidationError)
         for i, layer in enumerate(layers):
             if not isinstance(layer, DenseLayer):
                 raise ValidationError(f"layer {i} is not a DenseLayer")
@@ -375,6 +383,7 @@ class LayerTransform:
     layer_index: int
 
     def __post_init__(self):
+        _check_number("layer_index", self.layer_index, 0, error=ValidationError)
         # the one value kept in its input's order: a CCA transform arrives
         # F-ordered, and apply_plan's bytes depend on the order it reads (C
         # copies changed every merged model of bench's cca workloads)
@@ -428,7 +437,7 @@ class AlignmentPlan:
     method_tag: MethodTag = MethodTag.IDENTITY
 
     def __post_init__(self):
-        transforms = tuple(self.transforms)
+        transforms = tuple(_check_list("transforms", self.transforms))
         if not transforms:
             raise ValidationError("a plan needs at least one transform")
         for i, t in enumerate(transforms):

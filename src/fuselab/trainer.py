@@ -20,8 +20,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    Activation, DenseLayer, MlpModel, _allocating, _check_kind, _check_number,
-    _one_blas_thread, forward,
+    Activation, DenseLayer, MlpModel, _allocating, _check_kind, _check_list,
+    _check_number, _one_blas_thread, forward,
 )
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
@@ -131,7 +131,7 @@ def _check_rows(ds):
 @np.errstate(over="ignore", invalid="ignore")
 def train_scored(ds, cfgs):
     """train_many's models as (model, cross_entropy_accuracy on ds) pairs."""
-    if not cfgs:
+    if not _check_list("cfgs", cfgs):
         raise ConfigurationError("train_many needs at least one config")
     _check_kind("dataset", ds, Dataset)
     for i, c in enumerate(cfgs):

@@ -241,6 +241,34 @@ PINNED = {
     "Dataset.subset(['a'])": (lambda: DS.subset(["a"]), ValidationError),
     "Dataset.subset([1.5])": (lambda: DS.subset([1.5]), ValidationError),
     "Dataset.subset([10**9])": (lambda: DS.subset([10**9]), ValidationError),
+    "Dataset.subset([-1])": (lambda: DS.subset([-1]), ValidationError),
+    # a field of the wrong kind was kept, or failed far from its check
+    "DenseLayer(activation='relu')": (
+        lambda: fuselab.DenseLayer(np.eye(2), np.zeros(2), "relu"), ValidationError),
+    "LayerTransform(layer_index='a')": (
+        lambda: fuselab.LayerTransform(np.eye(2), np.eye(2), "a"), ValidationError),
+    "LayerTransform(layer_index=-1)": (
+        lambda: fuselab.LayerTransform(np.eye(2), np.eye(2), -1), ValidationError),
+    "MlpModel(input_dim='x')": (
+        lambda: fuselab.MlpModel(A.layers, "x"), ValidationError),
+    # a list argument that is not a list
+    "MlpModel(None)": (lambda: fuselab.MlpModel(None, 3), ValidationError),
+    "AlignmentPlan(None)": (lambda: fuselab.AlignmentPlan(None), ValidationError),
+    "analyze(None)": (lambda: fuselab.analyze(None, DS.features), ValidationError),
+    "merge_and_report(None)": (
+        lambda: fuselab.merge_and_report(None, IDENTITY), ValidationError),
+    "evaluate_merge(models=None)": (
+        lambda: fuselab.evaluate_merge(IDENTITY, None, DS, DS), ValidationError),
+    "ensemble_accuracy(3)": (
+        lambda: fuselab.ensemble_accuracy(3, DS), ValidationError),
+    "merge_many(others=3)": (
+        lambda: fuselab.merge_many(A, 3, IDENTITY), ValidationError),
+    "train_many(cfgs=3)": (lambda: fuselab.train_many(DS, 3), ValidationError),
+    "select_gamma(model_pairs=None)": (
+        lambda: fuselab.select_gamma([0.1], None, DS.features, DS), ValidationError),
+    "select_gamma([(A,)])": (
+        lambda: fuselab.select_gamma([0.1], [(A,)], DS.features, DS),
+        ValidationError),
 }
 
 
@@ -260,7 +288,21 @@ NAMED = {
     "average_models(None)": "models",
     **{name: "path" for name in ("load_model(None)", "load_dataset(None)",
                                  "save_model(path=None)", "save_dataset(path=5.5)")},
-    **{f"Dataset.subset({v})": "indices" for v in ("['a']", "[1.5]", "[10**9]")},
+    **{f"Dataset.subset({v})": "indices"
+       for v in ("['a']", "[1.5]", "[10**9]", "[-1]")},
+    "DenseLayer(activation='relu')": "activation",
+    "LayerTransform(layer_index='a')": "layer_index",
+    "LayerTransform(layer_index=-1)": "layer_index",
+    "MlpModel(input_dim='x')": "input_dim",
+    "MlpModel(None)": "layers",
+    "AlignmentPlan(None)": "transforms",
+    **{name: "models" for name in (
+        "analyze(None)", "merge_and_report(None)", "evaluate_merge(models=None)",
+        "ensemble_accuracy(3)")},
+    "merge_many(others=3)": "others",
+    "train_many(cfgs=3)": "cfgs",
+    "select_gamma(model_pairs=None)": "model_pairs",
+    "select_gamma([(A,)])": "model_pairs",
 }
 
 
@@ -385,12 +427,12 @@ ENTRIES = {
     "inv_sqrt.s": ("array", lambda v: fuselab.inv_sqrt(v)),
     "scatter.gamma": ("number", lambda v: fuselab.scatter(ACTS, ACTS, v)),
     "default_gamma": ("array", lambda v: fuselab.default_gamma(v, C)),
-    "capture": ("array", lambda v: fuselab.capture(A, v)),
-    "forward": ("array", lambda v: fuselab.forward(A, v)),
+    "capture.probes": ("array", lambda v: fuselab.capture(A, v)),
+    "forward.inputs": ("array", lambda v: fuselab.forward(A, v)),
     "permute_plan": ("array", lambda v: fuselab.permute_plan(A, B, v)),
     "cca_plan": ("array", lambda v: fuselab.cca_plan(A, B, v)),
     "repair_reset": ("array", lambda v: fuselab.repair_reset(A, A, v)),
-    "analyze": ("array", lambda v: fuselab.analyze([A, B], v)),
+    "analyze.probes": ("array", lambda v: fuselab.analyze([A, B], v)),
     "DenseLayer.weights": (
         "array", lambda v: fuselab.DenseLayer(v, [0.0], RELU)),
     "DenseLayer.bias": (
@@ -408,6 +450,24 @@ ENTRIES = {
         "array", lambda v: fuselab.ActivationMatrix(v, [0.0], 0, 1)),
     "ActivationMatrix.column_means": (
         "array", lambda v: fuselab.ActivationMatrix([[0.0]], v, 0, 1)),
+    # every argument that takes a list, given a hostile list of models
+    "analyze.models": ("models", lambda v: fuselab.analyze(v, DS.features)),
+    "merge_and_report.models": (
+        "models", lambda v: fuselab.merge_and_report(v, IDENTITY)),
+    "evaluate_merge.models": ("models", lambda v: fuselab.evaluate_merge(
+        IDENTITY, v, DS, DS, grid_size=3)),
+    "average_models.models": ("models", lambda v: fuselab.average_models(v)),
+    "ensemble_accuracy.models list": (
+        "models", lambda v: fuselab.ensemble_accuracy(v, DS)),
+    "merge_many.others list": ("models", lambda v: fuselab.merge_many(
+        A, v, fuselab.MethodTag.PERMUTE, DS.features)),
+    "select_gamma.model_pairs": ("models", lambda v: fuselab.select_gamma(
+        [0.1], v, DS.features, DS)),
+    "select_gamma.pair": ("models", lambda v: fuselab.select_gamma(
+        [0.1], [v], DS.features, DS)),
+    "train_many.cfgs": ("models", lambda v: fuselab.train_many(DS, v)),
+    "MlpModel.layers": ("models", lambda v: fuselab.MlpModel(v, 3)),
+    "AlignmentPlan.transforms": ("models", lambda v: fuselab.AlignmentPlan(v)),
 }
 
 # entry -> (kind, the argument its error names, call taking an object of
@@ -485,11 +545,21 @@ OBJECTS = [None, "x", 3, 2.5, [], (), {"a": 1}, object(), np.zeros((2, 3)),
            A.layers[0], ACTS, [A], (A, B)]
 OTHERS = {"model": [DS, PLAN, CONFIG], "dataset": [A, PLAN, CONFIG],
           "plan": [A, DS, CONFIG], "config": [A, DS, PLAN]}
+# models of other widths, input counts and depths, and things that are not
+# models, for the items of a list
+ITEMS = [A, B, fuselab.init_model(3, (5,), 4, 2), fuselab.init_model(2, (4,), 4, 3),
+         fuselab.init_model(3, (4, 4), 4, 4), DS, PLAN, CONFIG, None, "x",
+         A.layers[0]]
 HOSTILE = {
     "number": NUMBERS,
     "widths": st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3).map(tuple)),
     "array": ARRAYS,
     **{kind: st.sampled_from(OBJECTS + others) for kind, others in OTHERS.items()},
+    "models": st.one_of(
+        st.sampled_from(OBJECTS + [DS, PLAN, CONFIG]),
+        st.lists(st.sampled_from(ITEMS), max_size=4),
+        st.lists(st.sampled_from(ITEMS), max_size=4).map(tuple),
+    ),
 }
 ENTRIES.update({name: (kind, call) for name, (kind, _, call) in KIND_ENTRIES.items()})
 

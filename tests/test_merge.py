@@ -420,11 +420,12 @@ class TestMergeWorkingSet:
             tracemalloc.stop()
         assert peak < 2.5 * (2000 * (128 + 128) * 8)
 
-    def test_repair_takes_each_spread_in_place(self):
-        # repair_reset alone on that merge peaks at 3.07 probes x width
-        # arrays: a layer's two inputs and one pre-activation. The merged
-        # pre-activation's spread is taken in place and the reference's in
-        # its last input's buffer; np.std's temporary made it 4.07
+    def test_repair_holds_three_probe_arrays(self):
+        # repair_reset alone on that merge peaks at 3.06 probes x width
+        # arrays: the merged model's layer input, its pre-activation and
+        # np.std's temporary (the reference's walk holds one fewer).
+        # Walking both models in lockstep with np.std on each
+        # pre-activation made it 4.07
         models = [random_model(32, (128, 128), 16, seed=s) for s in range(3)]
         probes = np.random.default_rng(0).normal(size=(2000, 32))
         merged = merge_many(models[0], models[1:], MethodTag.PERMUTE, probes)
