@@ -162,13 +162,14 @@ def cmd_merge(args):
     if probes is None and args.repair:
         raise ConfigurationError("--repair needs --probes")
     out_dir = _out_dir(args.out)
-    gamma = args.gamma
-    if args.gamma_search is None:
-        made = evaluation._merge(models, method, probes, gamma, reference)
-    else:
-        # one capture per model: the search makes the merge it picks
-        pairs = _pair_stats(models, reference, probes)
-        gamma, made = merge._search(candidates, pairs, probes_ds, method)
+    gamma, pairs, searched = args.gamma, None, None
+    if args.gamma_search is not None:
+        # one capture per model: the search makes the cca merge it picks
+        pairs = list(_pair_stats(models, reference, probes))
+        gamma, searched = merge._search(candidates, pairs, probes_ds)
+    made = evaluation._merge(models, method, probes, gamma, reference, pairs,
+                             searched)
+    del pairs, searched  # let go before the repair
     merged, report = evaluation._report(
         models, method, made, probes, gamma, args.repair, reference
     )
@@ -176,9 +177,7 @@ def cmd_merge(args):
     items = report.to_items()
     if args.gamma_search is not None:
         items.append(("gamma_selected", gamma))
-    text = reports.write_report(out_dir / "merge_report.txt", items)
-    sys.stdout.write(text)
-    return 0
+    return _emit(out_dir / "merge_report.txt", items)
 
 
 def _out_dir(path):
@@ -192,11 +191,11 @@ def _out_dir(path):
     return Path(path)
 
 
-def _emit(args, items):
-    """Print the report, writing it to --out first when that is given."""
+def _emit(path, items):
+    """Print the report, writing it to path first when that is given."""
     text = (
-        reports.write_report(args.out, items)
-        if args.out
+        reports.write_report(path, items)
+        if path
         else reports.format_report(items)
     )
     sys.stdout.write(text)
@@ -213,7 +212,7 @@ def cmd_eval(args):
     if len(models) > 1:
         items += [("base_models_avg", float(np.mean([acc for _, acc in scores]))),
                   ("ensemble_accuracy", ensemble)]
-    return _emit(args, items)
+    return _emit(args.out, items)
 
 
 def cmd_barrier(args):
@@ -229,7 +228,7 @@ def cmd_barrier(args):
         ("accuracies", [float(v) for v in curve.accuracies]),
         ("barrier", curve.barrier),
     ]
-    return _emit(args, items)
+    return _emit(args.out, items)
 
 
 def cmd_analyze(args):
@@ -237,7 +236,7 @@ def cmd_analyze(args):
     probes_ds = load_dataset(args.probes)
     probes = evaluation.limit_probes(probes_ds.features, args.probe_limit)
     report = analysis.analyze(models, probes, args.gamma)
-    return _emit(args, report.to_items())
+    return _emit(args.out, report.to_items())
 
 
 def cmd_experiment(args):
@@ -276,9 +275,9 @@ def cmd_experiment(args):
 
     # one capture per model: the search and every method read these pairs
     pairs = list(_pair_stats(models, reference, probes))
-    gamma = args.gamma
+    gamma, searched = args.gamma, None
     if args.gamma_search is not None:
-        gamma = merge._search(candidates, pairs, train_ds)[0]
+        gamma, searched = merge._search(candidates, pairs, train_ds)
 
     items = [
         ("report", "experiment"),
@@ -309,9 +308,10 @@ def cmd_experiment(args):
     items += [("base_models_avg", float(np.mean([acc for _, acc in scores]))),
               ("ensemble_accuracy", ensemble)]
     for method in methods:
-        made = evaluation._merge(models, method, probes, gamma, reference, pairs)
-        _, rep = evaluation._evaluate(models, method, made, test_ds, probes, gamma,
-                                      args.repair, args.grid, reference)
+        made = evaluation._merge(models, method, probes, gamma, reference, pairs,
+                                 searched)
+        _, rep = evaluation._report(models, method, made, probes, gamma,
+                                    args.repair, reference, test_ds, args.grid)
         p = f"method.{CLI_NAME[method]}"
         items.append((f"{p}.merged_accuracy", rep.merged_accuracy))
         items.append((f"{p}.merged_loss", rep.merged_loss))
@@ -324,9 +324,7 @@ def cmd_experiment(args):
         if rep.repair_skipped:
             skipped = evaluation._skipped_text(rep.repair_skipped)
             items.append((f"{p}.repair_skipped", skipped))
-    text = reports.write_report(out_dir / "experiment_report.txt", items)
-    sys.stdout.write(text)
-    return 0
+    return _emit(out_dir / "experiment_report.txt", items)
 
 
 # --- parser ---------------------------------------------------------------

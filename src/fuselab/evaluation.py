@@ -5,15 +5,14 @@ straight parameter path and the straight line between the endpoint losses;
 the path is taken between a reference model and an already-aligned partner.
 A merge is made, then reported: _merge reads the reference's _PairStats
 against each partner, solves the first pair for the layer summaries and
-runs merge's all-to-one loop on the same pairs, and merge._search makes
-the same (merged, aligned, summaries), with no aligned models, at the
-ridge it picks; _report repairs and reports either. An experiment forms
-its pairs once for every method.
+runs merge's all-to-one loop on the same pairs. At a searched ridge it
+takes merge._search's (merged, aligned, summaries) instead: the cca merge
+itself, and the summaries of any other method's. _report repairs, scores
+and reports either. An experiment forms its pairs once for every method.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +162,13 @@ def merge_and_report(models, method, probes=None, gamma=None, repair=False,
     return merged, report, made[1]
 
 
-def _merge(models, method, probes, gamma, reference_index, pairs=None):
+def _merge(models, method, probes, gamma, reference_index, pairs=None,
+           searched=None):
     """(merged, aligned non-reference models in order, layer summaries) of
     merge_and_report. pairs, when given, are the reference's _PairStats
-    against the other models in order, formed once by the caller."""
+    against the other models in order, formed once by the caller. searched,
+    merge._search's merge over those pairs at gamma, is the cca merge and
+    gives any other method its summaries."""
     if len(_check_list("models", models)) < 2:
         raise ConfigurationError("merging needs at least 2 models")
     _check_number("reference index", reference_index, 0, len(models) - 1)
@@ -177,7 +179,11 @@ def _merge(models, method, probes, gamma, reference_index, pairs=None):
     if pairs is None and probes is not None:
         pairs = _pair_stats(models, reference_index, probes)
     summaries = ()
-    if pairs is not None:  # the first pair is solved before any merging
+    if searched is not None:
+        if method is MethodTag.CCA:
+            return searched
+        summaries = searched[2]
+    elif pairs is not None:  # the first pair is solved before any merging
         pairs = iter(pairs)
         first = next(pairs)
         summaries = summaries_from_solutions(cca.solve_pair(first, gamma))
@@ -195,15 +201,25 @@ def _then(first, rest):
     yield from rest
 
 
-def _report(models, method, made, probes, gamma, repair, reference_index):
+def _report(models, method, made, probes, gamma, repair, reference_index,
+            test_ds=None, grid_size=None):
     """(merged model, report) of a merge made as _merge makes it, repaired
-    against the reference on probes when asked."""
-    merged, _, summaries = made
+    against the reference on probes when asked. Given test_ds, the report
+    scores the merge there, and a 2-model merge's barrier on grid_size
+    points."""
+    merged, aligned, summaries = made
     skipped = ()
     if repair:
         if probes is None:
             raise ConfigurationError("the statistics reset needs probes")
         merged, skipped = merge.repair_reset(merged, models[reference_index], probes)
+    loss = acc = barrier = None
+    if test_ds is not None:
+        loss, acc = trainer.cross_entropy_accuracy(merged, test_ds)
+        if len(models) == 2:
+            barrier = interpolation_curve(
+                models[reference_index], aligned[0], test_ds, grid_size
+            ).barrier
     report = MergeReport(
         method=method,
         num_models=len(models),
@@ -213,6 +229,9 @@ def _report(models, method, made, probes, gamma, repair, reference_index):
         repair=repair,
         repair_skipped=skipped,
         layer_summaries=summaries,
+        merged_accuracy=acc,
+        merged_loss=loss,
+        barrier=barrier,
     )
     return merged, report
 
@@ -228,21 +247,5 @@ def evaluate_merge(method, models, train_ds, test_ds, gamma=None, repair=False,
     _check_kind("train_ds", train_ds, Dataset)
     probes = limit_probes(train_ds.features, probe_limit)
     made = _merge(models, method, probes, gamma, reference_index)
-    return _evaluate(models, method, made, test_ds, probes, gamma, repair,
-                     grid_size, reference_index)
-
-
-def _evaluate(models, method, made, test_ds, probes, gamma, repair, grid_size,
-              reference_index):
-    """evaluate_merge of a merge already made, as _merge makes it."""
-    merged, report = _report(models, method, made, probes, gamma, repair,
-                             reference_index)
-    loss, acc = trainer.cross_entropy_accuracy(merged, test_ds)
-    barrier = None
-    if len(models) == 2:
-        barrier = interpolation_curve(
-            models[reference_index], made[1][0], test_ds, grid_size
-        ).barrier
-    return merged, dataclasses.replace(
-        report, merged_accuracy=acc, merged_loss=loss, barrier=barrier
-    )
+    return _report(models, method, made, probes, gamma, repair,
+                   reference_index, test_ds, grid_size)

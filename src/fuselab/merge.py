@@ -11,8 +11,8 @@ _merge_all, serves merge_many, evaluation._merge and every scoring merge of
 the gamma search, and consumes the pairs in order, so a stream of them
 holds one partner's statistics at a time. The search forms every pair
 first, then scores one ridge at a time over all of them and keeps the
-best one's cca merge, in evaluation._merge's form, so `merge
---gamma-search` makes none twice.
+best one's cca merge, in evaluation._merge's form: every command that
+searches reports that merge, so no pair is solved after the search.
 
 The reset pass rescales each hidden neuron of a merged model so its
 pre-activation mean and standard deviation on probes match the reference
@@ -159,8 +159,8 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     all pairs; a candidate whose solve, merge or scoring fails on any pair
     is dropped. Ties go to the larger gamma. candidate_gammas=None walks
     the scale-aware grid of the first pair, read from its statistics.
-    A negative or non-finite candidate, and probes that cannot be captured,
-    raise their own ValidationError.
+    Candidates that are not a list, a negative or non-finite candidate, and
+    probes that cannot be captured raise their own ValidationError.
 
     Each model is captured once per run of pairs sharing a reference, and
     such pairs share its Grams and inverse square roots.
@@ -176,16 +176,18 @@ def select_gamma(candidate_gammas, model_pairs, probes, eval_ds):
     return _search(candidate_gammas, pairs, eval_ds)[0]
 
 
-def _search(candidate_gammas, pairs, eval_ds, method=None):
-    """(select_gamma's choice, method's merge at it or None) over an iterable
-    of activations._PairStats, all formed before any merge is scored, so a
-    stream of them holds no capture by then. With a method, the pairs share
-    one reference and the merge is evaluation._merge's (merged, None,
-    summaries) at the chosen gamma. A candidate whose solve, plan, merge or
-    score fails on a pair is dropped; any other error propagates."""
+def _search(candidate_gammas, pairs, eval_ds):
+    """(select_gamma's choice, the cca merge at it) over an iterable of
+    activations._PairStats, all formed before any merge is scored, so a
+    stream of them holds no capture by then. The merge is evaluation._merge's
+    (merged, aligned, summaries), aligned holding a lone pair's partner, as
+    the 2-model barrier reads it; it is None when the pairs do not share one
+    reference. A candidate whose solve, plan, merge or score fails on a pair
+    is dropped; any other error propagates."""
     if candidate_gammas is not None:
         # each is checked before sorting: a NaN leaves no order. A repeat is
         # scored once; by its hex, -0.0 stays apart from 0.0
+        _check_list("candidate_gammas", candidate_gammas)
         unique = {g.hex(): g for g in map(_check_gamma, candidate_gammas)}
         candidate_gammas = sorted(unique.values())
         if not candidate_gammas:
@@ -193,30 +195,27 @@ def _search(candidate_gammas, pairs, eval_ds, method=None):
     pairs = list(pairs)
     if not pairs:
         raise GammaSelectionError("no model pairs given")
+    shared = all(p.a is pairs[0].a for p in pairs)
     best, best_score = None, -np.inf
     # ascending, so >= sends exact ties to the larger gamma
     for gamma in candidate_gammas or sorted(cca._grid(pairs[0])):
-        scored = _score(gamma, pairs, eval_ds, method is MethodTag.CCA)
+        scored = _score(gamma, pairs, eval_ds, shared)
         if scored is not None and scored[0] >= best_score:
-            best, (best_score, summaries, total) = gamma, scored
+            best, (best_score, total, partner, summaries) = gamma, scored
         del scored  # a losing candidate's sum goes before the next is scored
     if best is None:
         raise GammaSelectionError("every candidate gamma failed during merging")
-    if method is None:
+    if total is None:
         return best, None
-    if total is None:  # permute and direct do not read gamma: merge once
-        reference = pairs[0].a.model
-        merged = _merge_all(reference, [p.b.model for p in pairs], method, pairs)[0]
-    else:
-        merged = total.mean()
-    return best, (merged, None, summaries)
+    return best, (total.mean(), partner, summaries)
 
 
 def _score(gamma, pairs, eval_ds, keep_sum):
-    """(mean accuracy, first pair's summaries, the reference's and aligned
-    partners' _ModelSum if keep_sum) of the one-partner CCA merges at gamma
-    over pairs in order, or None when one fails."""
-    scores, summaries, total = [], None, None
+    """(mean accuracy, the reference's and aligned partners' _ModelSum if
+    keep_sum, a lone pair's aligned partner, the first pair's summaries) of
+    the one-partner CCA merges at gamma over pairs in order, or None when
+    one fails."""
+    scores, summaries, total, partner = [], None, None, ()
     for pair in pairs:
         a, b = pair.a.model, pair.b.model
         try:
@@ -232,8 +231,10 @@ def _score(gamma, pairs, eval_ds, keep_sum):
         if keep_sum:
             total = total or _ModelSum(a)
             total.add(aligned[0])
+        if len(pairs) == 1:
+            partner = aligned
         del merged, aligned  # before the next merge is made
-    return float(np.mean(scores)), summaries, total
+    return float(np.mean(scores)), total, partner, summaries
 
 
 def repair_reset(merged, reference, probes):

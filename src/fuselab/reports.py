@@ -8,7 +8,6 @@ can strip it for comparisons.
 
 from __future__ import annotations
 
-import math
 import time
 
 from .errors import ParseError, ValidationError
@@ -22,9 +21,7 @@ def format_value(value):
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if isinstance(value, float):  # repr gives inf and -inf as such
         return repr(value)
     if isinstance(value, (list, tuple)):
         return ",".join(format_value(v) for v in value)

@@ -269,6 +269,12 @@ PINNED = {
     "select_gamma([(A,)])": (
         lambda: fuselab.select_gamma([0.1], [(A,)], DS.features, DS),
         ValidationError),
+    "select_gamma(candidate_gammas=0.1)": (
+        lambda: fuselab.select_gamma(0.1, [(A, B)], DS.features, DS),
+        ValidationError),
+    "select_gamma(candidate_gammas='0.1')": (
+        lambda: fuselab.select_gamma("0.1", [(A, B)], DS.features, DS),
+        ValidationError),
 }
 
 
@@ -303,6 +309,8 @@ NAMED = {
     "train_many(cfgs=3)": "cfgs",
     "select_gamma(model_pairs=None)": "model_pairs",
     "select_gamma([(A,)])": "model_pairs",
+    "select_gamma(candidate_gammas=0.1)": "candidate_gammas",
+    "select_gamma(candidate_gammas='0.1')": "candidate_gammas",
 }
 
 

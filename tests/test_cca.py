@@ -4,6 +4,7 @@ import contextlib
 import io
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,10 +288,11 @@ class TestGammaHandling:
 
         def score(gamma, *_):
             scored.append(gamma.hex())
-            return 0.5, None, None
+            return 0.5, None, (), None
 
         monkeypatch.setattr(merge, "_score", score)
-        picked = merge._search([0.1, -0.0, 0.0, 0.1, -0.0], [None], None)
+        pair = SimpleNamespace(a=None)  # a stand-in: only its side a is read
+        picked = merge._search([0.1, -0.0, 0.0, 0.1, -0.0], [pair], None)
         assert scored == [(-0.0).hex(), (0.0).hex(), (0.1).hex()]
         assert picked == (0.1, None)
 

@@ -310,16 +310,15 @@ def _weights(model):
 
 def _record_search(monkeypatch):
     """Replace the gamma search by one that records the models of its
-    pair statistics and, given a method, merges them at gamma 0.01."""
+    pair statistics and makes their cca merge at gamma 0.01."""
     seen = []
 
-    def search(candidates, pairs, eval_ds, method=None):
+    def search(candidates, pairs, eval_ds):
         pairs = list(pairs)
         seen.append([(_weights(p.a.model), _weights(p.b.model)) for p in pairs])
-        if method is None:
-            return 0.01, None
         models = [pairs[0].a.model, *(p.b.model for p in pairs)]
-        return 0.01, evaluation._merge(models, method, None, 0.01, 0, pairs)
+        made = evaluation._merge(models, METHOD_NAMES["cca"], None, 0.01, 0, pairs)
+        return 0.01, made
 
     monkeypatch.setattr(merge, "_search", search)
     return seen
@@ -771,6 +770,30 @@ class TestExperiment:
             # 2 layers x (reference + partner), for the one summary solve
             # all three methods share; the cca merge reuses its solutions
             assert counts["inv_sqrt"] == 4
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra, calls",
+        [
+            (["--gamma-search", "auto", "--methods", "cca"], (16, 8, 16)),
+            (["--gamma-search", "auto"], (16, 8, 16)),
+            (["--seeds", "0,1,2", "--gamma-search", "1e-3,0.1",
+              "--methods", "cca,direct"], (12, 8, 16)),
+        ],
+    )
+    def test_search_makes_every_cca_solve(
+        self, tmp_path, monkeypatch, capsys, extra, calls
+    ):
+        # every method reads the search's merge at the chosen ridge or its
+        # summaries: per (candidate, layer) the reference is whitened once,
+        # and per (candidate, pair, layer) the partner is whitened once and
+        # the whitened cross matrix takes one svd, its basis inverse and
+        # transform one solve each. 2 layers, 4 auto candidates
+        counts = count_calls(monkeypatch, ["inv_sqrt", "eigh", "svd", "solve"])
+        assert main(["experiment", *SIZE_ARGS, *extra,
+                     "--out", str(tmp_path / "exp")]) == 0
+        assert (counts["eigh"], counts["svd"], counts["solve"]) == calls
+        assert counts["inv_sqrt"] == counts["eigh"]
         capsys.readouterr()
 
     @pytest.mark.parametrize(

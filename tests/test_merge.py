@@ -28,6 +28,7 @@ from fuselab import (
     coefficient_distribution_ratio,
     correlations,
     default_gamma,
+    evaluate_merge,
     format_report,
     generate,
     identity_plan,
@@ -450,9 +451,12 @@ class TestSearchWorkingSet:
         probes_ds = generate(16, 125, 32, seed=0)
         probes = probes_ds.features
 
-        def search_merge():
-            pairs = _pair_stats(models, 0, probes)
-            gamma, made = merge._search(None, pairs, probes_ds, MethodTag.CCA)
+        def search_merge():  # as cmd_merge makes it
+            pairs = list(_pair_stats(models, 0, probes))
+            gamma, searched = merge._search(None, pairs, probes_ds)
+            made = evaluation._merge(models, MethodTag.CCA, probes, gamma, 0,
+                                     pairs, searched)
+            del pairs, searched
             evaluation._report(models, MethodTag.CCA, made, probes, gamma, True, 0)
 
         search_merge()  # warm up
@@ -699,10 +703,14 @@ class TestPairsAreLetGo:
     def test_search(self, monkeypatch, method):
         # every pair is formed before any merge is scored: each partner's
         # capture is gone by the next capture, the reference's by the first
-        # scoring, and each scoring merge and its aligned partner by the next
+        # scoring, and each scoring merge and its aligned partner by the next.
+        # A method's merge from the search's result captures and scores none
         captures, scorings = record_search_lifetimes(monkeypatch)
-        pairs = _pair_stats(self.MODELS, 0, PATH_TASK.features)
-        merge._search([1e-3, 1.0], pairs, PATH_TASK, method)
+        pairs = list(_pair_stats(self.MODELS, 0, PATH_TASK.features))
+        gamma, searched = merge._search([1e-3, 1.0], pairs, PATH_TASK)
+        if method is not None:
+            evaluation._merge(self.MODELS, method, PATH_TASK.features, gamma, 0,
+                              pairs, searched)
         partners = len(self.MODELS) - 1
         assert captures == [[]] + [[0]] * partners
         assert scorings == [(0, 1, 1)] * (2 * partners)
@@ -763,3 +771,49 @@ class TestSelectGammaCandidates:
                 [bad, 0.01], [(a, b), (a, c)], PATH_TASK.features, PATH_TASK
             )
         assert counts["capture"] == 0
+
+
+class TestSearchKeeps:
+    """The search's result is the cca merge every searched command reports."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_merge_at_the_chosen_gamma(self, n):
+        # the merge, summaries and, for 2 models, the aligned partner are
+        # byte for byte what merging again at the chosen gamma gives; more
+        # partners than one are not kept, since only the 2-model barrier
+        # reads one
+        models = [random_model(6, (8, 8), 4, seed=s) for s in range(n)]
+        probes = PATH_TASK.features
+        pairs = _pair_stats(models, 0, probes)
+        gamma, (merged, aligned, summaries) = merge._search(
+            [1e-3, 0.1, 1.0], pairs, PATH_TASK
+        )
+        pairs = [(models[0], m) for m in models[1:]]
+        assert gamma == select_gamma([1e-3, 0.1, 1.0], pairs, probes, PATH_TASK)
+        expect, report, expect_aligned = merge_and_report(
+            models, MethodTag.CCA, probes, gamma
+        )
+        assert model_bytes(merged) == model_bytes(expect)
+        assert summaries == report.layer_summaries
+        if n == 2:
+            assert [model_bytes(m) for m in aligned] == [
+                model_bytes(m) for m in expect_aligned
+            ]
+            evaluated, _ = evaluate_merge(
+                MethodTag.CCA, models, PATH_TASK, PATH_TASK, gamma
+            )
+            assert model_bytes(evaluated) == model_bytes(merged)
+        else:
+            assert aligned == ()
+
+    def test_pairs_of_several_references_keep_no_merge(self):
+        # select_gamma's pairs may each have their own reference: their
+        # partners make no one merge
+        a, b, c = (random_model(6, (8, 8), 4, seed=s) for s in range(3))
+        probes = PATH_TASK.features
+        pairs = [*_pair_stats([a, b], 0, probes), *_pair_stats([c, a], 0, probes)]
+        gamma, made = merge._search([1e-3, 1.0], pairs, PATH_TASK)
+        assert made is None
+        assert gamma == select_gamma(
+            [1e-3, 1.0], [(a, b), (c, a)], probes, PATH_TASK
+        )
